@@ -38,7 +38,6 @@ from .spaces import (
     stack_dofmaps,
 )
 from .assemble import (
-    SparseSymMatrix,
     assemble,
     assemble_load,
     element_batch,
@@ -70,10 +69,8 @@ from .thin_limit import (
     ConnectingSystem,
     LimitPencil,
     assemble_limit_pencil,
-    average_Mdelta,
     divgrad_consistency_gap,
     energy_functional,
-    extend_Edelta,
     limit_div_coefficient,
     limit_rigid_pair,
     p2_dof_points,

@@ -3,54 +3,19 @@
 `element_batch` tabulates basis values, gradients (and Hessians for Morley)
 of one space at the quadrature points of every element at once; densities
 turn a batch into per-element matrices, and `assemble` scatters them into a
-`SparseSymMatrix` over the free dofs.  Symmetry is structural: only the
-lower triangle is stored, mirrored on demand.
+symmetric CSR matrix over the free dofs.  Symmetry is structural: only the
+lower triangle is accumulated, then mirrored.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import AssemblyError
 from .geometry import ElementKind, Mesh
 from .quadrature import QuadratureRule, quad_rule, segment_rule, triangle_rule
 from .spaces import DofMap, ElementSpace, SpaceKind, edge_normal
-
-
-class SparseSymMatrix:
-    """Symmetric sparse matrix storing the lower triangle in CSR."""
-
-    def __init__(self, lower: sp.csr_matrix):
-        self.lower = lower.tocsr()
-        self.lower.sum_duplicates()
-        self.lower.eliminate_zeros()
-        self.n = lower.shape[0]
-        self._full = None
-
-    @classmethod
-    def from_entries(cls, n: int, rows, cols, vals) -> "SparseSymMatrix":
-        """Build from accumulated lower-triangle entries (row >= col)."""
-        lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(lower)
-
-    def full(self) -> sp.csr_matrix:
-        """Mirror to the full symmetric matrix (cached)."""
-        if self._full is None:
-            strict = sp.tril(self.lower, k=-1)
-            self._full = (self.lower + strict.T).tocsr()
-        return self._full
-
-    def toarray(self) -> np.ndarray:
-        return self.full().toarray()
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.full() @ x
-
-    def mmwrite(self, path) -> None:
-        """Matrix Market coordinate format, symmetric storage."""
-        scipy.io.mmwrite(path, self.full(), symmetry="symmetric")
 
 
 @dataclass
@@ -248,8 +213,9 @@ def stiffness_density(batch: ElementBatch) -> np.ndarray:
     return np.einsum("eq,eqid,eqjd->eij", batch.w, batch.grad, batch.grad)
 
 
-def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> SparseSymMatrix:
-    """Scatter symmetric per-element matrices; constrained rows/cols dropped."""
+def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
+    """Scatter symmetric per-element matrices into a canonical, exactly
+    symmetric CSR matrix; constrained rows/cols dropped."""
     local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
     f2f = dofmap.full_to_free()
     gi = f2f[dofmap.element_to_global]  # (ne, nloc)
@@ -257,10 +223,15 @@ def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> SparseSymMatrix:
     cols = np.repeat(gi[:, None, :], gi.shape[1], axis=1).ravel()
     vals = local.ravel()
     keep = (rows >= cols) & (cols >= 0)
-    return SparseSymMatrix.from_entries(dofmap.n_free, rows[keep], cols[keep], vals[keep])
+    n = dofmap.n_free
+    lower = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    lower.sum_duplicates()
+    lower.eliminate_zeros()
+    # sum duplicates in one triangle, then mirror: summing both rounds differently per side
+    return (lower + sp.tril(lower, k=-1).T).tocsr()
 
 
-def assemble(mesh: Mesh, dofmap: DofMap, density, quad: QuadratureRule = None, space: ElementSpace = None) -> SparseSymMatrix:
+def assemble(mesh: Mesh, dofmap: DofMap, density, quad: QuadratureRule = None, space: ElementSpace = None) -> sp.csr_matrix:
     """Assemble sum over elements of the (symmetric) bilinear density."""
     if space is None:
         space = _infer_space(mesh, dofmap)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assemble import SparseSymMatrix, assemble, mass_density
+from .assemble import assemble, mass_density
 from .errors import UnsupportedLimitError
 from .geometry import ElementKind, Mesh
 from .quadrature import triangle_rule
@@ -68,8 +69,8 @@ def _essential(bc: LimitBc):
 
 @dataclass
 class BiharmonicPencil:
-    A: SparseSymMatrix
-    B: SparseSymMatrix
+    A: sp.csr_matrix
+    B: sp.csr_matrix
     mesh: Mesh
     dofmap: DofMap
     E: float
@@ -106,7 +107,7 @@ def solve_biharmonic_source(pencil: BiharmonicPencil, f) -> np.ndarray:
     from .rm_system import sparse_solve
 
     load = assemble_load(pencil.mesh, pencil.dofmap, f, triangle_rule(4))
-    u = sparse_solve(pencil.A.full(), load)
+    u = sparse_solve(pencil.A, load)
     return pencil.dofmap.expand(u)
 
 

@@ -13,6 +13,7 @@ import pathlib
 import sys
 
 import numpy as np
+import scipy.io
 
 from .biharmonic import LimitBc, assemble_biharmonic_pencil
 from .eigensolve import EigOptions, solve_gep_smallest
@@ -77,13 +78,11 @@ def _dump_matrices(args, matrices: dict):
     out = pathlib.Path(args.dump_matrices)
     out.mkdir(parents=True, exist_ok=True)
     for name, M in matrices.items():
-        M.mmwrite(out / f"{name}.mtx")
+        scipy.io.mmwrite(out / f"{name}.mtx", M, symmetry="symmetric")
 
 
 def _dump_eigvecs(args, vecs):
     if getattr(args, "dump_eigvecs", None):
-        import scipy.io
-
         scipy.io.mmwrite(args.dump_eigvecs, np.asarray(vecs))
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, SingularSystemError
@@ -55,15 +54,9 @@ class EigResult:
         return groups
 
 
-def _as_csr(M):
-    return M.full() if hasattr(M, "full") else sp.csr_matrix(M)
-
-
 def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
-    """k smallest eigenvalues of the symmetric pencil (A, B), B positive definite."""
+    """k smallest eigenvalues of the sparse symmetric pencil (A, B), B positive definite."""
     opts = opts or EigOptions()
-    A = _as_csr(A)
-    B = _as_csr(B)
     n = A.shape[0]
     if opts.k > n:
         raise ValueError(f"requested {opts.k} eigenvalues from an n={n} pencil")
@@ -147,9 +140,7 @@ def _refine_clusters(A, B, lam, vec, res, tol, rounds: int = 3):
 
 
 def solve_gep_largest(A, B, k: int = 1, seed: int = 7) -> np.ndarray:
-    """k largest eigenvalues of (A, B); used for discrete Korn constants."""
-    A = _as_csr(A)
-    B = _as_csr(B)
+    """k largest eigenvalues of the sparse pencil (A, B); used for discrete Korn constants."""
     n = A.shape[0]
     if k > n - 2:
         lam = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)
@@ -179,7 +170,6 @@ def principal_angles(U: np.ndarray, V: np.ndarray, B) -> np.ndarray:
     and the projection defect of one span onto the other equals the sine of
     the largest angle.
     """
-    B = _as_csr(B)
     for M in (U, V):
         G = M.T @ (B @ M)
         if np.linalg.matrix_rank(G, tol=1e-8) < M.shape[1]:

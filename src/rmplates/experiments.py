@@ -18,7 +18,7 @@ import numpy as np
 
 from .assemble import assemble, element_batch, mass_density, stiffness_density
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
-from .eigensolve import EigOptions, principal_angles, solve_gep_largest, solve_gep_smallest
+from .eigensolve import EigOptions, _b_orthonormalize, principal_angles, solve_gep_largest, solve_gep_smallest
 from .geometry import (
     Mesh,
     PiecewiseLinear,
@@ -35,6 +35,7 @@ from .thin_limit import (
     ConnectingSystem,
     assemble_limit_pencil,
     p2_dof_points,
+    p2_evaluate,
     p2_interpolate,
     resolvent_gap,
 )
@@ -242,7 +243,7 @@ def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_cl
 
     # averaged thin eigenvectors, B0-normalized; transverse (y-odd) branches
     # average to nearly zero and are excluded from the matching
-    B0 = limit_pencil.B.full()
+    B0 = limit_pencil.B
     averaged = []
     for i in range(len(thin_res.eigenvalues)):
         full = thin_pencil.dofmap.expand(thin_res.eigenvectors[:, i])
@@ -273,8 +274,8 @@ def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_cl
             raise RuntimeError(f"could not match {m} thin eigenpairs to limit cluster at {lam0}")
         taken[picked] = True
         eig_gaps.append(float(np.sum(np.abs(thin_res.eigenvalues[picked] - lam0))))
-        U = _b_orthonormal_columns(averaged[:, picked], limit_pencil.B)
-        angles.append(float(np.max(principal_angles(U, V, limit_pencil.B))))
+        U = _b_orthonormalize(averaged[:, picked], B0)
+        angles.append(float(np.max(principal_angles(U, V, B0))))
     return {
         "delta": delta,
         "resolvent_gap": res_gap,
@@ -284,19 +285,27 @@ def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_cl
     }
 
 
-def _b_orthonormal_columns(V: np.ndarray, B) -> np.ndarray:
-    from .eigensolve import _b_orthonormalize
-
-    return _b_orthonormalize(V, B.full() if hasattr(B, "full") else B)
-
-
 def sweep_delta(config: SweepConfig, f0=None, num_clusters: int = 3) -> dict:
     """Resolvent gaps, clustered eigenvalue gaps and projection angles as the
-    thin domain collapses."""
+    thin domain collapses.
+
+    `f0` is an optional pair (F0, f0) of P2 coefficient vectors on the
+    `mesh_n`-element base interval; the control level uses their restriction
+    to its own interval mesh.  The default is (0, sin(pi x)).
+    """
     t0 = time.perf_counter()
     nx, ny = config.mesh_n, config.mesh_ny
+    f0_c = None
+    if f0 is not None:
+        base = config.spec_at(config.values[0]).base_interval
+        fine_interval = build_interval_mesh(*base, nx)
+        n_p2 = len(p2_dof_points(fine_interval))
+        if any(len(c) != n_p2 for c in f0):
+            raise ValueError(f"f0 vectors must have length {n_p2}, the P2 dof count of the {nx}-element interval")
+        coarse_points = p2_dof_points(build_interval_mesh(*base, nx // 2))
+        f0_c = tuple(p2_evaluate(fine_interval, c, coarse_points) for c in f0)
     fine = [_delta_point(config, d, nx, ny, f0, num_clusters) for d in config.values]
-    coarse = [_delta_point(config, d, nx // 2, max(ny // 2, 2), f0, num_clusters) for d in config.values]
+    coarse = [_delta_point(config, d, nx // 2, max(ny // 2, 2), f0_c, num_clusters) for d in config.values]
 
     res_gaps = [p["resolvent_gap"] for p in fine]
     res_gaps_c = [p["resolvent_gap"] for p in coarse]
@@ -382,7 +391,7 @@ def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
             np.concatenate([y, -x]),
         ]
     )
-    C = scipy.linalg.null_space((R.T @ M.full()).astype(float))
+    C = scipy.linalg.null_space((R.T @ M).astype(float))
     Ad = C.T @ A.toarray() @ C
     Bd = C.T @ B.toarray() @ C
     lam = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import SparseSymMatrix, assemble_from_local, element_batch
+from .assemble import assemble_from_local, element_batch
 from .errors import SingularSystemError, UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
 from .quadrature import quad_rule, shear_rule_x, shear_rule_y
@@ -139,15 +140,15 @@ class Pencil:
     mass when `shifted`, which makes it positive definite for every family.
     """
 
-    A: SparseSymMatrix
-    B: SparseSymMatrix
+    A: sp.csr_matrix
+    B: sp.csr_matrix
     dof_layout: dict
     mesh: Mesh = None
     params: MaterialParams = None
     bc: BcFamily = None
     shifted: bool = True
     dofmap: DofMap = None
-    B_full: SparseSymMatrix = field(default=None, repr=False)
+    B_full: sp.csr_matrix = field(default=None, repr=False)
 
     @property
     def n_beta(self) -> int:
@@ -280,7 +281,7 @@ def rm_load_vector(pencil: Pencil, F, f) -> np.ndarray:
 
         return assemble_load_from_local(pencil.dofmap, loc)
     data = np.concatenate([np.asarray(F, dtype=float), np.asarray(f, dtype=float)])
-    return (pencil.B_full.full() @ data)[pencil.dofmap.free]
+    return (pencil.B_full @ data)[pencil.dofmap.free]
 
 
 def _interp_vec(pencil, F, vb):
@@ -303,8 +304,6 @@ def sparse_solve(A_full, load: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     precision; the residual contract is backward-error style,
     ||A x - b|| / (||A|| ||x|| + ||b||) <= rtol.
     """
-    import scipy.sparse as sp
-
     d = A_full.diagonal()
     if np.any(d <= 0):
         raise SingularSystemError("non-positive diagonal; system is not definite")
@@ -353,7 +352,7 @@ def solve_rm_source(pencil: Pencil, F, f) -> FieldPair:
     if not pencil.shifted:
         raise SingularSystemError("source solves need the shifted (definite) pencil")
     load = rm_load_vector(pencil, F, f)
-    x = sparse_solve(pencil.A.full(), load)
+    x = sparse_solve(pencil.A, load)
     full = pencil.dofmap.expand(x)
     beta, w = pencil.split(full)
     return FieldPair(beta, w)
@@ -363,7 +362,7 @@ def kernel_count(pencil: Pencil, tol: float = 1e-8, k: int = 6) -> int:
     """Number of eigenvalues of the shifted pencil within tol of 1."""
     if not pencil.shifted:
         raise ValueError("kernel counting is defined on the shifted pencil")
-    res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=min(k, pencil.A.n)))
+    res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=min(k, pencil.A.shape[0])))
     count = int(np.sum(np.abs(res.eigenvalues - 1.0) <= tol))
     if count == len(res.eigenvalues):
         return kernel_count(pencil, tol, k=k + 4)

@@ -26,12 +26,13 @@ exactly delta * g(x).
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assemble import SparseSymMatrix, assemble_from_local, element_batch
+from .assemble import assemble_from_local, element_batch
 from .geometry import ElementKind, Mesh, ThinDomainSpec
 from .quadrature import quad_rule_anisotropic, segment_rule
 from .rm_system import FieldPair, MaterialParams, Pencil
-from .spaces import P2_1D, Q1_SCALAR, Q1_VECTOR2, build_dofmap, stack_dofmaps
+from .spaces import P2_1D, Q1_SCALAR, build_dofmap, stack_dofmaps
 
 
 def limit_div_coefficient(sigma: float, d: int) -> float:
@@ -71,8 +72,8 @@ def divgrad_consistency_gap(E: float, sigma: float, d: int) -> float:
 class LimitPencil:
     """P2 x P2 pencil on the interval; layout [Phi dofs, phi dofs]."""
 
-    A: SparseSymMatrix
-    B: SparseSymMatrix
+    A: sp.csr_matrix
+    B: sp.csr_matrix
     dof_layout: dict
     mesh: Mesh
     spec: ThinDomainSpec
@@ -163,8 +164,8 @@ def solve_limit_source(pencil: LimitPencil, F_coeffs: np.ndarray, f_coeffs: np.n
     """Solve the shifted limit system with data (t^2/12 F, f) (g-weighted)."""
     from .rm_system import sparse_solve
 
-    load = pencil.B.full() @ np.concatenate([F_coeffs, f_coeffs])
-    x = sparse_solve(pencil.A.full(), load)
+    load = pencil.B @ np.concatenate([F_coeffs, f_coeffs])
+    x = sparse_solve(pencil.A, load)
     return pencil.split(x)
 
 
@@ -330,14 +331,18 @@ class ConnectingSystem:
         return self.integrate_thin(u * v) / self.delta
 
 
-def extend_Edelta(Phi_coeffs: np.ndarray, phi_coeffs: np.ndarray, system: ConnectingSystem) -> FieldPair:
-    """Constant-in-y extension with zero thin components, as nodal data."""
-    return system.extend_nodal(Phi_coeffs, phi_coeffs)
+def _extended_data(interval_mesh: Mesh, F0_coeffs: np.ndarray, f0_coeffs: np.ndarray):
+    """Callables (F, f) evaluating the extension of interval data (F0, 0, f0)
+    at thin-domain points, for `rm_load_vector`."""
 
+    def F(x):
+        vals = p2_evaluate(interval_mesh, F0_coeffs, x[..., 0].ravel()).reshape(x.shape[:-1])
+        return np.stack([vals, np.zeros_like(vals)], axis=-1)
 
-def average_Mdelta(pair: FieldPair, system: ConnectingSystem):
-    """Componentwise section average of a thin pair at the interval dofs."""
-    return system.average_pair(pair)
+    def f(x):
+        return p2_evaluate(interval_mesh, f0_coeffs, x[..., 0].ravel()).reshape(x.shape[:-1])
+
+    return F, f
 
 
 def resolvent_gap(
@@ -363,33 +368,13 @@ def resolvent_gap(
     if limit_pencil is None:
         limit_pencil = assemble_limit_pencil(system.interval_mesh, system.spec, params)
 
-    def F_thin(x):
-        vals = p2_evaluate(system.interval_mesh, F0_coeffs, x[..., 0].ravel()).reshape(x.shape[:-1])
-        return np.stack([vals, np.zeros_like(vals)], axis=-1)
-
-    def f_thin(x):
-        return p2_evaluate(system.interval_mesh, f0_coeffs, x[..., 0].ravel()).reshape(x.shape[:-1])
-
-    pair = solve_rm_source(thin_pencil, F_thin, f_thin)
+    pair = solve_rm_source(thin_pencil, *_extended_data(system.interval_mesh, F0_coeffs, f0_coeffs))
     Phi0, phi0 = solve_limit_source(limit_pencil, F0_coeffs, f0_coeffs)
     gap = system.hdelta_gap_norm(pair, Phi0, phi0, scale_thin=scale_thin)
     denom = system.h0_norm(F0_coeffs, f0_coeffs)
     if denom == 0:
         raise ValueError("data must be nonzero")
     return gap / denom
-
-
-def plain_mass_matrix(mesh: Mesh) -> SparseSymMatrix:
-    """Unweighted mass of the (beta, w) product space; backs the H_delta
-    norm used in the energy coercivity bound."""
-    vb = element_batch(mesh, Q1_VECTOR2)
-    sb = element_batch(mesh, Q1_SCALAR)
-    ne = vb.w.shape[0]
-    loc = np.zeros((ne, 12, 12))
-    loc[:, :8, :8] = np.einsum("eq,eqic,eqjc->eij", vb.w, vb.phi, vb.phi)
-    loc[:, 8:, 8:] = np.einsum("eq,eqi,eqj->eij", sb.w, sb.phi, sb.phi)
-    dofmap = stack_dofmaps([build_dofmap(mesh, Q1_VECTOR2), build_dofmap(mesh, Q1_SCALAR)])
-    return assemble_from_local(dofmap, loc)
 
 
 def energy_functional(
@@ -412,23 +397,8 @@ def energy_functional(
     x = pencil.dofmap.restrict(pair.concat())
     d = system.spec.d if system is not None else 1
     delta = system.delta if system is not None else pencil.mesh.meta.get("delta", 1.0)
-    val = 0.5 * float(x @ (pencil.A.full() @ x))
+    val = 0.5 * float(x @ (pencil.A @ x))
     if not homogeneous and f0_coeffs is not None:
-        def F_thin(xq):
-            vals = p2_evaluate(system.interval_mesh, F0_coeffs, xq[..., 0].ravel()).reshape(xq.shape[:-1])
-            return np.stack([vals, np.zeros_like(vals)], axis=-1)
-
-        def f_thin(xq):
-            return p2_evaluate(system.interval_mesh, f0_coeffs, xq[..., 0].ravel()).reshape(xq.shape[:-1])
-
-        load = rm_load_vector(pencil, F_thin, f_thin)
+        load = rm_load_vector(pencil, *_extended_data(system.interval_mesh, F0_coeffs, f0_coeffs))
         val -= float(load @ x)
     return val / delta**d
-
-
-def hdelta_plain_norm(pencil: Pencil, pair: FieldPair, delta: float, d: int = 1) -> float:
-    """delta^{-d}-weighted L2 norm of a thin pair (no thin-block rescaling);
-    this is the norm in the energy coercivity bound."""
-    M = plain_mass_matrix(pencil.mesh)
-    x = pair.concat()
-    return float(np.sqrt((x @ (M.full() @ x)) / delta**d))

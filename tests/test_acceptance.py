@@ -44,7 +44,7 @@ from rmplates.experiments import (
     sweep_delta,
 )
 from rmplates.rm_system import FieldPair
-from rmplates.thin_limit import assemble_limit_pencil, hdelta_plain_norm
+from rmplates.thin_limit import assemble_limit_pencil
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -215,10 +215,12 @@ def test_criterion_10_energy_coercivity():
         system = ConnectingSystem(build_thin_mesh(spec, 16, 4), build_interval_mesh(0, 1, 16), spec)
         pen = assemble_rm_pencil(system.thin_mesh, PARAMS, BcFamily.FREE)
         nv = system.thin_mesh.n_nodes
+        zeros = np.zeros(len(p2_dof_points(system.interval_mesh)))
         rng = np.random.default_rng(9)
         c = min(PARAMS.t**2 / 24.0, 0.5)
         for _ in range(50):
             pair = FieldPair(rng.standard_normal(2 * nv), rng.standard_normal(nv))
             hom = energy_functional(pen, pair, system=system, homogeneous=True)
-            norm2 = hdelta_plain_norm(pen, pair, system.delta) ** 2
+            # distance to the zero limit pair: the plain delta^{-1}-weighted L2 norm
+            norm2 = system.hdelta_gap_norm(pair, zeros, zeros) ** 2
             assert hom >= c * norm2 - 1e-12 * max(norm2, 1.0)

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import scipy.io
 
-from rmplates import build_rect_mesh, save_mesh
+from rmplates import BcFamily, MaterialParams, assemble_rm_pencil, build_rect_mesh, load_mesh, save_mesh
 from rmplates.cli import main
 
 
@@ -28,10 +29,14 @@ def test_solve_rm_end_to_end(tmp_path):
     lam = np.array(data["eigenvalues"])
     assert np.sum(np.abs(lam - 1.0) <= 1e-8) == 3
     assert max(data["residuals"]) <= 1e-9
-    import scipy.io
 
+    # Matrix Market dump: symmetric storage that reads back as the pencil
+    assert "symmetric" in (dump / "A.mtx").read_text().splitlines()[0]
     A = scipy.io.mmread(dump / "A.mtx")
     assert A.shape[0] == 3 * 49
+    params = MaterialParams(E=1.0, sigma=0.3, k=0.8333333333, t=0.1)
+    pencil = assemble_rm_pencil(load_mesh(mesh_path), params, BcFamily.FREE)
+    np.testing.assert_allclose(A.toarray(), pencil.A.toarray(), rtol=1e-15, atol=1e-15)
 
 
 def test_solve_biharmonic_accepts_quad_mesh(tmp_path):

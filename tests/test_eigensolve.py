@@ -98,7 +98,7 @@ class TestOnProductionPencils:
         )
         res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=7))
         assert np.all(res.residuals <= 1e-9)
-        G = res.eigenvectors.T @ (pen.B.full() @ res.eigenvectors)
+        G = res.eigenvectors.T @ (pen.B @ res.eigenvectors)
         assert_allclose(G, np.eye(7), atol=1e-8)
         assert np.all(np.diff(res.eigenvalues) >= 0)
 

@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 from rmplates import (
     BcFamily,
     MaterialParams,
+    build_interval_mesh,
     build_rect_mesh,
     emit_report,
     fit_rate,
     kernel_census,
     korn_constant,
+    p2_interpolate,
     poincare_check,
     sweep_delta,
     sweep_thickness,
@@ -94,7 +96,7 @@ class TestKorn:
         B = assemble(mesh, dm, eps_mass, space=Q1_VECTOR2)
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         eta = np.concatenate([y, -x])
-        q = (eta @ (A.full() @ eta)) / (eta @ (B.full() @ eta))
+        q = (eta @ (A @ eta)) / (eta @ (B @ eta))
         assert_allclose(q, 3.0, rtol=1e-12)
 
     def test_unit_square_constant_stable(self):
@@ -149,6 +151,25 @@ class TestSweeps:
         assert rep["checks"]["resolvent_monotone"]
         assert len(rep["resolvent_gaps"]) == 3
         assert all(len(p["eig_gap_sums"]) == 2 for p in rep["points"])
+
+    def test_delta_sweep_explicit_load_matches_default(self):
+        # an explicit f0 lives on the fine interval; the control level must
+        # restrict it to its own mesh rather than reuse the fine coefficients
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+        fine = build_interval_mesh(0.0, 1.0, 16)
+        f0 = p2_interpolate(fine, lambda x: np.sin(np.pi * x))
+        default = sweep_delta(cfg, num_clusters=2)
+        explicit = sweep_delta(cfg, f0=(np.zeros_like(f0), f0), num_clusters=2)
+        assert explicit["resolvent_gaps"] == default["resolvent_gaps"]
+        control = [p["resolvent_gap"] for p in explicit["points_control"]]
+        assert control == [p["resolvent_gap"] for p in default["points_control"]]
+        assert explicit["control_ok"] == default["control_ok"]
+
+    def test_delta_sweep_rejects_wrong_load_length(self):
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+        f0 = np.ones(17)
+        with pytest.raises(ValueError, match="length 33"):
+            sweep_delta(cfg, f0=(f0, f0), num_clusters=2)
 
     def test_delta_sweep_trapezoid_convergence_only(self):
         # general profiles are outside the cylinder rate theorem: assert

@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rmplates import (
@@ -10,11 +13,18 @@ from rmplates import (
     P2_1D,
     Q1_SCALAR,
     Q1_VECTOR2,
+    BcFamily,
+    LimitBc,
+    MaterialParams,
     assemble,
+    assemble_biharmonic_pencil,
+    assemble_limit_pencil,
     assemble_load,
+    assemble_rm_pencil,
     build_dofmap,
     build_interval_mesh,
     build_rect_mesh,
+    constant_profile_spec,
     element_batch,
     mass_density,
     split_quads,
@@ -125,16 +135,16 @@ class TestAssembly:
         mesh = build_rect_mesh(1, 1, 3, 3)
         dm = build_dofmap(mesh, Q1_SCALAR)
         M = assemble(mesh, dm, mass_density)
-        row_sums = np.asarray(M.full().sum(axis=1)).ravel()
+        row_sums = np.asarray(M.sum(axis=1)).ravel()
         load = assemble_load(mesh, dm, 1.0)
         assert_allclose(row_sums, load, atol=1e-14)
-        assert_allclose(M.full().sum(), 1.0, atol=1e-12)
+        assert_allclose(M.sum(), 1.0, atol=1e-12)
 
     def test_stiffness_kills_constants(self):
         mesh = build_rect_mesh(1, 1, 4, 3)
         dm = build_dofmap(mesh, Q1_SCALAR)
         K = assemble(mesh, dm, stiffness_density)
-        assert np.abs(K.full() @ np.ones(dm.n_free)).max() < 1e-12
+        assert np.abs(K @ np.ones(dm.n_free)).max() < 1e-12
 
     def test_p1_mass_hand_integration(self):
         # (0,1) with two elements: hat-function overlaps give 1/12 off the
@@ -156,9 +166,8 @@ class TestAssembly:
         mesh = build_rect_mesh(1.3, 0.7, 5, 4)
         dm = build_dofmap(mesh, Q1_VECTOR2)
         K = assemble(mesh, dm, stiffness_density, space=Q1_VECTOR2)
-        diff = K.full() - K.full().T
+        diff = K - K.T
         assert diff.nnz == 0
-        assert K.lower.nnz == (K.full().nnz + K.n) // 2
 
     def test_q1_closed_form_element_matrices(self):
         # one a x b rectangle against hand-derived element matrices; the
@@ -188,7 +197,7 @@ class TestAssembly:
         mesh = build_interval_mesh(0, 2, 3)
         dm = build_dofmap(mesh, P2_1D)
         M = assemble(mesh, dm, mass_density)
-        assert_allclose(M.full().sum(), 2.0, atol=1e-13)
+        assert_allclose(M.sum(), 2.0, atol=1e-13)
 
 
 def quadratic(x):
@@ -247,22 +256,60 @@ class TestMorley:
             return out + sigma * np.einsum("eq,eqi,eqj->eij", batch.w, lap, lap)
 
         A = assemble(tri, dm, density, triangle_rule(4))
-        got = coeffs @ (A.full() @ coeffs)
+        got = coeffs @ (A @ coeffs)
         H = np.array([[2.0, 3.0], [3.0, -4.0]])
         exact = (1 - sigma) * np.sum(H * H) + sigma * np.trace(H) ** 2
         assert_allclose(got, exact, atol=1e-10)
 
 
-class TestMatrixMarket:
-    def test_export_round_trip(self, tmp_path):
-        import scipy.io
+def assert_canonical_symmetric(M):
+    """Canonical CSR (sorted, duplicate-free rows without explicit zeros)
+    that equals its transpose entry for entry."""
+    assert isinstance(M, sp.csr_matrix)
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    assert np.all(np.diff(rows * M.shape[1] + M.indices) > 0)
+    assert np.all(M.data != 0)
+    assert (M - M.T).nnz == 0
 
-        mesh = build_rect_mesh(1, 1, 3, 2)
-        dm = build_dofmap(mesh, Q1_SCALAR)
-        M = assemble(mesh, dm, mass_density)
-        path = tmp_path / "mass.mtx"
-        M.mmwrite(path)
-        header = path.read_text().splitlines()[0]
-        assert "symmetric" in header
-        back = scipy.io.mmread(path).toarray()
-        assert_allclose(back, M.toarray(), atol=1e-15)
+
+class TestAssembledMatrices:
+    """Every assembler returns canonical, exactly symmetric CSR."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(nx=st.integers(2, 6), ny=st.integers(2, 6))
+    def test_rm_pencils(self, nx, ny):
+        mesh = build_rect_mesh(1.0, 0.8, nx, ny)
+        params = MaterialParams(E=1.0, sigma=0.3, t=0.05)
+        for bc in BcFamily:
+            pencil = assemble_rm_pencil(mesh, params, bc)
+            for M in (pencil.A, pencil.B, pencil.B_full):
+                assert_canonical_symmetric(M)
+
+    @settings(max_examples=6, deadline=None)
+    @given(nx=st.integers(2, 5), ny=st.integers(2, 5))
+    def test_morley_pencils(self, nx, ny):
+        tri = split_quads(build_rect_mesh(1.0, 0.8, nx, ny))
+        for bc in LimitBc:
+            pencil = assemble_biharmonic_pencil(tri, 1.0, 0.3, bc)
+            assert_canonical_symmetric(pencil.A)
+            assert_canonical_symmetric(pencil.B)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 24))
+    def test_limit_pencil(self, n):
+        spec = constant_profile_spec(0.0, 1.0, 0.5, 0.1)
+        pencil = assemble_limit_pencil(build_interval_mesh(0.0, 1.0, n), spec, MaterialParams(E=1.0, sigma=0.3))
+        assert_canonical_symmetric(pencil.A)
+        assert_canonical_symmetric(pencil.B)
+
+    @settings(max_examples=10, deadline=None)
+    @given(nx=st.integers(2, 8), ny=st.integers(2, 8))
+    def test_korn_and_laplace_assembly(self, nx, ny):
+        # the operators behind korn_constant (unconstrained vector field)
+        # and dirichlet_laplace_smallest (clamped scalar field)
+        mesh = build_rect_mesh(1.0, 0.3, nx, ny)
+        vector = build_dofmap(mesh, Q1_VECTOR2)
+        scalar = build_dofmap(mesh, Q1_SCALAR, lambda tag, comp, normal: True)
+        for dm, space in ((vector, Q1_VECTOR2), (scalar, Q1_SCALAR)):
+            for density in (stiffness_density, mass_density):
+                assert_canonical_symmetric(assemble(mesh, dm, density, space=space))

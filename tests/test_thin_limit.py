@@ -8,13 +8,11 @@ from rmplates import (
     MaterialParams,
     assemble_limit_pencil,
     assemble_rm_pencil,
-    average_Mdelta,
     build_interval_mesh,
     build_thin_mesh,
     constant_profile_spec,
     divgrad_consistency_gap,
     energy_functional,
-    extend_Edelta,
     limit_div_coefficient,
     limit_rigid_pair,
     p2_dof_points,
@@ -27,7 +25,7 @@ from rmplates import (
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.geometry import PiecewiseLinear, ThinDomainSpec
 from rmplates.rm_system import FieldPair, solve_rm_source
-from rmplates.thin_limit import hdelta_plain_norm, solve_limit_source
+from rmplates.thin_limit import solve_limit_source
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -83,7 +81,7 @@ class TestLimitPencil:
         mesh = build_interval_mesh(0, 1, 12)
         pen = assemble_limit_pencil(mesh, constant_profile_spec(0, 1, 0.5, 0.1), PARAMS)
         x = np.concatenate([np.zeros(25), np.ones(25)])
-        r = pen.A.full() @ x - pen.B.full() @ x
+        r = pen.A @ x - pen.B @ x
         assert np.abs(r).max() < 1e-12
 
     def test_rigid_pair_unit_eigenpair(self):
@@ -91,7 +89,7 @@ class TestLimitPencil:
         pen = assemble_limit_pencil(mesh, trapezoid_spec(0.1), PARAMS)
         Phi, phi = limit_rigid_pair(mesh, -0.7, 0.4)
         x = np.concatenate([Phi, phi])
-        r = pen.A.full() @ x - pen.B.full() @ x
+        r = pen.A @ x - pen.B @ x
         assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(x).max())
 
     def test_kernel_dimension_two_dense_oracle(self):
@@ -184,8 +182,8 @@ class TestConnectingSystem:
         rng = np.random.default_rng(5)
         n = len(p2_dof_points(cs.interval_mesh))
         Phi, phi = rng.standard_normal(n), rng.standard_normal(n)
-        pair = extend_Edelta(Phi, phi, cs)
-        Phi_bar, bII_bar, phi_bar = average_Mdelta(pair, cs)
+        pair = cs.extend_nodal(Phi, phi)
+        Phi_bar, bII_bar, phi_bar = cs.average_pair(pair)
         nv = cs.interval_mesh.n_nodes
         assert_allclose(Phi_bar[:nv], Phi[:nv], atol=1e-12)
         assert_allclose(phi_bar[:nv], phi[:nv], atol=1e-12)
@@ -311,12 +309,13 @@ class TestEnergyFunctional:
         cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2), nx=12, ny=3)
         pen = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
         nv = cs.thin_mesh.n_nodes
+        zeros = np.zeros(len(p2_dof_points(cs.interval_mesh)))
         rng = np.random.default_rng(6)
         c = min(PARAMS.t**2 / 24.0, 0.5)
         for _ in range(20):
             pair = FieldPair(rng.standard_normal(2 * nv), rng.standard_normal(nv))
             hom = energy_functional(pen, pair, system=cs, homogeneous=True)
-            norm2 = hdelta_plain_norm(pen, pair, cs.delta) ** 2
+            norm2 = cs.hdelta_gap_norm(pair, zeros, zeros) ** 2
             assert hom >= c * norm2 - 1e-12 * max(1.0, norm2)
 
     def test_solution_minimizes(self):
