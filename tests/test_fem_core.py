@@ -262,6 +262,23 @@ class TestMorley:
         assert_allclose(got, exact, atol=1e-10)
 
 
+class TestMatrixMarket:
+    def test_export_round_trip(self, tmp_path):
+        # symmetric storage keeps only one triangle, so the round trip is
+        # exact only because the assembled matrix is exactly symmetric
+        import scipy.io
+
+        mesh = build_rect_mesh(1, 1, 3, 2)
+        dm = build_dofmap(mesh, Q1_SCALAR)
+        M = assemble(mesh, dm, mass_density)
+        path = tmp_path / "mass.mtx"
+        scipy.io.mmwrite(path, M, symmetry="symmetric")
+        header = path.read_text().splitlines()[0]
+        assert "symmetric" in header
+        back = scipy.io.mmread(path).toarray()
+        assert_allclose(back, M.toarray(), atol=1e-15)
+
+
 def assert_canonical_symmetric(M):
     """Canonical CSR (sorted, duplicate-free rows without explicit zeros)
     that equals its transpose entry for entry."""
