@@ -38,8 +38,7 @@ from .spaces import (
     stack_dofmaps,
 )
 from .assemble import (
-    assemble,
-    assemble_load,
+    assemble_from_local,
     element_batch,
     mass_density,
     stiffness_density,

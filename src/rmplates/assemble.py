@@ -2,9 +2,11 @@
 
 `element_batch` tabulates basis values, gradients (and Hessians for Morley)
 of one space at the quadrature points of every element at once; densities
-turn a batch into per-element matrices, and `assemble` scatters them into a
-symmetric CSR matrix over the free dofs.  Symmetry is structural: only the
-lower triangle is accumulated, then mirrored.
+turn a batch into per-element matrices, and `assemble_from_local` scatters
+them into a symmetric CSR matrix over the free dofs.  Every assembler
+tabulates a mesh once per quadrature rule and computes all of its local
+blocks from that batch.  Symmetry is structural: only the lower triangle is
+accumulated, then mirrored.
 """
 
 from dataclasses import dataclass
@@ -114,9 +116,9 @@ def morley_element_basis(mesh: Mesh):
         u, v = U[:, k, 0], U[:, k, 1]
         D[:, k, :] = np.stack([np.ones(ne), u, v, u * u, u * v, v * v], axis=1)
     local_edges = [(1, 2), (2, 0), (0, 1)]
+    ends = np.array(local_edges).T
+    normals = edge_normal(mesh, mesh.elements[:, ends[0]], mesh.elements[:, ends[1]])  # (ne, 3, 2)
     for k, (a, b) in enumerate(local_edges):
-        ga, gb = mesh.elements[:, a], mesh.elements[:, b]
-        normals = np.array([edge_normal(mesh, int(p), int(q)) for p, q in zip(ga, gb)])
         mid = 0.5 * (X[:, a] + X[:, b])
         m = (mid - centres) / scales[:, None]
         u, v = m[:, 0], m[:, 1]
@@ -124,7 +126,7 @@ def morley_element_basis(mesh: Mesh):
         dmono_du = np.stack([zeros, np.ones(ne), zeros, 2 * u, v, zeros], axis=1)
         dmono_dv = np.stack([zeros, zeros, np.ones(ne), zeros, u, 2 * v], axis=1)
         # physical gradient carries 1/scale
-        D[:, 3 + k, :] = (normals[:, 0:1] * dmono_du + normals[:, 1:2] * dmono_dv) / scales[:, None]
+        D[:, 3 + k, :] = (normals[:, k, 0:1] * dmono_du + normals[:, k, 1:2] * dmono_dv) / scales[:, None]
     try:
         coeffs = np.linalg.inv(D)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -215,7 +217,14 @@ def stiffness_density(batch: ElementBatch) -> np.ndarray:
 
 def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
     """Scatter symmetric per-element matrices into a canonical, exactly
-    symmetric CSR matrix; constrained rows/cols dropped."""
+    symmetric CSR matrix; constrained rows/cols dropped.
+
+    Raises `AssemblyError` naming the first element whose block holds a
+    non-finite entry.
+    """
+    bad = np.nonzero(~np.all(np.isfinite(local.reshape(len(local), -1)), axis=1))[0]
+    if len(bad):
+        raise AssemblyError(int(bad[0]), "local matrix has a non-finite entry")
     local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
     f2f = dofmap.full_to_free()
     gi = f2f[dofmap.element_to_global]  # (ne, nloc)
@@ -231,18 +240,6 @@ def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
     return (lower + sp.tril(lower, k=-1).T).tocsr()
 
 
-def assemble(mesh: Mesh, dofmap: DofMap, density, quad: QuadratureRule = None, space: ElementSpace = None) -> sp.csr_matrix:
-    """Assemble sum over elements of the (symmetric) bilinear density."""
-    if space is None:
-        space = _infer_space(mesh, dofmap)
-    batch = element_batch(mesh, space, quad)
-    local = np.asarray(density(batch))
-    bad = np.nonzero(~np.all(np.isfinite(local.reshape(len(local), -1)), axis=1))[0]
-    if len(bad):
-        raise AssemblyError(int(bad[0]), "density evaluated to a non-finite value")
-    return assemble_from_local(dofmap, local)
-
-
 def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:
     """Scatter per-element load vectors (ne, nloc) into the free dofs."""
     f2f = dofmap.full_to_free()
@@ -251,28 +248,3 @@ def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:
     load = np.zeros(dofmap.n_free)
     np.add.at(load, gi[keep], local.ravel()[keep])
     return load
-
-
-def assemble_load(mesh: Mesh, dofmap: DofMap, f, quad: QuadratureRule = None, space: ElementSpace = None) -> np.ndarray:
-    """Load vector of a scalar source: integral of f phi_i over free dofs."""
-    if space is None:
-        space = _infer_space(mesh, dofmap)
-    batch = element_batch(mesh, space, quad)
-    fx = f(batch.x) if callable(f) else np.full(batch.w.shape, float(f))
-    local = np.einsum("eq,eq,eqi->ei", batch.w, fx, batch.phi)
-    return assemble_load_from_local(dofmap, local)
-
-
-def _infer_space(mesh: Mesh, dofmap: DofMap) -> ElementSpace:
-    nloc = dofmap.element_to_global.shape[1]
-    table = {
-        (ElementKind.QUAD4, 4): SpaceKind.Q1_SCALAR,
-        (ElementKind.QUAD4, 8): SpaceKind.Q1_VECTOR2,
-        (ElementKind.SEGMENT, 2): SpaceKind.P1_1D,
-        (ElementKind.SEGMENT, 3): SpaceKind.P2_1D,
-        (ElementKind.TRI3, 6): SpaceKind.MORLEY,
-    }
-    key = (mesh.element_kind, nloc)
-    if key not in table:
-        raise ValueError("cannot infer element space; pass it explicitly")
-    return ElementSpace(table[key])

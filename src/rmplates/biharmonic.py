@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .assemble import assemble, mass_density
+from .assemble import assemble_from_local, assemble_load_from_local, element_batch, mass_density
 from .errors import UnsupportedLimitError
 from .geometry import ElementKind, Mesh
 from .quadrature import triangle_rule
@@ -82,31 +82,32 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
     """A = prefactor * bending + mass, B = mass, over the free Morley dofs."""
     if mesh.element_kind != ElementKind.TRI3:
         raise ValueError("the biharmonic pencil needs a triangle mesh (see split_quads)")
+    if not (np.isfinite(E) and E > 0):
+        raise ValueError("E must be finite and positive")
     if not -1.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (-1, 1)")
     bc = LimitBc(bc)
     dofmap = build_dofmap(mesh, MORLEY, _essential(bc))
-    quad = triangle_rule(4)
     pref = E / (12.0 * (1.0 - sigma**2))
 
-    def density(batch):
-        lap = batch.hess[..., 0, 0] + batch.hess[..., 1, 1]
-        bend = (1.0 - sigma) * np.einsum("eq,eqiab,eqjab->eij", batch.w, batch.hess, batch.hess)
-        bend += sigma * np.einsum("eq,eqi,eqj->eij", batch.w, lap, lap)
-        m = mass_density(batch)
-        return pref * bend + m
-
-    A = assemble(mesh, dofmap, density, quad)
-    B = assemble(mesh, dofmap, mass_density, quad)
+    batch = element_batch(mesh, MORLEY, triangle_rule(4))
+    lap = batch.hess[..., 0, 0] + batch.hess[..., 1, 1]
+    bend = (1.0 - sigma) * np.einsum("eq,eqiab,eqjab->eij", batch.w, batch.hess, batch.hess)
+    bend += sigma * np.einsum("eq,eqi,eqj->eij", batch.w, lap, lap)
+    mass = mass_density(batch)
+    A = assemble_from_local(dofmap, pref * bend + mass)
+    B = assemble_from_local(dofmap, mass)
     return BiharmonicPencil(A, B, mesh, dofmap, E, sigma, bc)
 
 
 def solve_biharmonic_source(pencil: BiharmonicPencil, f) -> np.ndarray:
-    """Solve A u = (f, phi_i); returns the full Morley coefficient vector."""
-    from .assemble import assemble_load
+    """Solve A u = (f, phi_i) for a callable or constant source f; returns
+    the full Morley coefficient vector."""
     from .rm_system import sparse_solve
 
-    load = assemble_load(pencil.mesh, pencil.dofmap, f, triangle_rule(4))
+    batch = element_batch(pencil.mesh, MORLEY, triangle_rule(4))
+    fx = f(batch.x) if callable(f) else np.full(batch.w.shape, float(f))
+    load = assemble_load_from_local(pencil.dofmap, np.einsum("eq,eq,eqi->ei", batch.w, fx, batch.phi))
     u = sparse_solve(pencil.A, load)
     return pencil.dofmap.expand(u)
 
@@ -120,7 +121,7 @@ def morley_interpolate(mesh: Mesh, fn, grad_fn) -> np.ndarray:
     vals = np.asarray(fn(mesh.nodes))
     mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     grads = np.asarray(grad_fn(mids))
-    normals = np.array([edge_normal(mesh, int(a), int(b)) for a, b in edges])
+    normals = edge_normal(mesh, edges[:, 0], edges[:, 1])
     return np.concatenate([vals, np.sum(grads * normals, axis=1)])
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .assemble import assemble, element_batch, mass_density, stiffness_density
+from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
 from .eigensolve import EigOptions, _b_orthonormalize, principal_angles, solve_gep_largest, solve_gep_smallest
 from .geometry import (
@@ -299,9 +299,11 @@ def sweep_delta(config: SweepConfig, f0=None, num_clusters: int = 3) -> dict:
     the mesh in each direction) holds, per limit cluster, `eig_gap_signed`,
     the sum of `lam_i - lam_0` over the matched thin eigenvalues, and
     `eig_gap_sums`, the sum of `|lam_i - lam_0|`.  The signed gaps of the two
-    levels admit a Richardson step in h (`_richardson`); the single-level
-    `eig_gap_sums`, and the `eig_gap_fits` and `eig_gaps_monotone_per_cluster`
-    read from them, are not discretization-controlled.
+    levels admit a Richardson step in h (`_richardson`).  `eig_gap_fits[j]`
+    is the rate fit of cluster j's `eig_gap_sums` over `points`, claimed
+    only when `points_control` reproduces them within `CONTROL_RTOL` and
+    `None` otherwise; `eig_gaps_monotone_per_cluster` reads the single-level
+    sums and is not discretization-controlled.
     """
     t0 = time.perf_counter()
     nx, ny = config.mesh_n, config.mesh_ny
@@ -323,12 +325,14 @@ def sweep_delta(config: SweepConfig, f0=None, num_clusters: int = 3) -> dict:
     fit = fit_rate(list(zip(config.values, res_gaps))) if control_ok else None
 
     eig_tables = np.array([p["eig_gap_sums"] for p in fine])
+    eig_tables_c = np.array([p["eig_gap_sums"] for p in coarse])
     rel_eig = eig_tables / np.abs(np.array([p["limit_eigenvalues"] for p in fine]))
     checks = {"resolvent_monotone": bool(np.all(np.diff(res_gaps) < 0))}
     eig_fits = []
     for j in range(eig_tables.shape[1]):
         col = eig_tables[:, j]
-        eig_fits.append(fit_rate(list(zip(config.values, col))).to_dict() if np.all(col > 0) else None)
+        claimed = np.all(col > 0) and _control_ok(col, eig_tables_c[:, j])
+        eig_fits.append(fit_rate(list(zip(config.values, col))).to_dict() if claimed else None)
     return {
         "kind": "delta",
         "parameter_values": list(config.values),
@@ -376,23 +380,19 @@ def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
     """
     dofmap = build_dofmap(mesh, Q1_VECTOR2)
     batch = element_batch(mesh, Q1_VECTOR2)
-    A = assemble(mesh, dofmap, stiffness_density, space=Q1_VECTOR2)
-
-    def eps_plus_mass(b):
-        eps = 0.5 * (b.grad + np.swapaxes(b.grad, -1, -2))
-        loc = np.einsum("eq,eqicd,eqjcd->eij", b.w, eps, eps)
-        if not first_kind:
-            loc = loc + np.einsum("eq,eqic,eqjc->eij", b.w, b.phi, b.phi)
-        return loc
-
-    B = assemble(mesh, dofmap, eps_plus_mass, space=Q1_VECTOR2)
+    A = assemble_from_local(dofmap, stiffness_density(batch))
+    eps = 0.5 * (batch.grad + np.swapaxes(batch.grad, -1, -2))
+    strain = np.einsum("eq,eqicd,eqjcd->eij", batch.w, eps, eps)
+    mass = mass_density(batch)
     if not first_kind:
+        B = assemble_from_local(dofmap, strain + mass)
         return float(solve_gep_largest(A, B, k=1)[-1])
 
     import scipy.linalg
 
+    B = assemble_from_local(dofmap, strain)
     nv = mesh.n_nodes
-    M = assemble(mesh, dofmap, lambda b: np.einsum("eq,eqic,eqjc->eij", b.w, b.phi, b.phi), space=Q1_VECTOR2)
+    M = assemble_from_local(dofmap, mass)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     R = np.column_stack(
         [
@@ -436,8 +436,9 @@ def korn_sweep(config: SweepConfig) -> dict:
 def dirichlet_laplace_smallest(mesh: Mesh) -> float:
     """Smallest eigenvalue of the Dirichlet Laplacian (Q1) on the mesh."""
     dofmap = build_dofmap(mesh, Q1_SCALAR, lambda tag, comp, normal: True)
-    A = assemble(mesh, dofmap, stiffness_density, space=Q1_SCALAR)
-    B = assemble(mesh, dofmap, mass_density, space=Q1_SCALAR)
+    batch = element_batch(mesh, Q1_SCALAR)
+    A = assemble_from_local(dofmap, stiffness_density(batch))
+    B = assemble_from_local(dofmap, mass_density(batch))
     res = solve_gep_smallest(A, B, EigOptions(k=1))
     return float(res.eigenvalues[0])
 

@@ -19,14 +19,14 @@ the x-component sampled on the element midline xi = 0 and the y-component on
 eta = 0; the bending and mass terms use full 2x2 Gauss.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import assemble_from_local, element_batch
+from .assemble import assemble_from_local, assemble_load_from_local, element_batch
 from .errors import SingularSystemError, UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
 from .quadrature import quad_rule, shear_rule_x, shear_rule_y
@@ -47,6 +47,8 @@ class MaterialParams:
     N: int = 2  # space dimension; bounds the admissible Poisson interval
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.E, self.sigma, self.k, self.t])):
+            raise ValueError("E, sigma, k and t must be finite")
         if self.E <= 0:
             raise ValueError("E must be positive")
         lo = -1.0 / (self.N - 1)
@@ -138,6 +140,8 @@ class Pencil:
     Layout: rotation block first ([beta_x nodes, beta_y nodes]), then the
     displacement block.  B is the weighted mass;  A additionally contains the
     mass when `shifted`, which makes it positive definite for every family.
+    B_full is the weighted mass over all dofs; B is its restriction
+    `B_full[free][:, free]` to the family's free dofs.
     """
 
     A: sp.csr_matrix
@@ -175,11 +179,14 @@ class FieldPair:
 
 def rm_local_matrices(mesh: Mesh, params: MaterialParams):
     """Per-element 12x12 blocks (bending, shear, mass) over the local dofs
-    [beta_x(4), beta_y(4), w(4)]."""
-    full = quad_rule(2)
-    vb = element_batch(mesh, Q1_VECTOR2, full)
-    sb = element_batch(mesh, Q1_SCALAR, full)
+    [beta_x(4), beta_y(4), w(4)].
+
+    One Q1 vector batch per quadrature rule; the scalar Q1 basis of w is its
+    x-component block, `phi[..., :4, 0]` and `grad[..., :4, 0, :]`.
+    """
+    vb = element_batch(mesh, Q1_VECTOR2, quad_rule(2))
     ne = vb.w.shape[0]
+    scalar_phi = vb.phi[..., :4, 0]
 
     # bending: (1-s) eps:eps + s div div on the beta block
     eps = 0.5 * (vb.grad + np.swapaxes(vb.grad, -1, -2))  # (ne,nq,8,2,2)
@@ -196,16 +203,15 @@ def rm_local_matrices(mesh: Mesh, params: MaterialParams):
     t2_12 = params.t**2 / 12.0
     mass = np.zeros((ne, 12, 12))
     mass[:, :8, :8] = t2_12 * np.einsum("eq,eqic,eqjc->eij", vb.w, vb.phi, vb.phi)
-    mass[:, 8:, 8:] = np.einsum("eq,eqi,eqj->eij", sb.w, sb.phi, sb.phi)
+    mass[:, 8:, 8:] = np.einsum("eq,eqi,eqj->eij", vb.w, scalar_phi, scalar_phi)
 
     # reduced-integration shear, one component per midline rule
     shear = np.zeros((ne, 12, 12))
     for rule, comp in ((shear_rule_x(), 0), (shear_rule_y(), 1)):
         vbs = element_batch(mesh, Q1_VECTOR2, rule)
-        sbs = element_batch(mesh, Q1_SCALAR, rule)
         gam = np.zeros(vbs.w.shape + (12,))
         gam[..., :8] = -vbs.phi[..., comp]
-        gam[..., 8:] = sbs.grad[..., comp]
+        gam[..., 8:] = vbs.grad[..., :4, 0, comp]
         shear += np.einsum("eq,eqi,eqj->eij", vbs.w, gam, gam)
     shear *= params.shear_factor
     return bend, shear, mass
@@ -218,24 +224,28 @@ def rm_form_parts(mesh: Mesh, params: MaterialParams):
 
 
 def assemble_rm_pencil(mesh: Mesh, params: MaterialParams, bc: BcFamily, shifted: bool = True) -> Pencil:
-    """Assemble the (shifted) Reissner-Mindlin pencil for one BC family."""
+    """Assemble the (shifted) Reissner-Mindlin pencil for one BC family.
+
+    Both matrices are scattered once over all dofs; the family only selects
+    the free dofs, so its pencil is the restriction `[free][:, free]`.
+    """
     if mesh.element_kind != ElementKind.QUAD4 or mesh.dim != 2:
         raise ValueError("the plate system needs a 2D quad mesh")
     bc = BcFamily(bc)
     beta_map = build_dofmap(mesh, Q1_VECTOR2, beta_essential(bc))
     w_map = build_dofmap(mesh, Q1_SCALAR, w_essential(bc))
     combined = stack_dofmaps([beta_map, w_map])
-    unconstrained = stack_dofmaps(
-        [build_dofmap(mesh, Q1_VECTOR2), build_dofmap(mesh, Q1_SCALAR)]
-    )
+    unconstrained = replace(combined, constrained=np.empty(0, dtype=np.int64))
 
     bend_loc, shear_loc, M_loc = rm_local_matrices(mesh, params)
     A_loc = bend_loc + shear_loc
     if shifted:
         A_loc = A_loc + M_loc
-    A = assemble_from_local(combined, A_loc)
-    B = assemble_from_local(combined, M_loc)
+    A_full = assemble_from_local(unconstrained, A_loc)
     B_full = assemble_from_local(unconstrained, M_loc)
+    free = combined.free
+    A = A_full[free][:, free]
+    B = B_full[free][:, free]
     layout = {
         "n_beta": beta_map.n_dofs,
         "n_w": w_map.n_dofs,
@@ -262,38 +272,21 @@ def rigid_pair(mesh: Mesh, a, b: float) -> FieldPair:
 def rm_load_vector(pencil: Pencil, F, f) -> np.ndarray:
     """Reduced load with the weighting (t^2/12 F, f).
 
-    F, f are full-length coefficient vectors of interpolants (F as the
-    concatenated rotation block), or callables evaluated at quadrature
-    points for exact data.
+    F, f are either both full-length coefficient vectors of interpolants (F
+    as the concatenated rotation block), or both callables evaluated at
+    quadrature points for exact data.
     """
-    mesh = pencil.mesh
-    if callable(F) or callable(f):
-        full = quad_rule(3)
-        vb = element_batch(mesh, Q1_VECTOR2, full)
-        sb = element_batch(mesh, Q1_SCALAR, full)
-        Fx = F(vb.x) if callable(F) else _interp_vec(pencil, F, vb)
-        fx = f(sb.x) if callable(f) else _interp_scal(pencil, f, sb)
+    if callable(F) and callable(f):
+        vb = element_batch(pencil.mesh, Q1_VECTOR2, quad_rule(3))
         t2_12 = pencil.params.t**2 / 12.0
         loc = np.zeros((vb.w.shape[0], 12))
-        loc[:, :8] = t2_12 * np.einsum("eq,eqc,eqic->ei", vb.w, Fx, vb.phi)
-        loc[:, 8:] = np.einsum("eq,eq,eqi->ei", sb.w, fx, sb.phi)
-        from .assemble import assemble_load_from_local
-
+        loc[:, :8] = t2_12 * np.einsum("eq,eqc,eqic->ei", vb.w, F(vb.x), vb.phi)
+        loc[:, 8:] = np.einsum("eq,eq,eqi->ei", vb.w, f(vb.x), vb.phi[..., :4, 0])
         return assemble_load_from_local(pencil.dofmap, loc)
+    if callable(F) or callable(f):
+        raise ValueError("F and f must both be callables or both coefficient vectors")
     data = np.concatenate([np.asarray(F, dtype=float), np.asarray(f, dtype=float)])
     return (pencil.B_full @ data)[pencil.dofmap.free]
-
-
-def _interp_vec(pencil, F, vb):
-    nv = pencil.mesh.n_nodes
-    coeffs = np.asarray(F)
-    vals = np.stack([coeffs[:nv][pencil.mesh.elements], coeffs[nv:][pencil.mesh.elements]], axis=-1)
-    return np.einsum("eqi,eic->eqc", vb.phi[..., :4, 0], vals)
-
-
-def _interp_scal(pencil, f, sb):
-    vals = np.asarray(f)[pencil.mesh.elements]
-    return np.einsum("eqi,ei->eq", sb.phi, vals)
 
 
 def sparse_solve(A_full, load: np.ndarray, rtol: float = 1e-12) -> np.ndarray:

@@ -110,12 +110,12 @@ def edge_table(mesh: Mesh):
     return np.array(order, dtype=np.int64), pairs
 
 
-def edge_normal(mesh: Mesh, a: int, b: int) -> np.ndarray:
-    """Fixed global normal of edge (a, b): rotate the a->b tangent with a < b."""
-    if a > b:
-        a, b = b, a
-    t = mesh.nodes[b] - mesh.nodes[a]
-    return np.array([t[1], -t[0]]) / np.hypot(t[0], t[1])
+def edge_normal(mesh: Mesh, a, b) -> np.ndarray:
+    """Fixed global normals of the edges (a, b), given as node-index arrays:
+    rotate the tangent from the lower to the higher node index.  The result
+    has the shape of `a` plus a trailing axis of length 2."""
+    t = mesh.nodes[np.maximum(a, b)] - mesh.nodes[np.minimum(a, b)]
+    return np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.hypot(t[..., 0], t[..., 1])[..., None]
 
 
 def build_dofmap(mesh: Mesh, space: ElementSpace, essential=None) -> DofMap:

@@ -41,6 +41,14 @@ class TestLimitMap:
             map_limit_bc(bc)
 
 
+class TestInput:
+    @pytest.mark.parametrize("E", [0.0, -1.0, np.nan, np.inf])
+    def test_modulus_must_be_finite_and_positive(self, E):
+        tri = split_quads(build_rect_mesh(1, 1, 2, 2))
+        with pytest.raises(ValueError, match="finite and positive"):
+            assemble_biharmonic_pencil(tri, E, 0.3, LimitBc.CLAMPED)
+
+
 class TestFreeKernel:
     @pytest.mark.parametrize("n", [3, 5])
     def test_exactly_three_unit_eigenvalues(self, n):

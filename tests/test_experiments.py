@@ -18,7 +18,7 @@ from rmplates import (
     sweep_delta,
     sweep_thickness,
 )
-from rmplates.experiments import EXPECTED_KERNELS, SweepConfig, korn_sweep
+from rmplates.experiments import CONTROL_RTOL, EXPECTED_KERNELS, SweepConfig, korn_sweep
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -80,12 +80,12 @@ class TestKernelCensus:
 class TestKorn:
     def test_rotation_rayleigh_quotient_is_three(self):
         # eta = (y, -x): int |D eta|^2 = 2, eps(eta) = 0, int |eta|^2 = 2/3
-        from rmplates.assemble import assemble, stiffness_density
+        from rmplates.assemble import assemble_from_local, element_batch, stiffness_density
         from rmplates.spaces import Q1_VECTOR2, build_dofmap
 
         mesh = build_rect_mesh(1, 1, 8, 8)
         dm = build_dofmap(mesh, Q1_VECTOR2)
-        A = assemble(mesh, dm, stiffness_density, space=Q1_VECTOR2)
+        A = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_VECTOR2)))
 
         def eps_mass(b):
             eps = 0.5 * (b.grad + np.swapaxes(b.grad, -1, -2))
@@ -93,7 +93,7 @@ class TestKorn:
                 "eq,eqic,eqjc->eij", b.w, b.phi, b.phi
             )
 
-        B = assemble(mesh, dm, eps_mass, space=Q1_VECTOR2)
+        B = assemble_from_local(dm, eps_mass(element_batch(mesh, Q1_VECTOR2)))
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         eta = np.concatenate([y, -x])
         q = (eta @ (A @ eta)) / (eta @ (B @ eta))
@@ -157,6 +157,13 @@ class TestSweeps:
         for level in ("points", "points_control"):
             for p in rep[level]:
                 assert np.array_equal(np.abs(p["eig_gap_signed"]), p["eig_gap_sums"])
+        # a cluster's rate is fitted only when the control level reproduces
+        # its gaps within CONTROL_RTOL
+        fine = np.array([p["eig_gap_sums"] for p in rep["points"]])
+        coarse = np.array([p["eig_gap_sums"] for p in rep["points_control"]])
+        for j, fit in enumerate(rep["eig_gap_fits"]):
+            agree = np.all(np.abs(fine[:, j] - coarse[:, j]) <= CONTROL_RTOL * fine[:, j])
+            assert (fit is None) == (not agree)
 
     def test_delta_sweep_explicit_load_matches_default(self):
         # an explicit f0 lives on the fine interval; the control level must

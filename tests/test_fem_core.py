@@ -1,4 +1,5 @@
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -16,21 +17,23 @@ from rmplates import (
     BcFamily,
     LimitBc,
     MaterialParams,
-    assemble,
     assemble_biharmonic_pencil,
+    assemble_from_local,
     assemble_limit_pencil,
-    assemble_load,
     assemble_rm_pencil,
     build_dofmap,
     build_interval_mesh,
     build_rect_mesh,
     constant_profile_spec,
     element_batch,
+    korn_constant,
     mass_density,
     split_quads,
     stiffness_density,
 )
+from rmplates.assemble import assemble_load_from_local
 from rmplates.biharmonic import morley_interpolate
+from rmplates.experiments import dirichlet_laplace_smallest
 from rmplates.quadrature import (
     quad_center_rule,
     quad_rule,
@@ -98,20 +101,18 @@ class TestDofMaps:
         mesh = build_rect_mesh(1, 1, 3, 3)
         dm = build_dofmap(mesh, Q1_SCALAR)
 
-        def bad(batch):
-            loc = mass_density(batch)
-            loc[5] = np.nan
-            return loc
+        loc = mass_density(element_batch(mesh, Q1_SCALAR))
+        loc[5] = np.nan
 
         with pytest.raises(AssemblyError) as err:
-            assemble(mesh, dm, bad)
+            assemble_from_local(dm, loc)
         assert err.value.element == 5
 
     def test_assembly_deterministic(self):
         mesh = build_rect_mesh(1.1, 0.9, 6, 5)
         dm = build_dofmap(mesh, Q1_SCALAR)
-        a = assemble(mesh, dm, stiffness_density).toarray()
-        b = assemble(mesh, dm, stiffness_density).toarray()
+        a = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_SCALAR))).toarray()
+        b = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_SCALAR))).toarray()
         assert np.array_equal(a, b)
 
     def test_no_essential_means_empty(self):
@@ -134,16 +135,17 @@ class TestAssembly:
     def test_mass_partition_of_unity(self):
         mesh = build_rect_mesh(1, 1, 3, 3)
         dm = build_dofmap(mesh, Q1_SCALAR)
-        M = assemble(mesh, dm, mass_density)
+        batch = element_batch(mesh, Q1_SCALAR)
+        M = assemble_from_local(dm, mass_density(batch))
         row_sums = np.asarray(M.sum(axis=1)).ravel()
-        load = assemble_load(mesh, dm, 1.0)
+        load = assemble_load_from_local(dm, np.einsum("eq,eqi->ei", batch.w, batch.phi))
         assert_allclose(row_sums, load, atol=1e-14)
         assert_allclose(M.sum(), 1.0, atol=1e-12)
 
     def test_stiffness_kills_constants(self):
         mesh = build_rect_mesh(1, 1, 4, 3)
         dm = build_dofmap(mesh, Q1_SCALAR)
-        K = assemble(mesh, dm, stiffness_density)
+        K = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_SCALAR)))
         assert np.abs(K @ np.ones(dm.n_free)).max() < 1e-12
 
     def test_p1_mass_hand_integration(self):
@@ -151,7 +153,7 @@ class TestAssembly:
         # diagonal and 1/3 at the interior node
         mesh = build_interval_mesh(0, 1, 2)
         dm = build_dofmap(mesh, P1_1D)
-        M = assemble(mesh, dm, mass_density).toarray()
+        M = assemble_from_local(dm, mass_density(element_batch(mesh, P1_1D))).toarray()
         expected = np.array(
             [
                 [1 / 6, 1 / 12, 0],
@@ -165,7 +167,7 @@ class TestAssembly:
     def test_exact_symmetry(self):
         mesh = build_rect_mesh(1.3, 0.7, 5, 4)
         dm = build_dofmap(mesh, Q1_VECTOR2)
-        K = assemble(mesh, dm, stiffness_density, space=Q1_VECTOR2)
+        K = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_VECTOR2)))
         diff = K - K.T
         assert diff.nnz == 0
 
@@ -188,15 +190,16 @@ class TestAssembly:
         K_exact = np.empty((4, 4))
         M_exact[np.ix_(perm, perm)] = M_ccw
         K_exact[np.ix_(perm, perm)] = K_ccw
-        M = assemble(mesh, dm, mass_density).toarray()
-        K = assemble(mesh, dm, stiffness_density).toarray()
+        batch = element_batch(mesh, Q1_SCALAR)
+        M = assemble_from_local(dm, mass_density(batch)).toarray()
+        K = assemble_from_local(dm, stiffness_density(batch)).toarray()
         assert_allclose(M, M_exact, atol=1e-13)
         assert_allclose(K, K_exact, atol=1e-13)
 
     def test_p2_mass_total(self):
         mesh = build_interval_mesh(0, 2, 3)
         dm = build_dofmap(mesh, P2_1D)
-        M = assemble(mesh, dm, mass_density)
+        M = assemble_from_local(dm, mass_density(element_batch(mesh, P2_1D)))
         assert_allclose(M.sum(), 2.0, atol=1e-13)
 
 
@@ -255,7 +258,7 @@ class TestMorley:
             out = (1 - sigma) * np.einsum("eq,eqiab,eqjab->eij", batch.w, batch.hess, batch.hess)
             return out + sigma * np.einsum("eq,eqi,eqj->eij", batch.w, lap, lap)
 
-        A = assemble(tri, dm, density, triangle_rule(4))
+        A = assemble_from_local(dm, density(element_batch(tri, MORLEY, triangle_rule(4))))
         got = coeffs @ (A @ coeffs)
         H = np.array([[2.0, 3.0], [3.0, -4.0]])
         exact = (1 - sigma) * np.sum(H * H) + sigma * np.trace(H) ** 2
@@ -270,7 +273,7 @@ class TestMatrixMarket:
 
         mesh = build_rect_mesh(1, 1, 3, 2)
         dm = build_dofmap(mesh, Q1_SCALAR)
-        M = assemble(mesh, dm, mass_density)
+        M = assemble_from_local(dm, mass_density(element_batch(mesh, Q1_SCALAR)))
         path = tmp_path / "mass.mtx"
         scipy.io.mmwrite(path, M, symmetry="symmetric")
         header = path.read_text().splitlines()[0]
@@ -329,4 +332,35 @@ class TestAssembledMatrices:
         scalar = build_dofmap(mesh, Q1_SCALAR, lambda tag, comp, normal: True)
         for dm, space in ((vector, Q1_VECTOR2), (scalar, Q1_SCALAR)):
             for density in (stiffness_density, mass_density):
-                assert_canonical_symmetric(assemble(mesh, dm, density, space=space))
+                assert_canonical_symmetric(assemble_from_local(dm, density(element_batch(mesh, space))))
+
+
+class TestOneBatchPerRule:
+    """Every assembler tabulates its mesh once per quadrature rule and
+    derives all of its local blocks from that batch."""
+
+    @pytest.mark.parametrize(
+        "build,expected",
+        [
+            (lambda: assemble_biharmonic_pencil(split_quads(build_rect_mesh(1, 1, 3, 3)), 1.0, 0.3, LimitBc.CLAMPED), 1),
+            # full 2x2 Gauss plus the two midline shear rules
+            (lambda: assemble_rm_pencil(build_rect_mesh(1, 1, 3, 3), MaterialParams(E=1.0, sigma=0.3), BcFamily.HARD_CLAMPED), 3),
+            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4)), 1),
+            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4), first_kind=True), 1),
+            (lambda: dirichlet_laplace_smallest(build_rect_mesh(1, 1, 4, 4)), 1),
+        ],
+        ids=["morley_pencil", "rm_pencil", "korn", "korn_first_kind", "dirichlet_laplace"],
+    )
+    def test_tabulation_count(self, monkeypatch, build, expected):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return element_batch(*args, **kwargs)
+
+        # count the tabulations behind every rmplates binding of the name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rmplates.") and getattr(module, "element_batch", None) is element_batch:
+                monkeypatch.setattr(module, "element_batch", counting)
+        build()
+        assert len(calls) == expected

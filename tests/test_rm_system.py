@@ -17,7 +17,7 @@ from rmplates import (
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.errors import SingularSystemError, UnsupportedConfigurationError
 from rmplates.geometry import Mesh, PiecewiseLinear, ThinDomainSpec
-from rmplates.rm_system import rm_form_parts
+from rmplates.rm_system import rm_form_parts, rm_load_vector
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -40,7 +40,20 @@ class TestMaterial:
             assert_allclose(mu1 + mu2, E / (2 * (1 - sigma**2)), rtol=1e-14)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(E=-1, sigma=0.3), dict(E=1, sigma=1.0), dict(E=1, sigma=-1.0), dict(E=1, sigma=0.3, t=0.0)]
+        "kwargs",
+        [
+            dict(E=-1, sigma=0.3),
+            dict(E=1, sigma=1.0),
+            dict(E=1, sigma=-1.0),
+            dict(E=1, sigma=0.3, t=0.0),
+            dict(E=np.nan, sigma=0.3),
+            dict(E=np.inf, sigma=0.3),
+            dict(E=1, sigma=np.nan),
+            dict(E=1, sigma=0.3, k=np.nan),
+            dict(E=1, sigma=0.3, k=np.inf),
+            dict(E=1, sigma=0.3, t=np.nan),
+            dict(E=1, sigma=0.3, t=np.inf),
+        ],
     )
     def test_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
@@ -109,6 +122,17 @@ class TestPencil:
         )
         x = pair.concat()
         assert abs(x @ (shear @ x)) < 1e-12
+
+    def test_family_is_restriction_of_unconstrained_mass(self):
+        # a family only selects free dofs: its B is the unconstrained mass
+        # restricted, entry for entry and with the same sparsity
+        mesh = build_rect_mesh(1, 1, 6, 5)
+        for bc in BcFamily:
+            pen = assemble_rm_pencil(mesh, PARAMS, bc)
+            free = pen.dofmap.free
+            restricted = pen.B_full[free][:, free]
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(pen.B, attr), getattr(restricted, attr)), (bc, attr)
 
     def test_non_axis_aligned_trace_rejected(self):
         spec = ThinDomainSpec(
@@ -225,6 +249,14 @@ class TestSourceSolve:
         sol = solve_rm_source(pen, pair.beta, pair.w)
         assert_allclose(sol.beta, pair.beta, atol=1e-10)
         assert_allclose(sol.w, pair.w, atol=1e-10)
+
+    def test_mixed_load_data_rejected(self):
+        mesh = build_rect_mesh(1, 1, 4, 4)
+        pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE)
+        with pytest.raises(ValueError, match="both"):
+            rm_load_vector(pen, lambda x: np.zeros(x.shape[:-1] + (2,)), np.ones(mesh.n_nodes))
+        with pytest.raises(ValueError, match="both"):
+            rm_load_vector(pen, np.zeros(2 * mesh.n_nodes), lambda x: np.ones(x.shape[:-1]))
 
     def test_unshifted_solve_rejected(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
