@@ -24,11 +24,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assemble import assemble_from_local, assemble_load_from_local, element_batch, mass_density
+from .eigensolve import sparse_solve
 from .errors import UnsupportedLimitError
 from .geometry import ElementKind, Mesh
 from .quadrature import triangle_rule
 from .rm_system import BcFamily
-from .spaces import MORLEY, DofMap, build_dofmap
+from .spaces import MORLEY, DofMap, build_dofmap, edge_normal, edge_table
 
 
 class LimitBc(str, Enum):
@@ -103,8 +104,6 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
 def solve_biharmonic_source(pencil: BiharmonicPencil, f) -> np.ndarray:
     """Solve A u = (f, phi_i) for a callable or constant source f; returns
     the full Morley coefficient vector."""
-    from .rm_system import sparse_solve
-
     batch = element_batch(pencil.mesh, MORLEY, triangle_rule(4))
     fx = f(batch.x) if callable(f) else np.full(batch.w.shape, float(f))
     load = assemble_load_from_local(pencil.dofmap, np.einsum("eq,eq,eqi->ei", batch.w, fx, batch.phi))
@@ -115,8 +114,6 @@ def solve_biharmonic_source(pencil: BiharmonicPencil, f) -> np.ndarray:
 def morley_interpolate(mesh: Mesh, fn, grad_fn) -> np.ndarray:
     """Morley interpolant: vertex values of fn, edge-midpoint normal
     derivatives of grad_fn (with the global edge-normal convention)."""
-    from .spaces import edge_normal, edge_table
-
     edges, _ = edge_table(mesh)
     vals = np.asarray(fn(mesh.nodes))
     mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])

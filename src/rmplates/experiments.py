@@ -10,15 +10,17 @@ values.
 
 import csv
 import json
+import pathlib
 import subprocess
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy.linalg
 
 from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
-from .eigensolve import EigOptions, _b_orthonormalize, principal_angles, solve_gep_largest, solve_gep_smallest
+from .eigensolve import EigOptions, EigResult, _b_orthonormalize, principal_angles, solve_gep_largest, solve_gep_smallest
 from .geometry import (
     Mesh,
     PiecewiseLinear,
@@ -205,8 +207,6 @@ def sweep_thickness(config: SweepConfig) -> dict:
 
 def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int, unit_tol: float = 1e-6):
     """First clusters of eigenvalues beyond the shifted kernel at 1."""
-    from .eigensolve import EigResult
-
     res = EigResult(np.asarray(eigenvalues), None, None)
     clusters = []
     for group in res.clusters():
@@ -388,8 +388,6 @@ def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
         B = assemble_from_local(dofmap, strain + mass)
         return float(solve_gep_largest(A, B, k=1)[-1])
 
-    import scipy.linalg
-
     B = assemble_from_local(dofmap, strain)
     nv = mesh.n_nodes
     M = assemble_from_local(dofmap, mass)
@@ -489,8 +487,6 @@ def emit_report(results: dict, out_dir) -> dict:
     eigenvalue family, the resolvent gap (nan when not measured), and the
     claimed slope; 2 + k + 1 + 1 columns in total.
     """
-    import pathlib
-
     if not results or not results.get("parameter_values"):
         raise ValueError("refusing to write an empty report")
     out = pathlib.Path(out_dir)

@@ -24,14 +24,13 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assemble import assemble_from_local, assemble_load_from_local, element_batch
 from .errors import SingularSystemError, UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
 from .quadrature import quad_rule, shear_rule_x, shear_rule_y
 from .spaces import Q1_SCALAR, Q1_VECTOR2, DofMap, build_dofmap, stack_dofmaps
-from .eigensolve import EigOptions, solve_gep_smallest
+from .eigensolve import EigOptions, solve_gep_smallest, sparse_solve
 
 _AXIS_TOL = 1e-9
 
@@ -287,57 +286,6 @@ def rm_load_vector(pencil: Pencil, F, f) -> np.ndarray:
         raise ValueError("F and f must both be callables or both coefficient vectors")
     data = np.concatenate([np.asarray(F, dtype=float), np.asarray(f, dtype=float)])
     return (pencil.B_full @ data)[pencil.dofmap.free]
-
-
-def sparse_solve(A_full, load: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Sparse LU solve with symmetric diagonal scaling and refinement.
-
-    Jacobi scaling evens out the very different block magnitudes (the
-    rotation mass carries t^2/12), which keeps forward errors near machine
-    precision; the residual contract is backward-error style,
-    ||A x - b|| / (||A|| ||x|| + ||b||) <= rtol.
-    """
-    d = A_full.diagonal()
-    if np.any(d <= 0):
-        raise SingularSystemError("non-positive diagonal; system is not definite")
-    s = 1.0 / np.sqrt(d)
-    S = sp.diags(s)
-    As = (S @ A_full @ S).tocsc()
-    bs = s * load
-    try:
-        lu = spla.splu(As)
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc))
-    y = lu.solve(bs)
-    normA = spla.norm(As, np.inf)
-
-    # extended-precision residuals push the forward error of well-scaled
-    # systems to machine level instead of stagnating at kappa * eps
-    coo = As.tocoo()
-    bs_l = bs.astype(np.longdouble)
-
-    data_l = coo.data.astype(np.longdouble)
-
-    def residual(v):
-        # np.add.at keeps the accumulation in extended precision, which
-        # bincount and sparse matvecs would silently downcast
-        prod = np.zeros(len(bs_l), dtype=np.longdouble)
-        np.add.at(prod, coo.row, data_l * v[coo.col])
-        return bs_l - prod
-
-    def backward_error(v, r):
-        scale = normA * np.linalg.norm(v) + np.linalg.norm(bs)
-        return float(np.linalg.norm(r.astype(np.float64)) / max(scale, 1e-300))
-
-    for _ in range(8):
-        r = residual(y.astype(np.longdouble))
-        dy = lu.solve(r.astype(np.float64))
-        if np.linalg.norm(dy) <= 1e-16 * np.linalg.norm(y):
-            break
-        y = y + dy
-    if backward_error(y, residual(y.astype(np.longdouble))) > max(rtol, 1e-13):
-        raise SingularSystemError("direct solve residual above tolerance after refinement")
-    return s * y
 
 
 def solve_rm_source(pencil: Pencil, F, f) -> FieldPair:

@@ -29,9 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assemble import assemble_from_local, element_batch
+from .eigensolve import sparse_solve
 from .geometry import ElementKind, Mesh, ThinDomainSpec
 from .quadrature import quad_rule_anisotropic, segment_rule
-from .rm_system import FieldPair, MaterialParams, Pencil
+from .rm_system import BcFamily, FieldPair, MaterialParams, Pencil, assemble_rm_pencil, rm_load_vector, solve_rm_source
 from .spaces import P2_1D, Q1_SCALAR, build_dofmap, stack_dofmaps
 
 
@@ -162,8 +163,6 @@ def assemble_limit_pencil(
 
 def solve_limit_source(pencil: LimitPencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray):
     """Solve the shifted limit system with data (t^2/12 F, f) (g-weighted)."""
-    from .rm_system import sparse_solve
-
     load = pencil.B @ np.concatenate([F_coeffs, f_coeffs])
     x = sparse_solve(pencil.A, load)
     return pencil.split(x)
@@ -361,8 +360,6 @@ def resolvent_gap(
     convention; the extension is evaluated exactly at quadrature points when
     building the thin load.  See `hdelta_gap_norm` for `scale_thin`.
     """
-    from .rm_system import BcFamily, assemble_rm_pencil, solve_rm_source
-
     if thin_pencil is None:
         thin_pencil = assemble_rm_pencil(system.thin_mesh, params, BcFamily.FREE, shifted=True)
     if limit_pencil is None:
@@ -392,8 +389,6 @@ def energy_functional(
     minimizer of this functional over the discrete space.  With
     `homogeneous`, the load term is dropped.
     """
-    from .rm_system import rm_load_vector
-
     x = pencil.dofmap.restrict(pair.concat())
     d = system.spec.d if system is not None else 1
     delta = system.delta if system is not None else pencil.mesh.meta.get("delta", 1.0)

@@ -1,10 +1,22 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from rmplates import eigensolve
+from rmplates.assemble import assemble_from_local, element_batch, mass_density, stiffness_density
 from rmplates.eigensolve import EigOptions, principal_angles, solve_gep_largest, solve_gep_smallest
+from rmplates.errors import ConvergenceError, SingularSystemError
+from rmplates.geometry import build_rect_mesh
+from rmplates.rm_system import BcFamily, MaterialParams, assemble_rm_pencil, solve_rm_source
+from rmplates.spaces import Q1_SCALAR, build_dofmap
+
+
+def clamped_rm_pencil():
+    return assemble_rm_pencil(build_rect_mesh(1, 1, 8, 8), MaterialParams(E=1.0, sigma=0.3, t=0.1), BcFamily.HARD_CLAMPED)
 
 
 def random_spd_pencil(n, rng, spread=10.0):
@@ -82,6 +94,20 @@ class TestSmallest:
         res = solve_gep_smallest(A, sp.identity(3, format="csr"), EigOptions(k=3))
         assert_allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
 
+    def test_iteration_limit_carries_partial_results(self):
+        pen = clamped_rm_pencil()
+        with pytest.raises(ConvergenceError) as info:
+            solve_gep_smallest(pen.A, pen.B, EigOptions(k=4, max_iter=1))
+        lam, vec = info.value.partial
+        assert lam.shape == (4,)
+        assert vec.shape == (pen.A.shape[0], 4)
+
+    def test_shift_on_eigenvalue_is_singular(self):
+        A = sp.diags([1.0, 2.0, 3.0, 7.0, 9.0, 11.0, 13.0, 15.0]).tocsr()
+        B = sp.identity(8, format="csr")
+        with pytest.raises(SingularSystemError):
+            solve_gep_smallest(A, B, EigOptions(k=3, shift=3.0))
+
     def test_cluster_grouping(self):
         A = sp.diags([1.0, 1.0 + 1e-9, 5.0, 5.0, 9.0]).tocsr()
         res = solve_gep_smallest(A, sp.identity(5, format="csr"), EigOptions(k=5))
@@ -101,6 +127,48 @@ class TestOnProductionPencils:
         G = res.eigenvectors.T @ (pen.B @ res.eigenvectors)
         assert_allclose(G, np.eye(7), atol=1e-8)
         assert np.all(np.diff(res.eigenvalues) >= 0)
+
+
+class TestOneFactorization:
+    """Every sparse LU is made by `factorize`; eigsh never factors on its own."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        def hidden_splu(*args, **kwargs):
+            raise AssertionError("eigsh factored a matrix itself")
+
+        arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+        monkeypatch.setattr(arpack, "splu", hidden_splu)
+        calls = []
+        factorize = eigensolve.factorize
+
+        def counted(M):
+            calls.append(M.shape)
+            return factorize(M)
+
+        monkeypatch.setattr(eigensolve, "factorize", counted)
+        return calls
+
+    def test_shift_invert(self, factor_calls):
+        pen = clamped_rm_pencil()
+        solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
+        assert len(factor_calls) == 1
+
+    def test_regular_mode(self, factor_calls):
+        mesh = build_rect_mesh(1, 1, 6, 6)
+        dofmap = build_dofmap(mesh, Q1_SCALAR)
+        batch = element_batch(mesh, Q1_SCALAR)
+        A = assemble_from_local(dofmap, stiffness_density(batch))
+        B = assemble_from_local(dofmap, mass_density(batch))
+        solve_gep_largest(A, B, k=1)
+        assert len(factor_calls) == 1
+
+    def test_source_solve(self, factor_calls):
+        mesh = build_rect_mesh(1, 1, 6, 5)
+        pen = assemble_rm_pencil(mesh, MaterialParams(E=1.0, sigma=0.3, t=0.1), BcFamily.FREE)
+        rng = np.random.default_rng(4)
+        solve_rm_source(pen, rng.standard_normal(2 * mesh.n_nodes), rng.standard_normal(mesh.n_nodes))
+        assert len(factor_calls) == 1
 
 
 class TestLargest:
