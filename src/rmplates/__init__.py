@@ -38,6 +38,7 @@ from .spaces import (
     stack_dofmaps,
 )
 from .assemble import (
+    Pencil,
     assemble_from_local,
     element_batch,
     mass_density,
@@ -48,16 +49,15 @@ from .rm_system import (
     BcFamily,
     FieldPair,
     MaterialParams,
-    Pencil,
     assemble_rm_pencil,
     interpolate_pair,
     kernel_count,
     lame_coefficients,
     rigid_pair,
+    rm_dofmap,
     solve_rm_source,
 )
 from .biharmonic import (
-    BiharmonicPencil,
     LimitBc,
     assemble_biharmonic_pencil,
     map_limit_bc,
@@ -66,7 +66,6 @@ from .biharmonic import (
 )
 from .thin_limit import (
     ConnectingSystem,
-    LimitPencil,
     assemble_limit_pencil,
     divgrad_consistency_gap,
     energy_functional,

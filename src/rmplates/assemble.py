@@ -5,11 +5,11 @@ of one space at the quadrature points of every element at once; densities
 turn a batch into per-element matrices, and `assemble_from_local` scatters
 them into a symmetric CSR matrix over the free dofs.  Every assembler
 tabulates a mesh once per quadrature rule and computes all of its local
-blocks from that batch.  Symmetry is structural: only the lower triangle is
-accumulated, then mirrored.
+blocks from that batch, and returns a `Pencil`.  Symmetry is structural:
+only the lower triangle is accumulated, then mirrored.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -238,6 +238,33 @@ def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
     lower.eliminate_zeros()
     # sum duplicates in one triangle, then mirror: summing both rounds differently per side
     return (lower + sp.tril(lower, k=-1).T).tocsr()
+
+
+@dataclass
+class Pencil:
+    """Symmetric matrices (A, B) over the free dofs of `dofmap` on `mesh`.
+
+    A stacked dofmap (`stack_dofmaps`) lays the fields out block after
+    block.  A pencil made by `restrict` keeps the mass of the pencil it was
+    cut from as `B_full`.
+    """
+
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    mesh: Mesh
+    dofmap: DofMap
+    params: object = None
+    B_full: sp.csr_matrix = field(default=None, repr=False)
+
+    def split(self, full_vector: np.ndarray):
+        """Cut a full coefficient vector into the blocks of a stacked dofmap."""
+        return tuple(np.split(full_vector, self.dofmap.aux["offsets"][1:-1]))
+
+    def restrict(self, dofmap: DofMap) -> "Pencil":
+        """The pencil `[free][:, free]` on the free dofs of `dofmap`, a
+        constrained version of this pencil's dof layout."""
+        free = dofmap.free
+        return Pencil(self.A[free][:, free], self.B[free][:, free], self.mesh, dofmap, self.params, B_full=self.B)
 
 
 def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:

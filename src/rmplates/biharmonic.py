@@ -17,19 +17,17 @@ The plate families with w free at the boundary (hard rigid, weak Neumann)
 have no standard biharmonic limit and are rejected.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assemble import assemble_from_local, assemble_load_from_local, element_batch, mass_density
+from .assemble import Pencil, assemble_from_local, assemble_load_from_local, element_batch, mass_density
 from .eigensolve import sparse_solve
 from .errors import UnsupportedLimitError
 from .geometry import ElementKind, Mesh
 from .quadrature import triangle_rule
 from .rm_system import BcFamily
-from .spaces import MORLEY, DofMap, build_dofmap, edge_normal, edge_table
+from .spaces import MORLEY, build_dofmap, edge_normal, edge_table
 
 
 class LimitBc(str, Enum):
@@ -68,18 +66,7 @@ def _essential(bc: LimitBc):
     return lambda tag, comp, normal: (comp == 0 and want_vertex) or (comp == 1 and want_edge)
 
 
-@dataclass
-class BiharmonicPencil:
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    mesh: Mesh
-    dofmap: DofMap
-    E: float
-    sigma: float
-    bc: LimitBc
-
-
-def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) -> BiharmonicPencil:
+def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) -> Pencil:
     """A = prefactor * bending + mass, B = mass, over the free Morley dofs."""
     if mesh.element_kind != ElementKind.TRI3:
         raise ValueError("the biharmonic pencil needs a triangle mesh (see split_quads)")
@@ -98,10 +85,10 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
     mass = mass_density(batch)
     A = assemble_from_local(dofmap, pref * bend + mass)
     B = assemble_from_local(dofmap, mass)
-    return BiharmonicPencil(A, B, mesh, dofmap, E, sigma, bc)
+    return Pencil(A, B, mesh, dofmap)
 
 
-def solve_biharmonic_source(pencil: BiharmonicPencil, f) -> np.ndarray:
+def solve_biharmonic_source(pencil: Pencil, f) -> np.ndarray:
     """Solve A u = (f, phi_i) for a callable or constant source f; returns
     the full Morley coefficient vector."""
     batch = element_batch(pencil.mesh, MORLEY, triangle_rule(4))

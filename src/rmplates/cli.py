@@ -98,7 +98,8 @@ def _write_eigs(path, result, extra):
 def cmd_solve_rm(args) -> int:
     mesh = load_mesh(args.mesh)
     params = _material(args)
-    pencil = assemble_rm_pencil(mesh, params, _parse_bc(args.bc), shifted=True)
+    bc = _parse_bc(args.bc)
+    pencil = assemble_rm_pencil(mesh, params, bc)
     res = solve_gep_smallest(pencil.A, pencil.B, _eig_options(args))
     _dump_matrices(args, {"A": pencil.A, "B": pencil.B})
     _dump_eigvecs(args, res.eigenvectors)
@@ -106,7 +107,7 @@ def cmd_solve_rm(args) -> int:
         args.out,
         res,
         {
-            "bc": pencil.bc.value,
+            "bc": bc.value,
             "params": {"E": params.E, "sigma": params.sigma, "k": params.k, "t": params.t},
             "mesh_info": {"nodes": mesh.n_nodes, "elements": mesh.n_elements},
             "shifted": True,
@@ -119,7 +120,8 @@ def cmd_solve_biharmonic(args) -> int:
     mesh = load_mesh(args.mesh)
     if mesh.element_kind.value == "quad4":
         mesh = split_quads(mesh)
-    pencil = assemble_biharmonic_pencil(mesh, args.E, args.sigma, LimitBc(args.bc))
+    bc = LimitBc(args.bc)
+    pencil = assemble_biharmonic_pencil(mesh, args.E, args.sigma, bc)
     res = solve_gep_smallest(pencil.A, pencil.B, _eig_options(args))
     _dump_matrices(args, {"A": pencil.A, "B": pencil.B})
     _dump_eigvecs(args, res.eigenvectors)
@@ -127,7 +129,7 @@ def cmd_solve_biharmonic(args) -> int:
         args.out,
         res,
         {
-            "bc": pencil.bc.value,
+            "bc": bc.value,
             "params": {"E": args.E, "sigma": args.sigma},
             "mesh_info": {"nodes": mesh.n_nodes, "elements": mesh.n_elements},
         },

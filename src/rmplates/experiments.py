@@ -31,7 +31,7 @@ from .geometry import (
     constant_profile_spec,
     split_quads,
 )
-from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, kernel_count
+from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, kernel_count, rm_dofmap
 from .spaces import Q1_SCALAR, Q1_VECTOR2, build_dofmap
 from .thin_limit import (
     ConnectingSystem,
@@ -119,9 +119,9 @@ class SweepConfig:
 
 def _version_string() -> str:
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], capture_output=True, text=True, timeout=5
-        )
+        # describe the package's own checkout, wherever the process runs
+        here = pathlib.Path(__file__).parent
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=here, capture_output=True, text=True, timeout=5)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
@@ -141,15 +141,16 @@ def _control_ok(fine_errors, coarse_errors) -> bool:
     return bool(np.all(np.abs(fine - coarse) / scale <= CONTROL_RTOL))
 
 
+def _morley_eigenvalues(level: int, params: MaterialParams, limit_bc, k: int) -> np.ndarray:
+    """k smallest Morley eigenvalues on the split level x level unit square."""
+    tri = split_quads(build_rect_mesh(1.0, 1.0, level, level))
+    pencil = assemble_biharmonic_pencil(tri, params.E, params.sigma, limit_bc)
+    return solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=k)).eigenvalues
+
+
 def _biharmonic_reference(n: int, params: MaterialParams, limit_bc, k: int) -> np.ndarray:
     """Richardson-extrapolated Morley eigenvalues at levels n/2 and n."""
-    lams = []
-    for level in (n // 2, n):
-        tri = split_quads(build_rect_mesh(1.0, 1.0, level, level))
-        pencil = assemble_biharmonic_pencil(tri, params.E, params.sigma, limit_bc)
-        res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=k))
-        lams.append(res.eigenvalues)
-    return _richardson(lams[0], lams[1])
+    return _richardson(*(_morley_eigenvalues(level, params, limit_bc, k) for level in (n // 2, n)))
 
 
 def _thickness_gaps(n: int, config: SweepConfig, reference: np.ndarray):
@@ -158,7 +159,7 @@ def _thickness_gaps(n: int, config: SweepConfig, reference: np.ndarray):
     gaps, eigs = [], []
     for t in config.values:
         params = MaterialParams(config.params.E, config.params.sigma, config.params.k, t)
-        pencil = assemble_rm_pencil(mesh, params, config.bc, shifted=True)
+        pencil = assemble_rm_pencil(mesh, params, config.bc)
         res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=config.num_eigs))
         eigs.append(res.eigenvalues.tolist())
         gaps.append(np.abs(res.eigenvalues - reference[: config.num_eigs]).tolist())
@@ -171,8 +172,10 @@ def sweep_thickness(config: SweepConfig) -> dict:
     limit_bc = map_limit_bc(config.bc)  # raises for unsupported families
     n = config.mesh_n
     k = config.num_eigs
-    reference = _biharmonic_reference(n, config.params, limit_bc, k)
-    reference_c = _biharmonic_reference(n // 2, config.params, limit_bc, k)
+    # the references at n and n/2 share the n/2 level; each level is solved once
+    lam = {level: _morley_eigenvalues(level, config.params, limit_bc, k) for level in (n // 4, n // 2, n)}
+    reference = _richardson(lam[n // 2], lam[n])
+    reference_c = _richardson(lam[n // 4], lam[n // 2])
     gaps, eigs = _thickness_gaps(n, config, reference)
     gaps_c, _ = _thickness_gaps(n // 2, config, reference_c)
 
@@ -227,7 +230,7 @@ def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_cl
     system = ConnectingSystem(thin, interval, spec)
     params = config.params
 
-    thin_pencil = assemble_rm_pencil(thin, params, BcFamily.FREE, shifted=True)
+    thin_pencil = assemble_rm_pencil(thin, params, BcFamily.FREE)
     limit_pencil = assemble_limit_pencil(interval, spec, params)
 
     F0 = f0[0] if f0 is not None else np.zeros(len(p2_dof_points(interval)))
@@ -367,8 +370,15 @@ EXPECTED_KERNELS = {
 
 
 def kernel_census(params: MaterialParams, mesh: Mesh) -> dict:
-    """Kernel dimension (eigenvalue cluster at 1) for every BC family."""
-    return {bc.value: kernel_count(assemble_rm_pencil(mesh, params, bc)) for bc in BcFamily}
+    """Kernel dimension (eigenvalue cluster at 1) for every BC family.
+
+    The free pencil is assembled once; every other family is its restriction.
+    """
+    free = assemble_rm_pencil(mesh, params, BcFamily.FREE)
+    return {
+        bc.value: kernel_count(free if bc is BcFamily.FREE else free.restrict(rm_dofmap(mesh, bc)))
+        for bc in BcFamily
+    }
 
 
 def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:

@@ -10,23 +10,24 @@ with the elastic form
     a(beta, eta) = E / (12 (1-sigma^2)) *
                    integral( (1-sigma) eps(beta):eps(eta) + sigma div beta div eta ),
 
-against the weighted mass  (w, v) + t^2/12 (beta, eta).  The shifted pencil
-adds the mass to the form, moving the rigid-pair kernel (beta, w) =
-(a, a.x + b) to the exact eigenvalue 1.
+against the weighted mass  (w, v) + t^2/12 (beta, eta).  The pencil is
+shifted: A adds the mass to the form, which makes it positive definite for
+every family and moves the rigid-pair kernel (beta, w) = (a, a.x + b) to
+the exact eigenvalue 1.  A family only chooses which traces are essential,
+so its pencil is a restriction of the unconstrained one.
 
 Shear locking is mitigated by reduced integration of the shear energy, with
 the x-component sampled on the element midline xi = 0 and the y-component on
 eta = 0; the bending and mass terms use full 2x2 Gauss.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assemble import assemble_from_local, assemble_load_from_local, element_batch
-from .errors import SingularSystemError, UnsupportedConfigurationError
+from .assemble import Pencil, assemble_from_local, assemble_load_from_local, element_batch
+from .errors import UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
 from .quadrature import quad_rule, shear_rule_x, shear_rule_y
 from .spaces import Q1_SCALAR, Q1_VECTOR2, DofMap, build_dofmap, stack_dofmaps
@@ -133,39 +134,6 @@ def w_essential(bc: BcFamily):
 
 
 @dataclass
-class Pencil:
-    """Matrices (A, B) over the free dofs plus the block layout.
-
-    Layout: rotation block first ([beta_x nodes, beta_y nodes]), then the
-    displacement block.  B is the weighted mass;  A additionally contains the
-    mass when `shifted`, which makes it positive definite for every family.
-    B_full is the weighted mass over all dofs; B is its restriction
-    `B_full[free][:, free]` to the family's free dofs.
-    """
-
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    dof_layout: dict
-    mesh: Mesh = None
-    params: MaterialParams = None
-    bc: BcFamily = None
-    shifted: bool = True
-    dofmap: DofMap = None
-    B_full: sp.csr_matrix = field(default=None, repr=False)
-
-    @property
-    def n_beta(self) -> int:
-        return self.dof_layout["n_beta"]
-
-    @property
-    def n_w(self) -> int:
-        return self.dof_layout["n_w"]
-
-    def split(self, full_vector: np.ndarray):
-        return full_vector[: self.n_beta], full_vector[self.n_beta :]
-
-
-@dataclass
 class FieldPair:
     """Coefficient vectors of (beta, w) over the full (unconstrained) dofs."""
 
@@ -216,42 +184,29 @@ def rm_local_matrices(mesh: Mesh, params: MaterialParams):
     return bend, shear, mass
 
 
-def rm_form_parts(mesh: Mesh, params: MaterialParams):
-    """Assembled (bending, shear, mass) over the unconstrained product space."""
-    dofmap = stack_dofmaps([build_dofmap(mesh, Q1_VECTOR2), build_dofmap(mesh, Q1_SCALAR)])
-    return tuple(assemble_from_local(dofmap, loc) for loc in rm_local_matrices(mesh, params))
+def rm_dofmap(mesh: Mesh, bc: BcFamily) -> DofMap:
+    """Stacked dofmap of one family: the rotation block ([beta_x nodes,
+    beta_y nodes]) first, then the displacement block."""
+    bc = BcFamily(bc)
+    return stack_dofmaps(
+        [build_dofmap(mesh, Q1_VECTOR2, beta_essential(bc)), build_dofmap(mesh, Q1_SCALAR, w_essential(bc))]
+    )
 
 
-def assemble_rm_pencil(mesh: Mesh, params: MaterialParams, bc: BcFamily, shifted: bool = True) -> Pencil:
-    """Assemble the (shifted) Reissner-Mindlin pencil for one BC family.
+def assemble_rm_pencil(mesh: Mesh, params: MaterialParams, bc: BcFamily) -> Pencil:
+    """Assemble the shifted Reissner-Mindlin pencil for one BC family.
 
-    Both matrices are scattered once over all dofs; the family only selects
-    the free dofs, so its pencil is the restriction `[free][:, free]`.
+    A = bending + shear + mass and B = mass are scattered once over all
+    dofs; the family only selects the free dofs, so its pencil is the
+    restriction `[free][:, free]`, with the unconstrained mass as `B_full`.
     """
     if mesh.element_kind != ElementKind.QUAD4 or mesh.dim != 2:
         raise ValueError("the plate system needs a 2D quad mesh")
-    bc = BcFamily(bc)
-    beta_map = build_dofmap(mesh, Q1_VECTOR2, beta_essential(bc))
-    w_map = build_dofmap(mesh, Q1_SCALAR, w_essential(bc))
-    combined = stack_dofmaps([beta_map, w_map])
-    unconstrained = replace(combined, constrained=np.empty(0, dtype=np.int64))
-
-    bend_loc, shear_loc, M_loc = rm_local_matrices(mesh, params)
-    A_loc = bend_loc + shear_loc
-    if shifted:
-        A_loc = A_loc + M_loc
-    A_full = assemble_from_local(unconstrained, A_loc)
-    B_full = assemble_from_local(unconstrained, M_loc)
-    free = combined.free
-    A = A_full[free][:, free]
-    B = B_full[free][:, free]
-    layout = {
-        "n_beta": beta_map.n_dofs,
-        "n_w": w_map.n_dofs,
-        "beta_constrained": beta_map.constrained,
-        "w_constrained": w_map.constrained,
-    }
-    return Pencil(A, B, layout, mesh=mesh, params=params, bc=bc, shifted=shifted, dofmap=combined, B_full=B_full)
+    dofmap = rm_dofmap(mesh, bc)
+    unconstrained = replace(dofmap, constrained=np.empty(0, dtype=np.int64))
+    bend, shear, mass = rm_local_matrices(mesh, params)
+    A, B = (assemble_from_local(unconstrained, loc) for loc in (bend + shear + mass, mass))
+    return Pencil(A, B, mesh, unconstrained, params).restrict(dofmap)
 
 
 def interpolate_pair(mesh: Mesh, beta_fn, w_fn) -> FieldPair:
@@ -290,8 +245,6 @@ def rm_load_vector(pencil: Pencil, F, f) -> np.ndarray:
 
 def solve_rm_source(pencil: Pencil, F, f) -> FieldPair:
     """Solve the shifted source problem with data (t^2/12 F, f)."""
-    if not pencil.shifted:
-        raise SingularSystemError("source solves need the shifted (definite) pencil")
     load = rm_load_vector(pencil, F, f)
     x = sparse_solve(pencil.A, load)
     full = pencil.dofmap.expand(x)
@@ -301,8 +254,6 @@ def solve_rm_source(pencil: Pencil, F, f) -> FieldPair:
 
 def kernel_count(pencil: Pencil, tol: float = 1e-8, k: int = 6) -> int:
     """Number of eigenvalues of the shifted pencil within tol of 1."""
-    if not pencil.shifted:
-        raise ValueError("kernel counting is defined on the shifted pencil")
     res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=min(k, pencil.A.shape[0])))
     count = int(np.sum(np.abs(res.eigenvalues - 1.0) <= tol))
     if count == len(res.eigenvalues):

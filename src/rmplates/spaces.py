@@ -24,13 +24,12 @@ class SpaceKind(str, Enum):
     MORLEY = "morley"
 
 
-_SPACE_INFO = {
-    # element kind, components, dofs per (vertex, edge, cell)
-    SpaceKind.Q1_SCALAR: (ElementKind.QUAD4, 1, (1, 0, 0)),
-    SpaceKind.Q1_VECTOR2: (ElementKind.QUAD4, 2, (2, 0, 0)),
-    SpaceKind.P1_1D: (ElementKind.SEGMENT, 1, (1, 0, 0)),
-    SpaceKind.P2_1D: (ElementKind.SEGMENT, 1, (1, 0, 1)),
-    SpaceKind.MORLEY: (ElementKind.TRI3, 1, (1, 1, 0)),
+_ELEMENT_KIND = {
+    SpaceKind.Q1_SCALAR: ElementKind.QUAD4,
+    SpaceKind.Q1_VECTOR2: ElementKind.QUAD4,
+    SpaceKind.P1_1D: ElementKind.SEGMENT,
+    SpaceKind.P2_1D: ElementKind.SEGMENT,
+    SpaceKind.MORLEY: ElementKind.TRI3,
 }
 
 
@@ -40,16 +39,7 @@ class ElementSpace:
 
     @property
     def element_kind(self) -> ElementKind:
-        return _SPACE_INFO[self.kind][0]
-
-    @property
-    def ncomp(self) -> int:
-        return _SPACE_INFO[self.kind][1]
-
-    @property
-    def dofs_per_entity(self) -> dict:
-        v, e, c = _SPACE_INFO[self.kind][2]
-        return {"vertex": v, "edge": e, "cell": c}
+        return _ELEMENT_KIND[self.kind]
 
 
 Q1_SCALAR = ElementSpace(SpaceKind.Q1_SCALAR)

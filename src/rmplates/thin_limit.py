@@ -23,16 +23,13 @@ an exact identity at the quadrature level, because the section measure is
 exactly delta * g(x).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
 
-from .assemble import assemble_from_local, element_batch
+from .assemble import Pencil, assemble_from_local, element_batch
 from .eigensolve import sparse_solve
 from .geometry import ElementKind, Mesh, ThinDomainSpec
 from .quadrature import quad_rule_anisotropic, segment_rule
-from .rm_system import BcFamily, FieldPair, MaterialParams, Pencil, assemble_rm_pencil, rm_load_vector, solve_rm_source
+from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, rm_load_vector, solve_rm_source
 from .spaces import P2_1D, Q1_SCALAR, build_dofmap, stack_dofmaps
 
 
@@ -69,28 +66,6 @@ def divgrad_consistency_gap(E: float, sigma: float, d: int) -> float:
     return strong_divgrad_coefficient(E, sigma, d) - weak
 
 
-@dataclass
-class LimitPencil:
-    """P2 x P2 pencil on the interval; layout [Phi dofs, phi dofs]."""
-
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    dof_layout: dict
-    mesh: Mesh
-    spec: ThinDomainSpec
-    params: MaterialParams
-    d: int
-    g_samples: np.ndarray
-    dofmap: object = None
-
-    @property
-    def n_Phi(self) -> int:
-        return self.dof_layout["n_Phi"]
-
-    def split(self, full_vector: np.ndarray):
-        return full_vector[: self.n_Phi], full_vector[self.n_Phi :]
-
-
 def p2_dof_points(interval_mesh: Mesh) -> np.ndarray:
     """x-positions of the P2 dofs: vertices, then element midpoints."""
     xs = interval_mesh.nodes[:, 0]
@@ -123,8 +98,9 @@ def limit_rigid_pair(interval_mesh: Mesh, a: float, b: float):
 
 def assemble_limit_pencil(
     interval_mesh: Mesh, spec: ThinDomainSpec, params: MaterialParams, d: int = None
-) -> LimitPencil:
-    """Assemble the weighted limit pencil from the reduced weak form."""
+) -> Pencil:
+    """Assemble the weighted P2 x P2 limit pencil from the reduced weak
+    form; the dofs are laid out [Phi dofs, phi dofs]."""
     if interval_mesh.element_kind != ElementKind.SEGMENT:
         raise ValueError("the limit pencil lives on an interval mesh")
     d = spec.d if d is None else d
@@ -157,11 +133,10 @@ def assemble_limit_pencil(
     dofmap = stack_dofmaps([build_dofmap(interval_mesh, P2_1D), build_dofmap(interval_mesh, P2_1D)])
     A = assemble_from_local(dofmap, bend + shear + mass)
     B = assemble_from_local(dofmap, mass)
-    layout = {"n_Phi": dofmap.aux["offsets"][1], "n_phi": dofmap.n_dofs - dofmap.aux["offsets"][1]}
-    return LimitPencil(A, B, layout, interval_mesh, spec, params, d, gq, dofmap=dofmap)
+    return Pencil(A, B, interval_mesh, dofmap, params)
 
 
-def solve_limit_source(pencil: LimitPencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray):
+def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray):
     """Solve the shifted limit system with data (t^2/12 F, f) (g-weighted)."""
     load = pencil.B @ np.concatenate([F_coeffs, f_coeffs])
     x = sparse_solve(pencil.A, load)
@@ -350,7 +325,7 @@ def resolvent_gap(
     F0_coeffs: np.ndarray,
     f0_coeffs: np.ndarray,
     thin_pencil: Pencil = None,
-    limit_pencil: LimitPencil = None,
+    limit_pencil: Pencil = None,
     scale_thin: bool = False,
 ) -> float:
     """Relative H_delta distance between the thin resolvent applied to
@@ -361,7 +336,7 @@ def resolvent_gap(
     building the thin load.  See `hdelta_gap_norm` for `scale_thin`.
     """
     if thin_pencil is None:
-        thin_pencil = assemble_rm_pencil(system.thin_mesh, params, BcFamily.FREE, shifted=True)
+        thin_pencil = assemble_rm_pencil(system.thin_mesh, params, BcFamily.FREE)
     if limit_pencil is None:
         limit_pencil = assemble_limit_pencil(system.interval_mesh, system.spec, params)
 

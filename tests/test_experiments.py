@@ -1,4 +1,6 @@
 import json
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from rmplates import (
     BcFamily,
+    LimitBc,
     MaterialParams,
+    assemble_biharmonic_pencil,
     build_interval_mesh,
     build_rect_mesh,
     emit_report,
@@ -18,6 +22,7 @@ from rmplates import (
     sweep_delta,
     sweep_thickness,
 )
+from rmplates import experiments
 from rmplates.experiments import CONTROL_RTOL, EXPECTED_KERNELS, SweepConfig, korn_sweep
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
@@ -138,6 +143,23 @@ class TestSweeps:
         assert rep["checks"]["gaps_strictly_decreasing"]
         assert len(rep["gaps"]) == 3 and len(rep["gaps"][0]) == 2
 
+    def test_thickness_sweep_solves_each_morley_level_once(self, monkeypatch):
+        # the references at n and n/2 share the n/2 level: levels n/4, n/2
+        # and n are each assembled and solved once
+        levels = []
+
+        def counting(mesh, *args):
+            levels.append(int(round(np.sqrt(mesh.n_elements / 2))))
+            return assemble_biharmonic_pencil(mesh, *args)
+
+        monkeypatch.setattr(experiments, "assemble_biharmonic_pencil", counting)
+        cfg = SweepConfig(kind="thickness", values=(0.2, 0.1, 0.05), mesh_n=8, num_eigs=2, bc=BcFamily.HARD_CLAMPED)
+        rep = sweep_thickness(cfg)
+        assert sorted(levels) == [2, 4, 8]
+        monkeypatch.undo()
+        reference = experiments._biharmonic_reference(8, cfg.params, LimitBc.CLAMPED, 2)
+        assert rep["reference_eigenvalues"] == reference.tolist()
+
     def test_thickness_sweep_rejects_nonstandard_limit(self):
         from rmplates.errors import UnsupportedLimitError
 
@@ -247,3 +269,25 @@ class TestEmitReport:
         ]
         assert len(rows[0]) == 2 + k + 1 + 1
         assert len(rows) == 1 + len(rep["parameter_values"])
+
+
+class TestVersion:
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
+    def test_version_ignores_working_directory(self, tmp_path, monkeypatch):
+        # run from inside another repository, the report still names the
+        # package's own version, not that repository's commit
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "other")
+        other = git("rev-parse", "HEAD")
+        monkeypatch.chdir(tmp_path)
+        version = experiments._version_string()
+        assert version.split("-")[0] not in other

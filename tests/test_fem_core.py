@@ -26,6 +26,7 @@ from rmplates import (
     build_rect_mesh,
     constant_profile_spec,
     element_batch,
+    kernel_census,
     korn_constant,
     mass_density,
     split_quads,
@@ -340,27 +341,34 @@ class TestOneBatchPerRule:
     derives all of its local blocks from that batch."""
 
     @pytest.mark.parametrize(
-        "build,expected",
+        "build,tabulations,scatters",
         [
-            (lambda: assemble_biharmonic_pencil(split_quads(build_rect_mesh(1, 1, 3, 3)), 1.0, 0.3, LimitBc.CLAMPED), 1),
+            (lambda: assemble_biharmonic_pencil(split_quads(build_rect_mesh(1, 1, 3, 3)), 1.0, 0.3, LimitBc.CLAMPED), 1, 2),
             # full 2x2 Gauss plus the two midline shear rules
-            (lambda: assemble_rm_pencil(build_rect_mesh(1, 1, 3, 3), MaterialParams(E=1.0, sigma=0.3), BcFamily.HARD_CLAMPED), 3),
-            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4)), 1),
-            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4), first_kind=True), 1),
-            (lambda: dirichlet_laplace_smallest(build_rect_mesh(1, 1, 4, 4)), 1),
+            (lambda: assemble_rm_pencil(build_rect_mesh(1, 1, 3, 3), MaterialParams(E=1.0, sigma=0.3), BcFamily.HARD_CLAMPED), 3, 2),
+            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4)), 1, 2),
+            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4), first_kind=True), 1, 3),
+            (lambda: dirichlet_laplace_smallest(build_rect_mesh(1, 1, 4, 4)), 1, 2),
+            # one free pencil for all eight families, each a restriction of it
+            (lambda: kernel_census(MaterialParams(E=1.0, sigma=0.3), build_rect_mesh(1, 1, 4, 4)), 3, 2),
         ],
-        ids=["morley_pencil", "rm_pencil", "korn", "korn_first_kind", "dirichlet_laplace"],
+        ids=["morley_pencil", "rm_pencil", "korn", "korn_first_kind", "dirichlet_laplace", "kernel_census"],
     )
-    def test_tabulation_count(self, monkeypatch, build, expected):
-        calls = []
+    def test_tabulation_count(self, monkeypatch, build, tabulations, scatters):
+        calls = {"element_batch": [], "assemble_from_local": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return element_batch(*args, **kwargs)
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls[fn.__name__].append(args)
+                return fn(*args, **kwargs)
 
-        # count the tabulations behind every rmplates binding of the name
-        for name, module in list(sys.modules.items()):
-            if name.startswith("rmplates.") and getattr(module, "element_batch", None) is element_batch:
-                monkeypatch.setattr(module, "element_batch", counting)
+            return wrapped
+
+        # count the calls behind every rmplates binding of the names
+        for fn in (element_batch, assemble_from_local):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("rmplates.") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counting(fn))
         build()
-        assert len(calls) == expected
+        assert len(calls["element_batch"]) == tabulations
+        assert len(calls["assemble_from_local"]) == scatters

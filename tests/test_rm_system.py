@@ -15,9 +15,10 @@ from rmplates import (
     solve_rm_source,
 )
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
-from rmplates.errors import SingularSystemError, UnsupportedConfigurationError
+from rmplates.assemble import assemble_from_local
+from rmplates.errors import UnsupportedConfigurationError
 from rmplates.geometry import Mesh, PiecewiseLinear, ThinDomainSpec
-from rmplates.rm_system import rm_form_parts, rm_load_vector
+from rmplates.rm_system import rm_dofmap, rm_load_vector, rm_local_matrices
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -63,7 +64,7 @@ class TestMaterial:
 class TestPencil:
     def test_rigid_pair_is_unit_eigenvector(self):
         mesh = build_rect_mesh(1, 1, 5, 4)
-        pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE, shifted=True)
+        pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE)
         for a, b in [((1.0, 0.0), 0.0), ((0.3, -0.2), 0.7), ((0.0, 0.0), 1.0)]:
             x = rigid_pair(mesh, a, b).concat()
             r = pen.A @ x - pen.B @ x
@@ -73,12 +74,11 @@ class TestPencil:
         mesh = build_rect_mesh(1, 1, 6, 6)
         pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.HARD_CLAMPED)
         boundary_nodes = {n for f in mesh.facets for n in f.nodes}
-        n_constr = len(pen.dof_layout["beta_constrained"]) + len(pen.dof_layout["w_constrained"])
-        assert n_constr == 3 * len(boundary_nodes)
+        assert len(pen.dofmap.constrained) == 3 * len(boundary_nodes)
 
     def test_rigid_rotation_kills_bending(self):
         mesh = build_rect_mesh(1, 1, 6, 5)
-        bend, shear, mass = rm_form_parts(mesh, PARAMS)
+        bend, shear, mass = _unconstrained_parts(mesh)
         pair = interpolate_pair(mesh, lambda x: np.stack([x[:, 1], -x[:, 0]], axis=-1), lambda x: np.zeros(len(x)))
         x = pair.concat()
         scale = x @ (mass @ x)
@@ -114,7 +114,7 @@ class TestPencil:
         # w bilinear, beta = grad w evaluated exactly: the shear energy of
         # the pair vanishes pointwise, so under any of the reduced rules
         mesh = build_rect_mesh(1.0, 1.0, 1, 1)
-        _, shear, _ = rm_form_parts(mesh, PARAMS)
+        _, shear, _ = _unconstrained_parts(mesh)
         pair = interpolate_pair(
             mesh,
             lambda x: np.stack([x[:, 1], x[:, 0]], axis=-1),  # grad(xy)
@@ -124,15 +124,27 @@ class TestPencil:
         assert abs(x @ (shear @ x)) < 1e-12
 
     def test_family_is_restriction_of_unconstrained_mass(self):
-        # a family only selects free dofs: its B is the unconstrained mass
-        # restricted, entry for entry and with the same sparsity
+        # a family only selects free dofs: its A and B are the unconstrained
+        # matrices restricted, entry for entry and with the same sparsity,
+        # and restricting the free pencil gives the family's pencil
         mesh = build_rect_mesh(1, 1, 6, 5)
+        bend, shear, mass = rm_local_matrices(mesh, PARAMS)
+        A_full = assemble_from_local(rm_dofmap(mesh, BcFamily.FREE), bend + shear + mass)
+        free_pencil = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE)
         for bc in BcFamily:
             pen = assemble_rm_pencil(mesh, PARAMS, bc)
             free = pen.dofmap.free
-            restricted = pen.B_full[free][:, free]
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(pen.B, attr), getattr(restricted, attr)), (bc, attr)
+            restricted = free_pencil.restrict(rm_dofmap(mesh, bc))
+            pairs = {
+                "A": (pen.A, A_full[free][:, free]),
+                "B": (pen.B, pen.B_full[free][:, free]),
+                "restrict A": (pen.A, restricted.A),
+                "restrict B": (pen.B, restricted.B),
+                "restrict B_full": (pen.B_full, restricted.B_full),
+            }
+            for what, (M, R) in pairs.items():
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(M, attr), getattr(R, attr)), (bc, what, attr)
 
     def test_non_axis_aligned_trace_rejected(self):
         spec = ThinDomainSpec(
@@ -227,12 +239,6 @@ class TestKernels:
                 pen = assemble_rm_pencil(mesh, params, bc)
                 assert kernel_count(pen) == self.EXPECTED[bc]
 
-    def test_unshifted_pencil_rejected(self):
-        mesh = build_rect_mesh(1, 1, 4, 4)
-        pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE, shifted=False)
-        with pytest.raises(ValueError):
-            kernel_count(pen)
-
 
 class TestSourceSolve:
     def test_constant_data_fixed_point(self):
@@ -258,12 +264,6 @@ class TestSourceSolve:
         with pytest.raises(ValueError, match="both"):
             rm_load_vector(pen, np.zeros(2 * mesh.n_nodes), lambda x: np.ones(x.shape[:-1]))
 
-    def test_unshifted_solve_rejected(self):
-        mesh = build_rect_mesh(1, 1, 4, 4)
-        pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE, shifted=False)
-        with pytest.raises(SingularSystemError):
-            solve_rm_source(pen, np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes))
-
     def test_clamped_deflection_close_to_kirchhoff(self):
         # RM at small t against the Morley limit solve on the same grid
         from rmplates import LimitBc, assemble_biharmonic_pencil, solve_biharmonic_source, split_quads
@@ -285,3 +285,9 @@ class TestSourceSolve:
 def _pencil_mats(mesh, bc):
     pen = assemble_rm_pencil(mesh, PARAMS, bc)
     return pen.A, pen.B
+
+
+def _unconstrained_parts(mesh):
+    """Assembled (bending, shear, mass) over the unconstrained product space."""
+    dofmap = rm_dofmap(mesh, BcFamily.FREE)
+    return tuple(assemble_from_local(dofmap, block) for block in rm_local_matrices(mesh, PARAMS))
