@@ -1,14 +1,14 @@
 """Generalized symmetric eigensolver, sparse solves and subspace angles.
 
-Every sparse LU in the package is made by `factorize`: the shift-invert
-operator and the cluster refinement of `solve_gep_smallest`, the inverse
-mass of `solve_gep_largest` and the source solves of `sparse_solve`.
-
-Smallest eigenvalues of A x = lambda B x are computed by shift-and-invert
-Lanczos (ARPACK) with the LU of A - shift*B and a seeded start vector,
-falling back to a dense solve when the pencil is too small for Krylov
-iteration.  Returned eigenvectors are re-orthonormalized in the B inner
-product, so clustered (kernel) eigenvalues come out with full multiplicity.
+Every pencil (A, B) given to this module has A and B symmetric positive
+definite: each assembler adds the mass to the form, which puts the kernel
+at the eigenvalue 1.  So the smallest eigenvalues come from shift-and-invert
+Lanczos (ARPACK) at 0 on the LU of A itself, with a seeded start vector,
+and from a dense solve when the pencil is too small for Krylov iteration.
+Eigenvectors are re-orthonormalized in the B inner product, so clustered
+(kernel) eigenvalues come out with full multiplicity.  Every sparse LU in
+the package is made by `factorize`: the shift-invert operator and cluster
+refinement here, the inverse mass of `solve_gep_largest` and `sparse_solve`.
 """
 
 from dataclasses import dataclass, field
@@ -22,15 +22,20 @@ from .errors import ConvergenceError, SingularSystemError
 
 #: eigenvalues within this relative distance are reported as one cluster
 CLUSTER_RTOL = 1e-7
+#: seed of the start vector of every Lanczos run
+SEED = 7
+#: iteration limit of every Lanczos run
+MAX_ITER = 5000
+#: backward-error bound every `sparse_solve` solution meets
+SOLVE_RTOL = 1e-12
+#: block inverse-iteration rounds per cluster in the refinement
+REFINE_ROUNDS = 3
 
 
 @dataclass
 class EigOptions:
     k: int = 6
-    shift: float = 0.0
     tol: float = 1e-9
-    max_iter: int = 5000
-    seed: int = 7
 
     def __post_init__(self):
         if self.k < 1:
@@ -68,12 +73,12 @@ def factorize(M):
         raise SingularSystemError(f"sparse LU failed: {exc}")
 
 
-def sparse_solve(A, load: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def sparse_solve(A, load: np.ndarray) -> np.ndarray:
     """Sparse LU solve of A x = load with symmetric diagonal scaling.
 
     Jacobi scaling evens out the very different block magnitudes (the
     rotation mass carries t^2/12).  The residual contract is
-    backward-error style, ||A x - b|| / (||A|| ||x|| + ||b||) <= rtol; the
+    backward-error style, ||A x - b|| / (||A|| ||x|| + ||b||) <= SOLVE_RTOL; the
     LU solution is corrected with float64 residuals at most three times,
     stopping as soon as the contract holds.
     """
@@ -94,23 +99,22 @@ def sparse_solve(A, load: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     y = lu.solve(bs)
     r, err = backward_error(y)
     for _ in range(3):
-        if err <= rtol:
+        if err <= SOLVE_RTOL:
             break
         y = y + lu.solve(r)
         r, err = backward_error(y)
-    if err > max(rtol, 1e-13):
+    if err > SOLVE_RTOL:
         raise SingularSystemError("direct solve residual above tolerance after refinement")
     return s * y
 
 
 def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
-    """k smallest eigenvalues of the sparse symmetric pencil (A, B), B positive definite."""
+    """k smallest eigenvalues of the sparse pencil (A, B), A and B symmetric positive definite."""
     opts = opts or EigOptions()
     n = A.shape[0]
     if opts.k > n:
         raise ValueError(f"requested {opts.k} eigenvalues from an n={n} pencil")
-    rng = np.random.default_rng(opts.seed)
-    v0 = rng.standard_normal(n)
+    v0 = np.random.default_rng(SEED).standard_normal(n)
 
     used_arpack = opts.k <= n - 2  # ARPACK needs k < n - 1
     if not used_arpack:
@@ -121,29 +125,21 @@ def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
                 A,
                 k=opts.k,
                 M=B,
-                sigma=opts.shift,
+                sigma=0.0,
                 which="LM",
                 v0=v0,
-                maxiter=opts.max_iter,
+                maxiter=MAX_ITER,
                 tol=0,
-                OPinv=spla.LinearOperator((n, n), matvec=factorize(A - opts.shift * B).solve, dtype=float),
+                OPinv=spla.LinearOperator((n, n), matvec=factorize(A).solve, dtype=float),
             )
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(str(exc), partial=(exc.eigenvalues, exc.eigenvectors))
     order = np.argsort(lam)
     lam, vec = lam[order], vec[:, order]
-    if used_arpack and lam[0] < opts.shift:
-        # shift-invert returns the eigenvalues nearest the shift; one below
-        # the shift means it sits inside the spectrum and smaller eigenvalues
-        # may have been skipped
-        raise ValueError(
-            f"shift {opts.shift} lies inside the spectrum (found {lam[0]} below it); "
-            "use a shift below the smallest eigenvalue"
-        )
     vec = _b_orthonormalize(vec, B)
     res = _residuals(A, B, lam, vec)
     if np.any(res > opts.tol):
-        # pairs far from the shift lose accuracy; polish each cluster with
+        # pairs far from 0 lose accuracy; polish each cluster with
         # one step of shifted block inverse iteration plus Rayleigh-Ritz
         lam, vec = _refine_clusters(A, B, lam, vec, res, opts.tol)
         res = _residuals(A, B, lam, vec)
@@ -160,7 +156,7 @@ def _residuals(A, B, lam, vec):
     return np.linalg.norm(Av - Bv * lam[None, :], axis=0) / np.linalg.norm(Av, axis=0)
 
 
-def _refine_clusters(A, B, lam, vec, res, tol, rounds: int = 3):
+def _refine_clusters(A, B, lam, vec, res, tol):
     lam = lam.copy()
     vec = vec.copy()
     result = EigResult(lam, None, None)
@@ -172,7 +168,7 @@ def _refine_clusters(A, B, lam, vec, res, tol, rounds: int = 3):
         shift = lam_c + max(abs(lam_c), 1.0) * 1e-5
         lu = factorize(A - shift * B)
         Y = vec[:, idx]
-        for _ in range(rounds):
+        for _ in range(REFINE_ROUNDS):
             Y = lu.solve(B @ Y)
             Y = _b_orthonormalize(Y, B)
             # Rayleigh-Ritz in the refined block
@@ -187,15 +183,15 @@ def _refine_clusters(A, B, lam, vec, res, tol, rounds: int = 3):
     return lam[order], vec[:, order]
 
 
-def solve_gep_largest(A, B, k: int = 1, seed: int = 7) -> np.ndarray:
+def solve_gep_largest(A, B, k: int = 1) -> np.ndarray:
     """k largest eigenvalues of the sparse pencil (A, B); used for discrete Korn constants."""
     n = A.shape[0]
     if k > n - 2:
         lam = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)
         return lam[-k:]
-    rng = np.random.default_rng(seed)
+    v0 = np.random.default_rng(SEED).standard_normal(n)
     Minv = spla.LinearOperator((n, n), matvec=factorize(B).solve, dtype=float)
-    lam = spla.eigsh(A, k=k, M=B, Minv=Minv, which="LA", v0=rng.standard_normal(n), tol=0, return_eigenvectors=False)
+    lam = spla.eigsh(A, k=k, M=B, Minv=Minv, which="LA", v0=v0, tol=0, return_eigenvectors=False)
     return np.sort(lam)
 
 

@@ -31,7 +31,7 @@ from .geometry import (
     constant_profile_spec,
     split_quads,
 )
-from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, kernel_count, rm_dofmap
+from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, at_one, kernel_count, rm_dofmap
 from .spaces import Q1_SCALAR, Q1_VECTOR2, build_dofmap
 from .thin_limit import (
     ConnectingSystem,
@@ -208,13 +208,13 @@ def sweep_thickness(config: SweepConfig) -> dict:
     }
 
 
-def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int, unit_tol: float = 1e-6):
+def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int):
     """First clusters of eigenvalues beyond the shifted kernel at 1."""
     res = EigResult(np.asarray(eigenvalues), None, None)
+    kernel = at_one(eigenvalues)
     clusters = []
     for group in res.clusters():
-        lam = eigenvalues[group[0]]
-        if abs(lam - 1.0) <= unit_tol:
+        if kernel[group[0]]:
             continue
         clusters.append(group)
         if len(clusters) == how_many:
@@ -256,8 +256,7 @@ def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_cl
     averaged = np.column_stack(averaged)
 
     eig_gaps, signed_gaps, angles, lam0s = [], [], [], []
-    taken = np.zeros(len(thin_res.eigenvalues), dtype=bool)
-    taken[np.abs(thin_res.eigenvalues - 1.0) <= 1e-6] = True
+    taken = at_one(thin_res.eigenvalues)
     for group in clusters:
         lam0 = float(np.mean(lim.eigenvalues[group]))
         lam0s.append(lam0)

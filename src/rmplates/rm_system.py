@@ -34,6 +34,8 @@ from .spaces import Q1_SCALAR, Q1_VECTOR2, DofMap, build_dofmap, stack_dofmaps
 from .eigensolve import EigOptions, solve_gep_smallest, sparse_solve
 
 _AXIS_TOL = 1e-9
+#: a kernel eigenvalue of a shifted pencil sits this close to 1, the next one far above
+KERNEL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -252,10 +254,13 @@ def solve_rm_source(pencil: Pencil, F, f) -> FieldPair:
     return FieldPair(beta, w)
 
 
-def kernel_count(pencil: Pencil, tol: float = 1e-8, k: int = 6) -> int:
-    """Number of eigenvalues of the shifted pencil within tol of 1."""
-    res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=min(k, pencil.A.shape[0])))
-    count = int(np.sum(np.abs(res.eigenvalues - 1.0) <= tol))
-    if count == len(res.eigenvalues):
-        return kernel_count(pencil, tol, k=k + 4)
-    return count
+def at_one(eigenvalues) -> np.ndarray:
+    """Mask of the kernel eigenvalues of a shifted pencil: those at 1 within KERNEL_TOL."""
+    return np.abs(np.asarray(eigenvalues) - 1.0) <= KERNEL_TOL
+
+
+def kernel_count(pencil: Pencil) -> int:
+    """Kernel dimension of the shifted pencil: its eigenvalues at 1.  The
+    kernel is at most the three rigid pairs, so six eigenvalues reach past it."""
+    res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=min(6, pencil.A.shape[0])))
+    return int(np.sum(at_one(res.eigenvalues)))

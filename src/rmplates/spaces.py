@@ -9,6 +9,7 @@ columns, so all reduced matrices stay symmetric definite.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,8 @@ class DofMap:
     `element_to_global` holds the global index of every local dof,
     `constrained` the sorted global dofs fixed to zero.  The free-dof
     ordering is the global ordering with constrained entries removed, so it
-    is deterministic given mesh and constraints.
+    is deterministic given mesh and constraints.  A dofmap is not changed
+    after construction, so `free` is computed once and read-only.
     """
 
     n_dofs: int
@@ -64,9 +66,11 @@ class DofMap:
     constrained: np.ndarray
     aux: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def free(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n_dofs), self.constrained)
+        free = np.setdiff1d(np.arange(self.n_dofs), self.constrained)
+        free.flags.writeable = False
+        return free
 
     @property
     def n_free(self) -> int:
@@ -87,17 +91,16 @@ class DofMap:
 
 
 def edge_table(mesh: Mesh):
-    """Unique edges as sorted node pairs; returns (edges array, pair->id dict)."""
-    pairs = {}
-    order = []
-    local = [(0, 1), (1, 2), (2, 0)]
-    for elem in mesh.elements:
-        for a, b in local:
-            key = (min(elem[a], elem[b]), max(elem[a], elem[b]))
-            if key not in pairs:
-                pairs[key] = len(order)
-                order.append(key)
-    return np.array(order, dtype=np.int64), pairs
+    """Unique edges as sorted node pairs, numbered in order of first appearance
+    over the elements' local edges (0, 1), (1, 2), (2, 0); returns (edges
+    array, per-element edge ids with edge i opposite vertex i)."""
+    el = mesh.elements.astype(np.int64)
+    nxt = np.roll(el, -1, axis=1)
+    lo, hi = np.minimum(el, nxt).ravel(), np.maximum(el, nxt).ravel()
+    _, first, inverse = np.unique(lo * mesh.n_nodes + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ids = np.argsort(order)[inverse].reshape(-1, 3)[:, [1, 2, 0]]
+    return np.column_stack([lo[first[order]], hi[first[order]]]), ids
 
 
 def edge_normal(mesh: Mesh, a, b) -> np.ndarray:
@@ -136,18 +139,10 @@ def build_dofmap(mesh: Mesh, space: ElementSpace, essential=None) -> DofMap:
         e2g = np.column_stack([mesh.elements, mids]).astype(np.int64)
         aux = {"n_vertices": nv}
     elif kind == SpaceKind.MORLEY:
-        edges, pair_to_id = edge_table(mesh)
+        edges, edge_ids = edge_table(mesh)
         n_dofs = nv + len(edges)
-        local = [(1, 2), (2, 0), (0, 1)]  # edge i is opposite vertex i
-        edge_ids = np.array(
-            [
-                [pair_to_id[(min(el[a], el[b]), max(el[a], el[b]))] for a, b in local]
-                for el in mesh.elements
-            ],
-            dtype=np.int64,
-        )
         e2g = np.column_stack([mesh.elements, nv + edge_ids]).astype(np.int64)
-        aux = {"edges": edges, "pair_to_id": pair_to_id, "n_vertices": nv}
+        aux = {"edges": edges, "n_vertices": nv}
     else:  # pragma: no cover
         raise UnsupportedConfigurationError(kind)
 
@@ -161,10 +156,11 @@ def build_dofmap(mesh: Mesh, space: ElementSpace, essential=None) -> DofMap:
                     if comp == 0:
                         constrained.update(f.nodes)
                     else:
-                        key = (min(f.nodes), max(f.nodes))
-                        if key not in aux["pair_to_id"]:
-                            raise ValueError(f"facet {key} is not a mesh edge")
-                        constrained.add(nv + aux["pair_to_id"][key])
+                        # the facet's edge lies opposite the owner's vertex off the facet
+                        off = [i for i, n in enumerate(mesh.elements[f.element]) if n not in f.nodes]
+                        if len(off) != 1:
+                            raise ValueError(f"facet {f.nodes} is not an edge of element {f.element}")
+                        constrained.add(int(e2g[f.element, 3 + off[0]]))
                 elif kind == SpaceKind.Q1_VECTOR2:
                     constrained.update(comp * nv + n for n in f.nodes)
                 else:

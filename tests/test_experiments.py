@@ -81,6 +81,21 @@ class TestKernelCensus:
         table = kernel_census(PARAMS, build_rect_mesh(1, 1, n, n))
         assert table == {bc.value: dim for bc, dim in EXPECTED_KERNELS.items()}
 
+    def test_one_solve_per_family(self, monkeypatch):
+        from rmplates import rm_system
+
+        calls = []
+        solve = rm_system.solve_gep_smallest
+
+        def counted(A, B, opts=None):
+            calls.append(A.shape)
+            return solve(A, B, opts)
+
+        monkeypatch.setattr(rm_system, "solve_gep_smallest", counted)
+        table = kernel_census(PARAMS, build_rect_mesh(1, 1, 8, 8))
+        assert table == {bc.value: dim for bc, dim in EXPECTED_KERNELS.items()}
+        assert len(calls) == len(EXPECTED_KERNELS)
+
 
 class TestKorn:
     def test_rotation_rayleigh_quotient_is_three(self):

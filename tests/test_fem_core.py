@@ -124,6 +124,29 @@ class TestDofMaps:
         with pytest.raises(ValueError):
             build_dofmap(build_interval_mesh(0, 1, 2), Q1_SCALAR)
 
+    def test_free_dofs_computed_once_and_read_only(self):
+        dm = build_dofmap(build_rect_mesh(1, 1, 3, 3), Q1_SCALAR, lambda tag, comp, n: True)
+        assert dm.free is dm.free
+        assert_allclose(dm.free, [5, 6, 9, 10])
+        with pytest.raises(ValueError):
+            dm.free[0] = 0
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (2, 3), (5, 5), (8, 2)])
+    def test_edge_table_matches_loop(self, nx, ny):
+        from rmplates.spaces import edge_table
+
+        tri = split_quads(build_rect_mesh(1.0, 0.7, nx, ny))
+        # reference: first-appearance numbering over the local edges (0,1), (1,2), (2,0)
+        pairs = {}
+        for elem in tri.elements:
+            for a, b in [(0, 1), (1, 2), (2, 0)]:
+                pairs.setdefault((min(elem[a], elem[b]), max(elem[a], elem[b])), len(pairs))
+        opposite = [[pairs[tuple(sorted((el[a], el[b])))] for a, b in [(1, 2), (2, 0), (0, 1)]] for el in tri.elements]
+        edges, ids = edge_table(tri)
+        np.testing.assert_array_equal(edges, np.array(list(pairs), dtype=np.int64))
+        np.testing.assert_array_equal(ids, opposite)
+        np.testing.assert_array_equal(build_dofmap(tri, MORLEY).element_to_global[:, 3:], tri.n_nodes + ids)
+
     def test_morley_dof_count(self):
         tri = split_quads(build_rect_mesh(1, 1, 2, 2))
         dm = build_dofmap(tri, MORLEY)
