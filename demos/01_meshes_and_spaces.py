@@ -45,8 +45,8 @@ spec = ThinDomainSpec(
 )
 thin = build_thin_mesh(spec, 16, 4)
 print(f"delta = {spec.delta}: area {element_measures(thin).sum():.12f} (exact {0.2 * 1.25})")
-print("lateral facets:", sum(f.tag.value == "lateral" for f in thin.facets),
-      " profile facets:", sum(f.tag.value == "top_bottom" for f in thin.facets))
+print("lateral facets:", int(np.sum(thin.facets.tag == "lateral")),
+      " profile facets:", int(np.sum(thin.facets.tag == "top_bottom")))
 
 reference = rescale_to_reference(thin, spec)
 print(f"rescaled by 1/delta: area {element_measures(reference).sum():.12f} "

@@ -32,7 +32,6 @@ from .spaces import (
     Q1_SCALAR,
     Q1_VECTOR2,
     DofMap,
-    ElementSpace,
     SpaceKind,
     build_dofmap,
     stack_dofmaps,
@@ -44,7 +43,7 @@ from .assemble import (
     mass_density,
     stiffness_density,
 )
-from .eigensolve import EigOptions, EigResult, principal_angles, solve_gep_largest, solve_gep_smallest
+from .eigensolve import EigOptions, EigResult, principal_angles, solve_gep_smallest
 from .rm_system import (
     BcFamily,
     FieldPair,

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from .errors import AssemblyError
 from .geometry import ElementKind, Mesh
 from .quadrature import QuadratureRule, quad_rule, segment_rule, triangle_rule
-from .spaces import DofMap, ElementSpace, SpaceKind, edge_normal
+from .spaces import DofMap, SpaceKind, edge_normal
 
 
 @dataclass
@@ -34,10 +34,9 @@ class ElementBatch:
     phi: np.ndarray
     grad: np.ndarray
     hess: np.ndarray = None
-    space: ElementSpace = None
 
 
-def default_rule(space: ElementSpace) -> QuadratureRule:
+def default_rule(space: SpaceKind) -> QuadratureRule:
     kind = space.element_kind
     if kind == ElementKind.QUAD4:
         return quad_rule(2)
@@ -165,30 +164,29 @@ def morley_batch(mesh: Mesh, quad: QuadratureRule) -> ElementBatch:
     grad = np.einsum("eqmd,emi->eqid", dmono, coeffs) / scales[:, None, None, None]
     hess = np.einsum("mab,emi->eiab", _MONO_HESS, coeffs) / (scales**2)[:, None, None, None]
     hess = np.broadcast_to(hess[:, None, :, :, :], (X.shape[0], len(quad.weights), 6, 2, 2))
-    return ElementBatch(x, w, phi, grad, hess=hess, space=ElementSpace(SpaceKind.MORLEY))
+    return ElementBatch(x, w, phi, grad, hess=hess)
 
 
-def element_batch(mesh: Mesh, space: ElementSpace, quad: QuadratureRule = None) -> ElementBatch:
+def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None) -> ElementBatch:
     if quad is None:
         quad = default_rule(space)
-    kind = space.kind
-    if kind in (SpaceKind.Q1_SCALAR, SpaceKind.Q1_VECTOR2):
+    if space in (SpaceKind.Q1_SCALAR, SpaceKind.Q1_VECTOR2):
         x, w, phi, grad = quad_geometry(mesh, quad)
         ne, nq = w.shape
         phi_e = np.broadcast_to(phi[None, :, :], (ne, nq, 4))
-        if kind == SpaceKind.Q1_SCALAR:
-            return ElementBatch(x, w, phi_e, grad, space=space)
+        if space == SpaceKind.Q1_SCALAR:
+            return ElementBatch(x, w, phi_e, grad)
         # vector dofs: [x-component at 4 nodes, y-component at 4 nodes]
         vphi = np.zeros((ne, nq, 8, 2))
         vgrad = np.zeros((ne, nq, 8, 2, 2))
         for c in range(2):
             vphi[:, :, 4 * c : 4 * c + 4, c] = phi_e
             vgrad[:, :, 4 * c : 4 * c + 4, c, :] = grad
-        return ElementBatch(x, w, vphi, vgrad, space=space)
-    if kind in (SpaceKind.P1_1D, SpaceKind.P2_1D):
+        return ElementBatch(x, w, vphi, vgrad)
+    if space in (SpaceKind.P1_1D, SpaceKind.P2_1D):
         x, w, h = segment_geometry(mesh, quad)
         xi = quad.points[:, 0]
-        if kind == SpaceKind.P1_1D:
+        if space == SpaceKind.P1_1D:
             phi = np.stack([1 - xi, xi], axis=1)
             dphi = np.stack([-np.ones_like(xi), np.ones_like(xi)], axis=1)
         else:
@@ -197,10 +195,10 @@ def element_batch(mesh: Mesh, space: ElementSpace, quad: QuadratureRule = None) 
         nloc = phi.shape[1]
         phi_e = np.broadcast_to(phi[None], (ne, nq, nloc))
         grad = (dphi[None, :, :] / h[:, None, None])[..., None]
-        return ElementBatch(x, w, phi_e, np.broadcast_to(grad, (ne, nq, nloc, 1)), space=space)
-    if kind == SpaceKind.MORLEY:
+        return ElementBatch(x, w, phi_e, np.broadcast_to(grad, (ne, nq, nloc, 1)))
+    if space == SpaceKind.MORLEY:
         return morley_batch(mesh, quad)
-    raise ValueError(kind)
+    raise ValueError(space)
 
 
 def mass_density(batch: ElementBatch) -> np.ndarray:

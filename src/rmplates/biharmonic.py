@@ -37,6 +37,14 @@ class LimitBc(str, Enum):
     FREE = "free"
 
 
+# per family: essential (vertex values, edge normal derivatives)
+_ESSENTIAL = {
+    LimitBc.CLAMPED: (True, True),
+    LimitBc.NAVIER: (True, False),
+    LimitBc.INTERMEDIATE: (False, True),
+    LimitBc.FREE: (False, False),
+}
+
 _LIMIT_MAP = {
     BcFamily.HARD_CLAMPED: LimitBc.CLAMPED,
     BcFamily.SOFT_CLAMPED: LimitBc.CLAMPED,
@@ -58,14 +66,6 @@ def map_limit_bc(bc: BcFamily) -> LimitBc:
     return _LIMIT_MAP[bc]
 
 
-def _essential(bc: LimitBc):
-    if bc == LimitBc.FREE:
-        return None
-    want_vertex = bc in (LimitBc.CLAMPED, LimitBc.NAVIER)
-    want_edge = bc in (LimitBc.CLAMPED, LimitBc.INTERMEDIATE)
-    return lambda tag, comp, normal: (comp == 0 and want_vertex) or (comp == 1 and want_edge)
-
-
 def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) -> Pencil:
     """A = prefactor * bending + mass, B = mass, over the free Morley dofs."""
     if mesh.element_kind != ElementKind.TRI3:
@@ -74,8 +74,7 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
         raise ValueError("E must be finite and positive")
     if not -1.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (-1, 1)")
-    bc = LimitBc(bc)
-    dofmap = build_dofmap(mesh, MORLEY, _essential(bc))
+    dofmap = build_dofmap(mesh, MORLEY, np.array(_ESSENTIAL[LimitBc(bc)]))
     pref = E / (12.0 * (1.0 - sigma**2))
 
     batch = element_batch(mesh, MORLEY, triangle_rule(4))

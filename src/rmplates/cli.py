@@ -156,7 +156,7 @@ def cmd_solve_limit(args) -> int:
             (a, b), PiecewiseLinear.constant(0.5, a, b), PiecewiseLinear.constant(0.5, a, b), 1.0, d=args.d
         )
     params = _material(args)
-    pencil = assemble_limit_pencil(mesh, spec, params, d=args.d)
+    pencil = assemble_limit_pencil(mesh, spec, params)
     res = solve_gep_smallest(pencil.A, pencil.B, _eig_options(args))
     _dump_matrices(args, {"A": pencil.A, "B": pencil.B})
     _write_eigs(

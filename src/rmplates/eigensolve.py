@@ -8,7 +8,7 @@ and from a dense solve when the pencil is too small for Krylov iteration.
 Eigenvectors are re-orthonormalized in the B inner product, so clustered
 (kernel) eigenvalues come out with full multiplicity.  Every sparse LU in
 the package is made by `factorize`: the shift-invert operator and cluster
-refinement here, the inverse mass of `solve_gep_largest` and `sparse_solve`.
+refinement here, and `sparse_solve`.
 """
 
 from dataclasses import dataclass, field
@@ -51,13 +51,13 @@ class EigResult:
     residuals: np.ndarray  # ||A x - lambda B x|| / ||A x||
     info: dict = field(default_factory=dict)
 
-    def clusters(self, rtol: float = CLUSTER_RTOL):
-        """Group eigenvalue indices whose relative gaps are below rtol."""
+    def clusters(self):
+        """Group eigenvalue indices whose relative gaps are below CLUSTER_RTOL."""
         groups = [[0]]
         lam = self.eigenvalues
         for i in range(1, len(lam)):
             scale = max(abs(lam[i]), abs(lam[groups[-1][0]]), 1e-300)
-            if abs(lam[i] - lam[groups[-1][-1]]) <= rtol * scale:
+            if abs(lam[i] - lam[groups[-1][-1]]) <= CLUSTER_RTOL * scale:
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -181,18 +181,6 @@ def _refine_clusters(A, B, lam, vec, res, tol):
         vec[:, idx] = Y
     order = np.argsort(lam)
     return lam[order], vec[:, order]
-
-
-def solve_gep_largest(A, B, k: int = 1) -> np.ndarray:
-    """k largest eigenvalues of the sparse pencil (A, B); used for discrete Korn constants."""
-    n = A.shape[0]
-    if k > n - 2:
-        lam = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)
-        return lam[-k:]
-    v0 = np.random.default_rng(SEED).standard_normal(n)
-    Minv = spla.LinearOperator((n, n), matvec=factorize(B).solve, dtype=float)
-    lam = spla.eigsh(A, k=k, M=B, Minv=Minv, which="LA", v0=v0, tol=0, return_eigenvectors=False)
-    return np.sort(lam)
 
 
 def _b_orthonormalize(V: np.ndarray, B) -> np.ndarray:

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
-from .eigensolve import EigOptions, EigResult, _b_orthonormalize, principal_angles, solve_gep_largest, solve_gep_smallest
+from .eigensolve import EigOptions, EigResult, _b_orthonormalize, principal_angles, solve_gep_smallest
 from .geometry import (
     Mesh,
     PiecewiseLinear,
@@ -382,7 +382,8 @@ def kernel_census(params: MaterialParams, mesh: Mesh) -> dict:
 
 def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
     """Discrete second-Korn constant: largest eigenvalue of
-    ( |D eta|^2 , |eps(eta)|^2 + |eta|^2 ).
+    ( |D eta|^2 , |eps(eta)|^2 + |eta|^2 ).  It is 1/mu - 1 for the smallest
+    eigenvalue mu of the definite pencil (B, A + B) of that pair (A, B).
 
     With `first_kind`, the mass term is dropped and the quotient is maximized
     over the L2-orthogonal complement of the rigid motions.
@@ -395,7 +396,8 @@ def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
     mass = mass_density(batch)
     if not first_kind:
         B = assemble_from_local(dofmap, strain + mass)
-        return float(solve_gep_largest(A, B, k=1)[-1])
+        mu = solve_gep_smallest(B, A + B, EigOptions(k=1)).eigenvalues[0]
+        return float(1.0 / mu - 1.0)
 
     B = assemble_from_local(dofmap, strain)
     nv = mesh.n_nodes
@@ -442,7 +444,7 @@ def korn_sweep(config: SweepConfig) -> dict:
 
 def dirichlet_laplace_smallest(mesh: Mesh) -> float:
     """Smallest eigenvalue of the Dirichlet Laplacian (Q1) on the mesh."""
-    dofmap = build_dofmap(mesh, Q1_SCALAR, lambda tag, comp, normal: True)
+    dofmap = build_dofmap(mesh, Q1_SCALAR, True)
     batch = element_batch(mesh, Q1_SCALAR)
     A = assemble_from_local(dofmap, stiffness_density(batch))
     B = assemble_from_local(dofmap, mass_density(batch))

@@ -12,7 +12,7 @@ construction.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -33,16 +33,21 @@ class BoundaryTag(str, Enum):
 
 
 @dataclass(frozen=True)
-class Facet:
-    """Boundary facet: node tuple, owning element, tag, outward unit normal."""
+class Facets:
+    """Boundary facets as read-only arrays: node indices (n, k), owning
+    element (n,), tag value (n,) and outward unit normal (n, dim)."""
 
-    nodes: tuple
-    element: int
-    tag: BoundaryTag
+    nodes: np.ndarray
+    element: np.ndarray
+    tag: np.ndarray
     normal: np.ndarray
 
     def __post_init__(self):
-        self.normal.flags.writeable = False
+        for a in (self.nodes, self.element, self.tag, self.normal):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.element)
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class Mesh:
     element_kind: ElementKind
     nodes: np.ndarray  # (n_nodes, dim)
     elements: np.ndarray  # (n_elements, nodes_per_element)
-    facets: tuple  # of Facet
+    facets: Facets
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -112,7 +117,9 @@ class ThinDomainSpec:
             raise ValueError("delta must be positive")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
-        xs = np.linspace(a, b, 257)
+        # piecewise-linear profiles take their minima at a, b or a breakpoint in between
+        xs = np.concatenate([[a, b], self.f1.xs, self.f2.xs])
+        xs = xs[(a <= xs) & (xs <= b)]
         if np.min(self.f1(xs)) <= 0 or np.min(self.f2(xs)) <= 0:
             raise ValueError("profiles must be bounded below by a positive constant")
 
@@ -141,7 +148,7 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     elements = _grid_quads(nx, ny)
-    facets = _grid_boundary_facets(nodes, elements, nx, ny, lambda side: BoundaryTag.WHOLE_BOUNDARY)
+    facets = _grid_boundary_facets(nodes, elements, nx, ny, BoundaryTag.WHOLE_BOUNDARY, BoundaryTag.WHOLE_BOUNDARY)
     return Mesh(2, ElementKind.QUAD4, nodes, elements, facets, meta={"kind": "rect", "nx": nx, "ny": ny})
 
 
@@ -153,10 +160,8 @@ def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
         raise ValueError("need at least one element")
     nodes = np.linspace(a, b, n + 1)[:, None]
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    facets = (
-        Facet((0,), 0, BoundaryTag.WHOLE_BOUNDARY, np.array([-1.0])),
-        Facet((n,), n - 1, BoundaryTag.WHOLE_BOUNDARY, np.array([1.0])),
-    )
+    tag = np.full(2, BoundaryTag.WHOLE_BOUNDARY.value)
+    facets = Facets(np.array([[0], [n]]), np.array([0, n - 1]), tag, np.array([[-1.0], [1.0]]))
     return Mesh(1, ElementKind.SEGMENT, nodes, elements, facets, meta={"kind": "interval", "n": n})
 
 
@@ -181,11 +186,7 @@ def build_thin_mesh(spec: ThinDomainSpec, nx: int, ny: int) -> Mesh:
     X = np.broadcast_to(xs[None, :], Y.shape)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     elements = _grid_quads(nx, ny)
-
-    def tag(side):
-        return BoundaryTag.LATERAL if side in ("left", "right") else BoundaryTag.TOP_BOTTOM
-
-    facets = _grid_boundary_facets(nodes, elements, nx, ny, tag)
+    facets = _grid_boundary_facets(nodes, elements, nx, ny, BoundaryTag.LATERAL, BoundaryTag.TOP_BOTTOM)
     meta = {"kind": "thin", "nx": nx, "ny": ny, "delta": spec.delta, "base_interval": (a, b)}
     return Mesh(2, ElementKind.QUAD4, nodes, elements, facets, meta=meta)
 
@@ -197,10 +198,8 @@ def rescale_to_reference(mesh_delta: Mesh, spec: ThinDomainSpec) -> Mesh:
         raise ValueError("mesh was not built by build_thin_mesh with this spec")
     nodes = mesh_delta.nodes.copy()
     nodes[:, 1] /= spec.delta
-    facets = tuple(
-        Facet(f.nodes, f.element, f.tag, _facet_normal(nodes, mesh_delta.elements, f))
-        for f in mesh_delta.facets
-    )
+    f = mesh_delta.facets
+    facets = replace(f, normal=_facet_normals(nodes, mesh_delta.elements, f.nodes, f.element))
     new_meta = dict(meta, delta=1.0, rescaled_from=spec.delta)
     return Mesh(2, ElementKind.QUAD4, nodes, mesh_delta.elements.copy(), facets, meta=new_meta)
 
@@ -217,14 +216,10 @@ def split_quads(mesh: Mesh) -> Mesh:
     tris[0::2] = quads[:, [0, 1, 2]]
     tris[1::2] = quads[:, [0, 2, 3]]
     # quad facet (n0,n1) lives on triangle 2e for local edges 0-1 / 1-2,
-    # and on 2e+1 for edges 2-3 / 3-0
-    facets = []
-    for f in mesh.facets:
-        quad_nodes = list(quads[f.element])
-        pair = {quad_nodes.index(f.nodes[0]), quad_nodes.index(f.nodes[1])}
-        owner = 2 * f.element if pair <= {0, 1, 2} else 2 * f.element + 1
-        facets.append(Facet(f.nodes, owner, f.tag, f.normal.copy()))
-    return Mesh(2, ElementKind.TRI3, mesh.nodes.copy(), tris, tuple(facets), meta=dict(mesh.meta, split=True))
+    # and on 2e+1 for edges 2-3 / 3-0, the two through local node 3
+    f = mesh.facets
+    facets = replace(f, element=2 * f.element + np.any(f.nodes == quads[f.element, 3:], axis=1))
+    return Mesh(2, ElementKind.TRI3, mesh.nodes.copy(), tris, facets, meta=dict(mesh.meta, split=True))
 
 
 def element_measures(mesh: Mesh) -> np.ndarray:
@@ -238,23 +233,31 @@ def element_measures(mesh: Mesh) -> np.ndarray:
 
 
 def mesh_to_dict(mesh: Mesh) -> dict:
+    f = mesh.facets
     return {
         "dim": mesh.dim,
         "element_kind": mesh.element_kind.value,
         "nodes": mesh.nodes.tolist(),
         "elements": mesh.elements.tolist(),
         "facets": [
-            {"nodes": list(f.nodes), "element": f.element, "tag": f.tag.value, "normal": f.normal.tolist()}
-            for f in mesh.facets
+            {"nodes": n, "element": e, "tag": t, "normal": v}
+            for n, e, t, v in zip(f.nodes.tolist(), f.element.tolist(), f.tag.tolist(), f.normal.tolist())
         ],
         "meta": {k: v for k, v in mesh.meta.items() if isinstance(v, (int, float, str, bool, tuple, list))},
     }
 
 
 def mesh_from_dict(data: dict) -> Mesh:
-    facets = tuple(
-        Facet(tuple(f["nodes"]), f["element"], BoundaryTag(f["tag"]), np.array(f["normal"], dtype=float))
-        for f in data["facets"]
+    cols = {key: [f[key] for f in data["facets"]] for key in ("nodes", "element", "tag", "normal")}
+    n = len(cols["element"])
+    tag = np.array(cols["tag"], dtype=str)
+    for value in np.unique(tag):
+        BoundaryTag(value)  # an unknown tag raises ValueError
+    facets = Facets(
+        np.array(cols["nodes"], dtype=np.int64).reshape(n, -1),
+        np.array(cols["element"], dtype=np.int64),
+        tag,
+        np.array(cols["normal"], dtype=float).reshape(n, -1),
     )
     return Mesh(
         data["dim"],
@@ -283,33 +286,23 @@ def _grid_quads(nx: int, ny: int) -> np.ndarray:
     return np.column_stack([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1]).astype(np.int64)
 
 
-def _facet_normal(nodes, elements, facet: Facet) -> np.ndarray:
-    """Outward unit normal of a 2-node facet, oriented away from the centroid."""
-    p0, p1 = nodes[facet.nodes[0]], nodes[facet.nodes[1]]
+def _facet_normals(nodes, elements, facet_nodes, facet_element) -> np.ndarray:
+    """Outward unit normals of 2-node facets, oriented away from the owner's centroid."""
+    p0, p1 = nodes[facet_nodes[:, 0]], nodes[facet_nodes[:, 1]]
     t = p1 - p0
-    n = np.array([t[1], -t[0]]) / np.hypot(t[0], t[1])
-    centroid = nodes[elements[facet.element]].mean(axis=0)
-    if np.dot(n, 0.5 * (p0 + p1) - centroid) < 0:
-        n = -n
-    return n
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(t[:, 0], t[:, 1])[:, None]
+    centroid = nodes[elements[facet_element]].mean(axis=1)
+    inward = np.sum(n * (0.5 * (p0 + p1) - centroid), axis=1) < 0
+    return np.where(inward[:, None], -n, n)
 
 
-def _grid_boundary_facets(nodes, elements, nx, ny, tag_for_side) -> tuple:
-    facets = []
-
-    def add(n0, n1, elem, side):
-        f = Facet((n0, n1), elem, tag_for_side(side), np.zeros(2))
-        facets.append(Facet(f.nodes, elem, f.tag, _facet_normal(nodes, elements, f)))
-
-    for i in range(nx):
-        add(i, i + 1, i, "bottom")
-    for j in range(ny):
-        n0 = j * (nx + 1) + nx
-        add(n0, n0 + nx + 1, j * nx + nx - 1, "right")
-    for i in range(nx):
-        n0 = ny * (nx + 1) + i
-        add(n0, n0 + 1, (ny - 1) * nx + i, "top")
-    for j in range(ny):
-        n0 = j * (nx + 1)
-        add(n0, n0 + nx + 1, j * nx, "left")
-    return tuple(facets)
+def _grid_boundary_facets(nodes, elements, nx, ny, side_tag, profile_tag) -> Facets:
+    """Facets of the grid boundary, side by side: bottom, right, top, left.
+    The sides x = const carry `side_tag`, the sides y = const `profile_tag`."""
+    i, j = np.arange(nx), np.arange(ny)
+    counts = [nx, ny, nx, ny]
+    first = np.concatenate([i, j * (nx + 1) + nx, ny * (nx + 1) + i, j * (nx + 1)])
+    facet_nodes = np.column_stack([first, first + np.repeat([1, nx + 1, 1, nx + 1], counts)])
+    element = np.concatenate([i, j * nx + nx - 1, (ny - 1) * nx + i, j * nx])
+    tag = np.where(np.repeat([False, True, False, True], counts), side_tag.value, profile_tag.value)
+    return Facets(facet_nodes, element, tag, _facet_normals(nodes, elements, facet_nodes, element))

@@ -46,16 +46,14 @@ class MaterialParams:
     sigma: float
     k: float = 5.0 / 6.0
     t: float = 0.1
-    N: int = 2  # space dimension; bounds the admissible Poisson interval
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.E, self.sigma, self.k, self.t])):
             raise ValueError("E, sigma, k and t must be finite")
         if self.E <= 0:
             raise ValueError("E must be positive")
-        lo = -1.0 / (self.N - 1)
-        if not lo < self.sigma < 1.0:
-            raise ValueError(f"sigma must lie strictly in ({lo}, 1)")
+        if not -1.0 < self.sigma < 1.0:
+            raise ValueError("sigma must lie strictly in (-1, 1)")
         if self.k <= 0 or self.t <= 0:
             raise ValueError("k and t must be positive")
 
@@ -86,53 +84,32 @@ class BcFamily(str, Enum):
     WEAK_NEUMANN = "weak_neumann"
 
 
-# essential trace of the rotation field per family
-_BETA_TRACE = {
-    BcFamily.HARD_CLAMPED: "full",
-    BcFamily.SOFT_CLAMPED: "normal",
-    BcFamily.HARD_SIMPLY_SUPPORTED: "tangential",
-    BcFamily.SOFT_SIMPLY_SUPPORTED: None,
-    BcFamily.FREE: None,
-    BcFamily.HARD_RIGID: "full",
-    BcFamily.SOFT_RIGID: "normal",
-    BcFamily.WEAK_NEUMANN: "tangential",
-}
-_W_ZERO = {
-    BcFamily.HARD_CLAMPED,
-    BcFamily.SOFT_CLAMPED,
-    BcFamily.HARD_SIMPLY_SUPPORTED,
-    BcFamily.SOFT_SIMPLY_SUPPORTED,
+# per family: the essential trace of the rotation field, and whether w is pinned
+_ESSENTIAL = {
+    BcFamily.HARD_CLAMPED: ("full", True),
+    BcFamily.SOFT_CLAMPED: ("normal", True),
+    BcFamily.HARD_SIMPLY_SUPPORTED: ("tangential", True),
+    BcFamily.SOFT_SIMPLY_SUPPORTED: (None, True),
+    BcFamily.FREE: (None, False),
+    BcFamily.HARD_RIGID: ("full", False),
+    BcFamily.SOFT_RIGID: ("normal", False),
+    BcFamily.WEAK_NEUMANN: ("tangential", False),
 }
 
 
-def _axis_component(normal: np.ndarray) -> int:
-    c = int(np.argmax(np.abs(normal)))
-    if abs(abs(normal[c]) - 1.0) > _AXIS_TOL:
+def _trace_mask(normals: np.ndarray, trace):
+    """Essential mask over (facet, rotation component) of a trace: all
+    components, none, or the normal or tangential one of an axis-aligned facet."""
+    if trace in (None, "full"):
+        return trace == "full"
+    axis = np.argmax(np.abs(normals), axis=1)
+    skew = np.nonzero(np.abs(np.abs(normals).max(axis=1) - 1.0) > _AXIS_TOL)[0]
+    if len(skew):
         raise UnsupportedConfigurationError(
-            "normal/tangential traces need axis-aligned facets; got normal " f"{normal}"
+            f"normal/tangential traces need axis-aligned facets; got normal {normals[skew[0]]}"
         )
-    return c
-
-
-def beta_essential(bc: BcFamily):
-    """Essential predicate for the rotation block, or None."""
-    trace = _BETA_TRACE[bc]
-    if trace is None:
-        return None
-    if trace == "full":
-        return lambda tag, comp, normal: True
-
-    def pred(tag, comp, normal):
-        c = _axis_component(normal)
-        return comp == c if trace == "normal" else comp != c
-
-    return pred
-
-
-def w_essential(bc: BcFamily):
-    if bc in _W_ZERO:
-        return lambda tag, comp, normal: True
-    return None
+    normal = axis[:, None] == np.arange(2)
+    return normal if trace == "normal" else ~normal
 
 
 @dataclass
@@ -189,9 +166,9 @@ def rm_local_matrices(mesh: Mesh, params: MaterialParams):
 def rm_dofmap(mesh: Mesh, bc: BcFamily) -> DofMap:
     """Stacked dofmap of one family: the rotation block ([beta_x nodes,
     beta_y nodes]) first, then the displacement block."""
-    bc = BcFamily(bc)
+    trace, w_pinned = _ESSENTIAL[BcFamily(bc)]
     return stack_dofmaps(
-        [build_dofmap(mesh, Q1_VECTOR2, beta_essential(bc)), build_dofmap(mesh, Q1_SCALAR, w_essential(bc))]
+        [build_dofmap(mesh, Q1_VECTOR2, _trace_mask(mesh.facets.normal, trace)), build_dofmap(mesh, Q1_SCALAR, w_pinned)]
     )
 
 

@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
 
 
@@ -24,6 +23,10 @@ class SpaceKind(str, Enum):
     P2_1D = "p2_1d"
     MORLEY = "morley"
 
+    @property
+    def element_kind(self) -> ElementKind:
+        return _ELEMENT_KIND[self]
+
 
 _ELEMENT_KIND = {
     SpaceKind.Q1_SCALAR: ElementKind.QUAD4,
@@ -33,21 +36,7 @@ _ELEMENT_KIND = {
     SpaceKind.MORLEY: ElementKind.TRI3,
 }
 
-
-@dataclass(frozen=True)
-class ElementSpace:
-    kind: SpaceKind
-
-    @property
-    def element_kind(self) -> ElementKind:
-        return _ELEMENT_KIND[self.kind]
-
-
-Q1_SCALAR = ElementSpace(SpaceKind.Q1_SCALAR)
-Q1_VECTOR2 = ElementSpace(SpaceKind.Q1_VECTOR2)
-P1_1D = ElementSpace(SpaceKind.P1_1D)
-P2_1D = ElementSpace(SpaceKind.P2_1D)
-MORLEY = ElementSpace(SpaceKind.MORLEY)
+Q1_SCALAR, Q1_VECTOR2, P1_1D, P2_1D, MORLEY = SpaceKind
 
 
 @dataclass
@@ -111,61 +100,48 @@ def edge_normal(mesh: Mesh, a, b) -> np.ndarray:
     return np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.hypot(t[..., 0], t[..., 1])[..., None]
 
 
-def build_dofmap(mesh: Mesh, space: ElementSpace, essential=None) -> DofMap:
+def build_dofmap(mesh: Mesh, space: SpaceKind, essential=False) -> DofMap:
     """Dof map for `space` on `mesh` with essential conditions applied.
 
-    `essential(tag, component, normal) -> bool` is evaluated per boundary
-    facet.  Components are cartesian field components for vector spaces; for
-    Morley, component 0 selects vertex-value dofs and component 1 the
-    edge-midpoint normal-derivative dofs.
+    `essential` is a bool mask that broadcasts to (n_facets, n_components):
+    `True` at (facet, component) fixes that component's dofs on the facet,
+    so `True` alone clamps every facet and `False` none.  Components are
+    cartesian field components for vector spaces; for Morley, component 0
+    selects the vertex values and component 1 the edge-midpoint normal
+    derivative of the facet's edge.
     """
     if space.element_kind != mesh.element_kind:
-        raise ValueError(f"{space.kind.value} is not compatible with {mesh.element_kind.value} meshes")
+        raise ValueError(f"{space.value} is not compatible with {mesh.element_kind.value} meshes")
+    mask = np.asarray(essential)
+    if mask.dtype != bool:
+        raise TypeError(f"essential must be a bool mask over (facet, component), not {type(essential).__name__}")
     nv = mesh.n_nodes
-    kind = space.kind
-
-    if kind in (SpaceKind.Q1_SCALAR, SpaceKind.P1_1D):
-        n_dofs = nv
-        e2g = mesh.elements.astype(np.int64)
-        aux = {}
-    elif kind == SpaceKind.Q1_VECTOR2:
-        n_dofs = 2 * nv
-        e2g = np.concatenate([mesh.elements, mesh.elements + nv], axis=1).astype(np.int64)
-        aux = {"n_nodes": nv}
-    elif kind == SpaceKind.P2_1D:
-        ne = mesh.n_elements
-        n_dofs = nv + ne
-        mids = nv + np.arange(ne)
-        e2g = np.column_stack([mesh.elements, mids]).astype(np.int64)
-        aux = {"n_vertices": nv}
-    elif kind == SpaceKind.MORLEY:
+    elements = mesh.elements.astype(np.int64)
+    if space in (SpaceKind.Q1_SCALAR, SpaceKind.P1_1D):
+        n_dofs, e2g = nv, elements
+    elif space == SpaceKind.Q1_VECTOR2:
+        n_dofs, e2g = 2 * nv, np.concatenate([elements, elements + nv], axis=1)
+    elif space == SpaceKind.P2_1D:
+        n_dofs, e2g = nv + mesh.n_elements, np.column_stack([elements, nv + np.arange(mesh.n_elements)])
+    else:
         edges, edge_ids = edge_table(mesh)
-        n_dofs = nv + len(edges)
-        e2g = np.column_stack([mesh.elements, nv + edge_ids]).astype(np.int64)
-        aux = {"edges": edges, "n_vertices": nv}
-    else:  # pragma: no cover
-        raise UnsupportedConfigurationError(kind)
+        n_dofs, e2g = nv + len(edges), np.column_stack([elements, nv + edge_ids])
 
-    constrained = set()
-    if essential is not None:
-        for f in mesh.facets:
-            for comp in range(2 if kind in (SpaceKind.Q1_VECTOR2, SpaceKind.MORLEY) else 1):
-                if not essential(f.tag, comp, f.normal):
-                    continue
-                if kind == SpaceKind.MORLEY:
-                    if comp == 0:
-                        constrained.update(f.nodes)
-                    else:
-                        # the facet's edge lies opposite the owner's vertex off the facet
-                        off = [i for i, n in enumerate(mesh.elements[f.element]) if n not in f.nodes]
-                        if len(off) != 1:
-                            raise ValueError(f"facet {f.nodes} is not an edge of element {f.element}")
-                        constrained.add(int(e2g[f.element, 3 + off[0]]))
-                elif kind == SpaceKind.Q1_VECTOR2:
-                    constrained.update(comp * nv + n for n in f.nodes)
-                else:
-                    constrained.update(f.nodes)
-    return DofMap(n_dofs, e2g, np.array(sorted(constrained), dtype=np.int64), aux)
+    facets = mesh.facets
+    ncomp = 2 if space in (SpaceKind.Q1_VECTOR2, SpaceKind.MORLEY) else 1
+    mask = np.broadcast_to(mask, (len(facets), ncomp))
+    if space == SpaceKind.MORLEY:
+        # the facet's edge lies opposite the owner's one vertex off the facet
+        owner = elements[facets.element]
+        off = ~np.any(owner[:, :, None] == facets.nodes[:, None, :], axis=2)
+        bad = np.nonzero(mask[:, 1] & (off.sum(axis=1) != 1))[0]
+        if len(bad):
+            raise ValueError(f"facet {facets.nodes[bad[0]]} is not an edge of element {facets.element[bad[0]]}")
+        edge_dofs = e2g[facets.element, 3 + np.argmax(off, axis=1)]
+        picked = [facets.nodes[mask[:, 0]].ravel(), edge_dofs[mask[:, 1]]]
+    else:
+        picked = [c * nv + facets.nodes[mask[:, c]].ravel() for c in range(ncomp)]
+    return DofMap(n_dofs, e2g, np.unique(np.concatenate(picked)).astype(np.int64))
 
 
 def stack_dofmaps(dofmaps) -> DofMap:

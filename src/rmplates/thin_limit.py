@@ -96,14 +96,11 @@ def limit_rigid_pair(interval_mesh: Mesh, a: float, b: float):
     return np.full_like(pts, float(a)), a * pts + b
 
 
-def assemble_limit_pencil(
-    interval_mesh: Mesh, spec: ThinDomainSpec, params: MaterialParams, d: int = None
-) -> Pencil:
+def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: MaterialParams) -> Pencil:
     """Assemble the weighted P2 x P2 limit pencil from the reduced weak
     form; the dofs are laid out [Phi dofs, phi dofs]."""
     if interval_mesh.element_kind != ElementKind.SEGMENT:
         raise ValueError("the limit pencil lives on an interval mesh")
-    d = spec.d if d is None else d
     quad = segment_rule(3)
     batch = element_batch(interval_mesh, P2_1D, quad)
     gq = spec.g(batch.x[..., 0])
@@ -115,7 +112,7 @@ def assemble_limit_pencil(
     wg = batch.w * gq
     ne = phi.shape[0]
     sig = params.sigma
-    c_bend = params.bending_factor * ((1.0 - sig) + limit_div_coefficient(sig, d))
+    c_bend = params.bending_factor * ((1.0 - sig) + limit_div_coefficient(sig, spec.d))
 
     bend = np.zeros((ne, 6, 6))
     bend[:, :3, :3] = c_bend * np.einsum("eq,eqi,eqj->eij", wg, dphi, dphi)

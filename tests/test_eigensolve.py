@@ -7,12 +7,10 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from rmplates import eigensolve
-from rmplates.assemble import assemble_from_local, element_batch, mass_density, stiffness_density
-from rmplates.eigensolve import EigOptions, principal_angles, solve_gep_largest, solve_gep_smallest
+from rmplates.eigensolve import EigOptions, principal_angles, solve_gep_smallest
 from rmplates.errors import ConvergenceError, SingularSystemError
 from rmplates.geometry import build_rect_mesh
 from rmplates.rm_system import BcFamily, MaterialParams, assemble_rm_pencil, solve_rm_source
-from rmplates.spaces import Q1_SCALAR, build_dofmap
 
 
 def clamped_rm_pencil():
@@ -140,30 +138,12 @@ class TestOneFactorization:
         solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
         assert len(factor_calls) == 1
 
-    def test_regular_mode(self, factor_calls):
-        mesh = build_rect_mesh(1, 1, 6, 6)
-        dofmap = build_dofmap(mesh, Q1_SCALAR)
-        batch = element_batch(mesh, Q1_SCALAR)
-        A = assemble_from_local(dofmap, stiffness_density(batch))
-        B = assemble_from_local(dofmap, mass_density(batch))
-        solve_gep_largest(A, B, k=1)
-        assert len(factor_calls) == 1
-
     def test_source_solve(self, factor_calls):
         mesh = build_rect_mesh(1, 1, 6, 5)
         pen = assemble_rm_pencil(mesh, MaterialParams(E=1.0, sigma=0.3, t=0.1), BcFamily.FREE)
         rng = np.random.default_rng(4)
         solve_rm_source(pen, rng.standard_normal(2 * mesh.n_nodes), rng.standard_normal(mesh.n_nodes))
         assert len(factor_calls) == 1
-
-
-class TestLargest:
-    def test_matches_dense(self):
-        rng = np.random.default_rng(13)
-        A, B = random_spd_pencil(45, rng)
-        oracle = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True)
-        got = solve_gep_largest(A, B, k=2)
-        assert_allclose(got, oracle[-2:], rtol=1e-8)
 
 
 class TestPrincipalAngles:

@@ -119,6 +119,22 @@ class TestKorn:
         q = (eta @ (A @ eta)) / (eta @ (B @ eta))
         assert_allclose(q, 3.0, rtol=1e-12)
 
+    def test_matches_dense_largest_eigenvalue(self):
+        import scipy.linalg
+
+        from rmplates.assemble import assemble_from_local, element_batch, mass_density, stiffness_density
+        from rmplates.spaces import Q1_VECTOR2, build_dofmap
+
+        mesh = build_rect_mesh(1.0, 0.4, 6, 3)
+        dm = build_dofmap(mesh, Q1_VECTOR2)
+        batch = element_batch(mesh, Q1_VECTOR2)
+        eps = 0.5 * (batch.grad + np.swapaxes(batch.grad, -1, -2))
+        strain = np.einsum("eq,eqicd,eqjcd->eij", batch.w, eps, eps)
+        A = assemble_from_local(dm, stiffness_density(batch)).toarray()
+        B = assemble_from_local(dm, strain + mass_density(batch)).toarray()
+        oracle = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
+        assert_allclose(korn_constant(mesh), oracle, rtol=1e-12)
+
     def test_unit_square_constant_stable(self):
         c16 = korn_constant(build_rect_mesh(1, 1, 16, 16))
         c32 = korn_constant(build_rect_mesh(1, 1, 32, 32))

@@ -17,6 +17,8 @@ from rmplates import (
     BcFamily,
     LimitBc,
     MaterialParams,
+    PiecewiseLinear,
+    ThinDomainSpec,
     assemble_biharmonic_pencil,
     assemble_from_local,
     assemble_limit_pencil,
@@ -24,16 +26,19 @@ from rmplates import (
     build_dofmap,
     build_interval_mesh,
     build_rect_mesh,
+    build_thin_mesh,
     constant_profile_spec,
     element_batch,
     kernel_census,
     korn_constant,
     mass_density,
+    rm_dofmap,
     split_quads,
     stiffness_density,
 )
 from rmplates.assemble import assemble_load_from_local
 from rmplates.biharmonic import morley_interpolate
+from rmplates.errors import UnsupportedConfigurationError
 from rmplates.experiments import dirichlet_laplace_smallest
 from rmplates.quadrature import (
     quad_center_rule,
@@ -42,6 +47,7 @@ from rmplates.quadrature import (
     shear_rule_x,
     triangle_rule,
 )
+from rmplates.spaces import edge_table
 
 
 class TestQuadrature:
@@ -75,22 +81,22 @@ class TestQuadrature:
 
 class TestDofMaps:
     def test_dirichlet_scalar_counts(self):
-        dm = build_dofmap(build_rect_mesh(1, 1, 2, 2), Q1_SCALAR, lambda t, c, n: True)
+        dm = build_dofmap(build_rect_mesh(1, 1, 2, 2), Q1_SCALAR, True)
         assert dm.n_dofs == 9 and len(dm.constrained) == 8
 
     def test_normal_trace_constrains_normal_component(self):
         mesh = build_rect_mesh(2, 1, 4, 3)
-        dm = build_dofmap(mesh, Q1_VECTOR2, lambda t, c, n: c == int(np.argmax(np.abs(n))))
+        normal_axis = np.argmax(np.abs(mesh.facets.normal), axis=1)
+        dm = build_dofmap(mesh, Q1_VECTOR2, normal_axis[:, None] == np.arange(2))
         nv = mesh.n_nodes
         constrained = set(dm.constrained)
         axis_of = {}
-        for f in mesh.facets:
-            for node in f.nodes:
-                axis_of.setdefault(node, set()).add(int(np.argmax(np.abs(f.normal))))
+        for nodes, axis in zip(mesh.facets.nodes.tolist(), normal_axis.tolist()):
+            for node in nodes:
+                axis_of.setdefault(node, set()).add(axis)
         corner = {n for n, axes in axis_of.items() if len(axes) > 1}
-        for f in mesh.facets:
-            comp = int(np.argmax(np.abs(f.normal)))
-            for node in f.nodes:
+        for nodes, comp in zip(mesh.facets.nodes.tolist(), normal_axis.tolist()):
+            for node in nodes:
                 assert comp * nv + node in constrained
                 # away from corners, the tangential component stays free
                 if node not in corner:
@@ -125,7 +131,7 @@ class TestDofMaps:
             build_dofmap(build_interval_mesh(0, 1, 2), Q1_SCALAR)
 
     def test_free_dofs_computed_once_and_read_only(self):
-        dm = build_dofmap(build_rect_mesh(1, 1, 3, 3), Q1_SCALAR, lambda tag, comp, n: True)
+        dm = build_dofmap(build_rect_mesh(1, 1, 3, 3), Q1_SCALAR, True)
         assert dm.free is dm.free
         assert_allclose(dm.free, [5, 6, 9, 10])
         with pytest.raises(ValueError):
@@ -133,8 +139,6 @@ class TestDofMaps:
 
     @pytest.mark.parametrize("nx, ny", [(1, 1), (2, 3), (5, 5), (8, 2)])
     def test_edge_table_matches_loop(self, nx, ny):
-        from rmplates.spaces import edge_table
-
         tri = split_quads(build_rect_mesh(1.0, 0.7, nx, ny))
         # reference: first-appearance numbering over the local edges (0,1), (1,2), (2,0)
         pairs = {}
@@ -147,12 +151,105 @@ class TestDofMaps:
         np.testing.assert_array_equal(ids, opposite)
         np.testing.assert_array_equal(build_dofmap(tri, MORLEY).element_to_global[:, 3:], tri.n_nodes + ids)
 
+    @pytest.mark.parametrize("essential", [lambda tag, comp, normal: True, None, 1, "yes", [0, 1]])
+    def test_non_bool_mask_rejected(self, essential):
+        # np.asarray(predicate, dtype=bool) is True, so a predicate taken as
+        # a mask would clamp every facet
+        with pytest.raises(TypeError):
+            build_dofmap(build_rect_mesh(1, 1, 2, 2), Q1_SCALAR, essential)
+
     def test_morley_dof_count(self):
         tri = split_quads(build_rect_mesh(1, 1, 2, 2))
         dm = build_dofmap(tri, MORLEY)
         n_edges = dm.n_dofs - tri.n_nodes
         # Euler: 9 vertices, 8 triangles, edges = 9 + 8 - 1 = 16
         assert n_edges == 16
+
+
+# the essential traces of each family, as the paper lists them: rotation
+# trace, and whether w is pinned; Morley vertex values and edge normal derivatives
+RM_TRACES = {
+    BcFamily.HARD_CLAMPED: ("full", True),
+    BcFamily.SOFT_CLAMPED: ("normal", True),
+    BcFamily.HARD_SIMPLY_SUPPORTED: ("tangential", True),
+    BcFamily.SOFT_SIMPLY_SUPPORTED: (None, True),
+    BcFamily.FREE: (None, False),
+    BcFamily.HARD_RIGID: ("full", False),
+    BcFamily.SOFT_RIGID: ("normal", False),
+    BcFamily.WEAK_NEUMANN: ("tangential", False),
+}
+MORLEY_DOFS = {
+    LimitBc.CLAMPED: (True, True),
+    LimitBc.NAVIER: (True, False),
+    LimitBc.INTERMEDIATE: (False, True),
+    LimitBc.FREE: (False, False),
+}
+
+
+def sloped_spec(delta):
+    return ThinDomainSpec(
+        (0.0, 1.0), PiecewiseLinear.constant(0.5, 0, 1), PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.5, 1.0])), delta
+    )
+
+
+def constrained_or_unsupported(fn):
+    try:
+        return sorted(fn())
+    except UnsupportedConfigurationError:
+        return "unsupported"
+
+
+def reference_rm_constrained(mesh, bc):
+    """Facet by facet: rotation components of the trace, then w."""
+    trace, pinned = RM_TRACES[bc]
+    nv = mesh.n_nodes
+    out = set()
+    for nodes, normal in zip(mesh.facets.nodes.tolist(), mesh.facets.normal):
+        axis = int(np.argmax(np.abs(normal)))
+        if trace in ("normal", "tangential") and abs(abs(normal[axis]) - 1.0) > 1e-9:
+            raise UnsupportedConfigurationError(f"normal {normal}")
+        for comp in {"full": (0, 1), "normal": (axis,), "tangential": (1 - axis,), None: ()}[trace]:
+            out.update(comp * nv + n for n in nodes)
+        if pinned:
+            out.update(2 * nv + n for n in nodes)
+    return out
+
+
+def reference_morley_constrained(mesh, bc):
+    """Facet by facet: its vertices, then the dof of the edge it lies on."""
+    vertex, edge = MORLEY_DOFS[bc]
+    edges, _ = edge_table(mesh)
+    edge_id = {pair: i for i, pair in enumerate(map(tuple, edges.tolist()))}
+    out = set()
+    for nodes in mesh.facets.nodes.tolist():
+        if vertex:
+            out.update(nodes)
+        if edge:
+            out.add(mesh.n_nodes + edge_id[tuple(sorted(nodes))])
+    return out
+
+
+QUAD_MESHES = {
+    "rect": lambda: build_rect_mesh(2.0, 1.0, 4, 3),
+    "thin": lambda: build_thin_mesh(constant_profile_spec(0, 1, 0.5, 0.2), 6, 2),
+    "sloped": lambda: build_thin_mesh(sloped_spec(0.2), 5, 3),
+}
+
+
+class TestEssentialMasksMatchFacetLoop:
+    @pytest.mark.parametrize("mesh_name", sorted(QUAD_MESHES))
+    @pytest.mark.parametrize("bc", list(BcFamily), ids=lambda bc: bc.value)
+    def test_rm_families(self, mesh_name, bc):
+        mesh = QUAD_MESHES[mesh_name]()
+        expected = constrained_or_unsupported(lambda: reference_rm_constrained(mesh, bc))
+        assert constrained_or_unsupported(lambda: rm_dofmap(mesh, bc).constrained.tolist()) == expected
+
+    @pytest.mark.parametrize("mesh_name", sorted(QUAD_MESHES))
+    @pytest.mark.parametrize("bc", list(LimitBc), ids=lambda bc: bc.value)
+    def test_limit_families_on_split_meshes(self, mesh_name, bc):
+        tri = split_quads(QUAD_MESHES[mesh_name]())
+        got = assemble_biharmonic_pencil(tri, 1.0, 0.3, bc).dofmap.constrained
+        assert got.tolist() == sorted(reference_morley_constrained(tri, bc))
 
 
 class TestAssembly:
@@ -353,7 +450,7 @@ class TestAssembledMatrices:
         # and dirichlet_laplace_smallest (clamped scalar field)
         mesh = build_rect_mesh(1.0, 0.3, nx, ny)
         vector = build_dofmap(mesh, Q1_VECTOR2)
-        scalar = build_dofmap(mesh, Q1_SCALAR, lambda tag, comp, normal: True)
+        scalar = build_dofmap(mesh, Q1_SCALAR, True)
         for dm, space in ((vector, Q1_VECTOR2), (scalar, Q1_SCALAR)):
             for density in (stiffness_density, mass_density):
                 assert_canonical_symmetric(assemble_from_local(dm, density(element_batch(mesh, space))))

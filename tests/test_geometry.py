@@ -66,8 +66,8 @@ class TestIntervalMesh:
 
     def test_endpoint_normals(self):
         m = build_interval_mesh(0, 1, 3)
-        assert_allclose(m.facets[0].normal, [-1.0])
-        assert_allclose(m.facets[1].normal, [1.0])
+        assert_allclose(m.facets.normal[0], [-1.0])
+        assert_allclose(m.facets.normal[1], [1.0])
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
@@ -96,9 +96,9 @@ class TestThinMesh:
 
     def test_facet_tags(self):
         m = build_thin_mesh(constant_profile_spec(0, 1, 0.5, 0.2), 4, 2)
-        lateral = [f for f in m.facets if f.tag == BoundaryTag.LATERAL]
-        profile = [f for f in m.facets if f.tag == BoundaryTag.TOP_BOTTOM]
-        assert len(lateral) == 4 and len(profile) == 8
+        lateral = np.sum(m.facets.tag == BoundaryTag.LATERAL.value)
+        profile = np.sum(m.facets.tag == BoundaryTag.TOP_BOTTOM.value)
+        assert lateral == 4 and profile == 8
 
     def test_d_not_one_rejected(self):
         spec = ThinDomainSpec(
@@ -110,6 +110,25 @@ class TestThinMesh:
         )
         with pytest.raises(UnsupportedConfigurationError):
             build_thin_mesh(spec, 2, 2)
+
+    def test_dip_between_breakpoints_rejected(self):
+        # g = -0.1 at x = 0.001, between any two of 257 uniform samples
+        with pytest.raises(ValueError):
+            ThinDomainSpec(
+                (0.0, 1.0),
+                PiecewiseLinear(np.array([0.0, 0.001, 0.002, 1.0]), np.array([0.5, -0.6, 0.5, 0.5])),
+                PiecewiseLinear.constant(0.5, 0, 1),
+                0.1,
+            )
+
+    def test_breakpoints_outside_interval_ignored(self):
+        spec = ThinDomainSpec(
+            (0.0, 1.0),
+            PiecewiseLinear(np.array([-1.0, 0.0, 2.0]), np.array([-1.0, 0.5, 0.5])),
+            PiecewiseLinear.constant(0.5, 0, 1),
+            0.1,
+        )
+        assert spec.g(0.0) == 1.0
 
     def test_nonpositive_profile_rejected(self):
         with pytest.raises(ValueError):
@@ -176,15 +195,16 @@ class TestMeshInvariants:
 
     @pytest.mark.parametrize("mesh,_", all_test_meshes())
     def test_unit_outward_normals(self, mesh, _):
-        for f in mesh.facets:
-            assert abs(np.linalg.norm(f.normal) - 1.0) < 1e-12
-            assert 0 <= f.element < mesh.n_elements
-            assert all(0 <= n < mesh.n_nodes for n in f.nodes)
-            assert set(f.nodes) <= set(mesh.elements[f.element])
+        f = mesh.facets
+        for nodes, element, normal in zip(f.nodes, f.element, f.normal):
+            assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
+            assert 0 <= element < mesh.n_elements
+            assert all(0 <= n < mesh.n_nodes for n in nodes)
+            assert set(nodes) <= set(mesh.elements[element])
             if mesh.dim == 2:
-                mid = mesh.nodes[list(f.nodes)].mean(axis=0)
-                centroid = mesh.nodes[mesh.elements[f.element]].mean(axis=0)
-                assert np.dot(f.normal, mid - centroid) > 0
+                mid = mesh.nodes[list(nodes)].mean(axis=0)
+                centroid = mesh.nodes[mesh.elements[element]].mean(axis=0)
+                assert np.dot(normal, mid - centroid) > 0
 
     @pytest.mark.parametrize("mesh,_", [m for m in all_test_meshes() if m[0].dim == 2])
     def test_positive_jacobians(self, mesh, _):
@@ -194,9 +214,28 @@ class TestMeshInvariants:
         # raises on any non-positive Jacobian
         quad_geometry(mesh, quad_rule(3))
 
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (4, 3), (2, 5)])
+    def test_grid_facets_match_side_walk(self, nx, ny):
+        # reference: walk the sides bottom, right, top, left, one facet at a time
+        mesh = build_thin_mesh(trapezoid_spec(0.3), nx, ny)
+        walk = [((i, i + 1), i, "top_bottom") for i in range(nx)]
+        walk += [((j * (nx + 1) + nx, (j + 1) * (nx + 1) + nx), j * nx + nx - 1, "lateral") for j in range(ny)]
+        walk += [((ny * (nx + 1) + i, ny * (nx + 1) + i + 1), (ny - 1) * nx + i, "top_bottom") for i in range(nx)]
+        walk += [((j * (nx + 1), (j + 1) * (nx + 1)), j * nx, "lateral") for j in range(ny)]
+        f = mesh.facets
+        assert len(f) == len(walk)
+        for k, (nodes, element, tag) in enumerate(walk):
+            assert tuple(f.nodes[k]) == nodes and f.element[k] == element and f.tag[k] == tag
+            p0, p1 = mesh.nodes[list(nodes)]
+            t = p1 - p0
+            n = np.array([t[1], -t[0]]) / np.hypot(t[0], t[1])
+            if np.dot(n, 0.5 * (p0 + p1) - mesh.nodes[mesh.elements[element]].mean(axis=0)) < 0:
+                n = -n
+            assert np.array_equal(f.normal[k], n)
+
     def test_facets_unique_per_element_edge(self):
         mesh = build_rect_mesh(1, 1, 3, 3)
-        seen = {tuple(sorted(f.nodes)) for f in mesh.facets}
+        seen = {tuple(sorted(nodes)) for nodes in mesh.facets.nodes.tolist()}
         assert len(seen) == len(mesh.facets)
 
 
@@ -210,9 +249,9 @@ class TestSplitQuads:
 
     def test_facet_ownership(self):
         t = split_quads(build_rect_mesh(1, 1, 2, 2))
-        for f in t.facets:
-            tri = t.elements[f.element]
-            assert set(f.nodes) <= set(tri)
+        for nodes, element in zip(t.facets.nodes, t.facets.element):
+            tri = t.elements[element]
+            assert set(nodes) <= set(tri)
 
 
 class TestMeshJson:
@@ -224,6 +263,6 @@ class TestMeshJson:
         assert_allclose(back.nodes, mesh.nodes)
         assert np.array_equal(back.elements, mesh.elements)
         assert len(back.facets) == len(mesh.facets)
-        for a, b in zip(back.facets, mesh.facets):
-            assert a.nodes == b.nodes and a.tag == b.tag
-            assert_allclose(a.normal, b.normal)
+        a, b = back.facets, mesh.facets
+        assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.tag, b.tag)
+        assert_allclose(a.normal, b.normal)
