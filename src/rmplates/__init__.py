@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .spaces import (
     MORLEY,
-    P1_1D,
     P2_1D,
     Q1_SCALAR,
     Q1_VECTOR2,

@@ -3,10 +3,12 @@
 `element_batch` tabulates basis values, gradients (and Hessians for Morley)
 of one space at the quadrature points of every element at once; densities
 turn a batch into per-element matrices, and `assemble_from_local` scatters
-them into a symmetric CSR matrix over the free dofs.  Every assembler
-tabulates a mesh once per quadrature rule and computes all of its local
-blocks from that batch, and returns a `Pencil`.  Symmetry is structural:
-only the lower triangle is accumulated, then mirrored.
+them into a symmetric CSR matrix over all dofs of a dofmap.  Every assembler
+tabulates a mesh once per quadrature rule, computes all of its local blocks
+from that batch, and makes them the shifted `Pencil` on the free dofs with
+`assemble_pencil`: a boundary condition reaches a matrix only by that
+restriction.  Symmetry is structural: only the lower triangle is
+accumulated, then mirrored.
 """
 
 from dataclasses import dataclass, field
@@ -88,9 +90,9 @@ def segment_geometry(mesh: Mesh, quad: QuadratureRule):
 
 
 def p2_ref_basis(xi: np.ndarray):
-    """Quadratic shapes on [0,1] in local order (left, right, mid)."""
-    phi = np.stack([(1 - xi) * (1 - 2 * xi), xi * (2 * xi - 1), 4 * xi * (1 - xi)], axis=1)
-    dphi = np.stack([4 * xi - 3, 4 * xi - 1, 4 - 8 * xi], axis=1)
+    """Quadratic shapes on [0,1] in local order (left, right, mid) along a new last axis."""
+    phi = np.stack([(1 - xi) * (1 - 2 * xi), xi * (2 * xi - 1), 4 * xi * (1 - xi)], axis=-1)
+    dphi = np.stack([4 * xi - 3, 4 * xi - 1, 4 - 8 * xi], axis=-1)
     return phi, dphi
 
 
@@ -183,19 +185,13 @@ def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None) -> 
             vphi[:, :, 4 * c : 4 * c + 4, c] = phi_e
             vgrad[:, :, 4 * c : 4 * c + 4, c, :] = grad
         return ElementBatch(x, w, vphi, vgrad)
-    if space in (SpaceKind.P1_1D, SpaceKind.P2_1D):
+    if space == SpaceKind.P2_1D:
         x, w, h = segment_geometry(mesh, quad)
-        xi = quad.points[:, 0]
-        if space == SpaceKind.P1_1D:
-            phi = np.stack([1 - xi, xi], axis=1)
-            dphi = np.stack([-np.ones_like(xi), np.ones_like(xi)], axis=1)
-        else:
-            phi, dphi = p2_ref_basis(xi)
+        phi, dphi = p2_ref_basis(quad.points[:, 0])
         ne, nq = w.shape
-        nloc = phi.shape[1]
-        phi_e = np.broadcast_to(phi[None], (ne, nq, nloc))
+        phi_e = np.broadcast_to(phi[None], (ne, nq, 3))
         grad = (dphi[None, :, :] / h[:, None, None])[..., None]
-        return ElementBatch(x, w, phi_e, np.broadcast_to(grad, (ne, nq, nloc, 1)))
+        return ElementBatch(x, w, phi_e, np.broadcast_to(grad, (ne, nq, 3, 1)))
     if space == SpaceKind.MORLEY:
         return morley_batch(mesh, quad)
     raise ValueError(space)
@@ -215,7 +211,7 @@ def stiffness_density(batch: ElementBatch) -> np.ndarray:
 
 def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
     """Scatter symmetric per-element matrices into a canonical, exactly
-    symmetric CSR matrix; constrained rows/cols dropped.
+    symmetric CSR matrix over all `dofmap.n_dofs` dofs, constrained or not.
 
     Raises `AssemblyError` naming the first element whose block holds a
     non-finite entry.
@@ -224,13 +220,12 @@ def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
     if len(bad):
         raise AssemblyError(int(bad[0]), "local matrix has a non-finite entry")
     local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
-    f2f = dofmap.full_to_free()
-    gi = f2f[dofmap.element_to_global]  # (ne, nloc)
+    gi = dofmap.element_to_global  # (ne, nloc)
     rows = np.repeat(gi[:, :, None], gi.shape[1], axis=2).ravel()
     cols = np.repeat(gi[:, None, :], gi.shape[1], axis=1).ravel()
     vals = local.ravel()
-    keep = (rows >= cols) & (cols >= 0)
-    n = dofmap.n_free
+    keep = rows >= cols
+    n = dofmap.n_dofs
     lower = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
     lower.sum_duplicates()
     lower.eliminate_zeros()
@@ -265,11 +260,20 @@ class Pencil:
         return Pencil(self.A[free][:, free], self.B[free][:, free], self.mesh, dofmap, self.params, B_full=self.B)
 
 
+def assemble_pencil(mesh: Mesh, dofmap: DofMap, form: np.ndarray, mass: np.ndarray, params=None) -> Pencil:
+    """The shifted pencil A = form + mass, B = mass of per-element blocks.
+
+    Both are scattered over all dofs, then restricted to the free dofs of
+    `dofmap`, with the unrestricted mass as `B_full`.  The mass is added to
+    `form` in place, so pass a temporary.
+    """
+    form += mass
+    A, B = assemble_from_local(dofmap, form), assemble_from_local(dofmap, mass)
+    return Pencil(A, B, mesh, dofmap, params).restrict(dofmap)
+
+
 def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:
-    """Scatter per-element load vectors (ne, nloc) into the free dofs."""
-    f2f = dofmap.full_to_free()
-    gi = f2f[dofmap.element_to_global].ravel()
-    keep = gi >= 0
-    load = np.zeros(dofmap.n_free)
-    np.add.at(load, gi[keep], local.ravel()[keep])
+    """Scatter per-element load vectors (ne, nloc) over all dofs; `DofMap.restrict` cuts it."""
+    load = np.zeros(dofmap.n_dofs)
+    np.add.at(load, dofmap.element_to_global.ravel(), local.ravel())
     return load

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assemble import Pencil, assemble_from_local, assemble_load_from_local, element_batch, mass_density
+from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch, mass_density
 from .eigensolve import sparse_solve
 from .errors import UnsupportedLimitError
 from .geometry import ElementKind, Mesh
@@ -81,10 +81,7 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
     lap = batch.hess[..., 0, 0] + batch.hess[..., 1, 1]
     bend = (1.0 - sigma) * np.einsum("eq,eqiab,eqjab->eij", batch.w, batch.hess, batch.hess)
     bend += sigma * np.einsum("eq,eqi,eqj->eij", batch.w, lap, lap)
-    mass = mass_density(batch)
-    A = assemble_from_local(dofmap, pref * bend + mass)
-    B = assemble_from_local(dofmap, mass)
-    return Pencil(A, B, mesh, dofmap)
+    return assemble_pencil(mesh, dofmap, pref * bend, mass_density(batch))
 
 
 def solve_biharmonic_source(pencil: Pencil, f) -> np.ndarray:
@@ -93,7 +90,7 @@ def solve_biharmonic_source(pencil: Pencil, f) -> np.ndarray:
     batch = element_batch(pencil.mesh, MORLEY, triangle_rule(4))
     fx = f(batch.x) if callable(f) else np.full(batch.w.shape, float(f))
     load = assemble_load_from_local(pencil.dofmap, np.einsum("eq,eq,eqi->ei", batch.w, fx, batch.phi))
-    u = sparse_solve(pencil.A, load)
+    u = sparse_solve(pencil.A, pencil.dofmap.restrict(load))
     return pencil.dofmap.expand(u)
 
 

@@ -51,17 +51,18 @@ class EigResult:
     residuals: np.ndarray  # ||A x - lambda B x|| / ||A x||
     info: dict = field(default_factory=dict)
 
-    def clusters(self):
-        """Group eigenvalue indices whose relative gaps are below CLUSTER_RTOL."""
-        groups = [[0]]
-        lam = self.eigenvalues
-        for i in range(1, len(lam)):
-            scale = max(abs(lam[i]), abs(lam[groups[-1][0]]), 1e-300)
-            if abs(lam[i] - lam[groups[-1][-1]]) <= CLUSTER_RTOL * scale:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
+
+def clusters(eigenvalues):
+    """Group the indices of ascending eigenvalues whose relative gaps are below CLUSTER_RTOL."""
+    groups = [[0]]
+    lam = eigenvalues
+    for i in range(1, len(lam)):
+        scale = max(abs(lam[i]), abs(lam[groups[-1][0]]), 1e-300)
+        if abs(lam[i] - lam[groups[-1][-1]]) <= CLUSTER_RTOL * scale:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def factorize(M):
@@ -159,8 +160,7 @@ def _residuals(A, B, lam, vec):
 def _refine_clusters(A, B, lam, vec, res, tol):
     lam = lam.copy()
     vec = vec.copy()
-    result = EigResult(lam, None, None)
-    for group in result.clusters():
+    for group in clusters(lam):
         idx = np.array(group)
         if np.all(res[idx] <= tol):
             continue

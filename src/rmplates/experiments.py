@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
-from .eigensolve import EigOptions, EigResult, _b_orthonormalize, principal_angles, solve_gep_smallest
+from .eigensolve import EigOptions, _b_orthonormalize, clusters, principal_angles, solve_gep_smallest
 from .geometry import (
     Mesh,
     PiecewiseLinear,
@@ -210,16 +210,15 @@ def sweep_thickness(config: SweepConfig) -> dict:
 
 def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int):
     """First clusters of eigenvalues beyond the shifted kernel at 1."""
-    res = EigResult(np.asarray(eigenvalues), None, None)
     kernel = at_one(eigenvalues)
-    clusters = []
-    for group in res.clusters():
+    groups = []
+    for group in clusters(np.asarray(eigenvalues)):
         if kernel[group[0]]:
             continue
-        clusters.append(group)
-        if len(clusters) == how_many:
+        groups.append(group)
+        if len(groups) == how_many:
             break
-    return clusters
+    return groups
 
 
 def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_clusters: int):
@@ -240,8 +239,8 @@ def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_cl
     # fine thin meshes sit near the floating-point floor of the residual
     # metric ||Ax - lam Bx||/||Ax||; 1e-8 keeps the solves honest there
     lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=num_clusters + 4, tol=1e-8))
-    clusters = _nonunit_clusters(lim.eigenvalues, num_clusters)
-    need = 3 + sum(len(c) for c in clusters) + 6
+    groups = _nonunit_clusters(lim.eigenvalues, num_clusters)
+    need = 3 + sum(len(c) for c in groups) + 6
     thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need, tol=1e-8))
 
     # averaged thin eigenvectors, B0-normalized; transverse (y-odd) branches
@@ -257,7 +256,7 @@ def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_cl
 
     eig_gaps, signed_gaps, angles, lam0s = [], [], [], []
     taken = at_one(thin_res.eigenvalues)
-    for group in clusters:
+    for group in groups:
         lam0 = float(np.mean(lim.eigenvalues[group]))
         lam0s.append(lam0)
         m = len(group)
@@ -443,11 +442,11 @@ def korn_sweep(config: SweepConfig) -> dict:
 
 
 def dirichlet_laplace_smallest(mesh: Mesh) -> float:
-    """Smallest eigenvalue of the Dirichlet Laplacian (Q1) on the mesh."""
+    """Smallest eigenvalue of the Dirichlet Laplacian (Q1) on the mesh, unshifted, over the interior dofs."""
     dofmap = build_dofmap(mesh, Q1_SCALAR, True)
     batch = element_batch(mesh, Q1_SCALAR)
-    A = assemble_from_local(dofmap, stiffness_density(batch))
-    B = assemble_from_local(dofmap, mass_density(batch))
+    free = dofmap.free
+    A, B = (assemble_from_local(dofmap, loc)[free][:, free] for loc in (stiffness_density(batch), mass_density(batch)))
     res = solve_gep_smallest(A, B, EigOptions(k=1))
     return float(res.eigenvalues[0])
 

@@ -28,26 +28,14 @@ def segment_rule(npts: int) -> QuadratureRule:
     return QuadratureRule(((x + 1.0) / 2.0)[:, None], w / 2.0, 2 * npts - 1)
 
 
-def quad_rule(n: int = 2) -> QuadratureRule:
-    """Tensor Gauss rule with n x n points on [-1, 1]^2."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    pts = np.array([(xi, yj) for yj in x for xi in x])
-    wts = np.array([wi * wj for wj in w for wi in w])
-    return QuadratureRule(pts, wts, 2 * n - 1)
-
-
-def quad_rule_anisotropic(nx: int, ny: int) -> QuadratureRule:
-    """Tensor Gauss rule with nx points in xi and ny points in eta."""
+def quad_rule(nx: int = 2, ny: int = None) -> QuadratureRule:
+    """Tensor Gauss rule on [-1, 1]^2, nx points in xi and ny (default nx) in eta."""
+    ny = nx if ny is None else ny
     gx, wx = np.polynomial.legendre.leggauss(nx)
     gy, wy = np.polynomial.legendre.leggauss(ny)
     pts = np.array([(xi, yj) for yj in gy for xi in gx])
     wts = np.array([wi * wj for wj in wy for wi in wx])
-    return QuadratureRule(pts, wts, min(2 * nx, 2 * ny) - 1)
-
-
-def quad_center_rule() -> QuadratureRule:
-    """One-point rule at the center of [-1, 1]^2."""
-    return QuadratureRule(np.zeros((1, 2)), np.array([4.0]), 1)
+    return QuadratureRule(pts, wts, 2 * min(nx, ny) - 1)
 
 
 # Reduced shear rules for the Mindlin quad: the x-shear component is sampled

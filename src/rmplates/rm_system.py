@@ -21,12 +21,12 @@ the x-component sampled on the element midline xi = 0 and the y-component on
 eta = 0; the bending and mass terms use full 2x2 Gauss.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .assemble import Pencil, assemble_from_local, assemble_load_from_local, element_batch
+from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch
 from .errors import UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
 from .quadrature import quad_rule, shear_rule_x, shear_rule_y
@@ -175,17 +175,13 @@ def rm_dofmap(mesh: Mesh, bc: BcFamily) -> DofMap:
 def assemble_rm_pencil(mesh: Mesh, params: MaterialParams, bc: BcFamily) -> Pencil:
     """Assemble the shifted Reissner-Mindlin pencil for one BC family.
 
-    A = bending + shear + mass and B = mass are scattered once over all
-    dofs; the family only selects the free dofs, so its pencil is the
-    restriction `[free][:, free]`, with the unconstrained mass as `B_full`.
+    A = bending + shear + mass and B = mass; the family only selects the
+    free dofs (`assemble_pencil`).
     """
     if mesh.element_kind != ElementKind.QUAD4 or mesh.dim != 2:
         raise ValueError("the plate system needs a 2D quad mesh")
-    dofmap = rm_dofmap(mesh, bc)
-    unconstrained = replace(dofmap, constrained=np.empty(0, dtype=np.int64))
     bend, shear, mass = rm_local_matrices(mesh, params)
-    A, B = (assemble_from_local(unconstrained, loc) for loc in (bend + shear + mass, mass))
-    return Pencil(A, B, mesh, unconstrained, params).restrict(dofmap)
+    return assemble_pencil(mesh, rm_dofmap(mesh, bc), bend + shear, mass, params)
 
 
 def interpolate_pair(mesh: Mesh, beta_fn, w_fn) -> FieldPair:
@@ -215,11 +211,11 @@ def rm_load_vector(pencil: Pencil, F, f) -> np.ndarray:
         loc = np.zeros((vb.w.shape[0], 12))
         loc[:, :8] = t2_12 * np.einsum("eq,eqc,eqic->ei", vb.w, F(vb.x), vb.phi)
         loc[:, 8:] = np.einsum("eq,eq,eqi->ei", vb.w, f(vb.x), vb.phi[..., :4, 0])
-        return assemble_load_from_local(pencil.dofmap, loc)
+        return pencil.dofmap.restrict(assemble_load_from_local(pencil.dofmap, loc))
     if callable(F) or callable(f):
         raise ValueError("F and f must both be callables or both coefficient vectors")
     data = np.concatenate([np.asarray(F, dtype=float), np.asarray(f, dtype=float)])
-    return (pencil.B_full @ data)[pencil.dofmap.free]
+    return pencil.dofmap.restrict(pencil.B_full @ data)
 
 
 def solve_rm_source(pencil: Pencil, F, f) -> FieldPair:

@@ -1,10 +1,10 @@
 """Element spaces and degree-of-freedom maps with essential-constraint lists.
 
-Supported spaces: bilinear Q1 (scalar and 2-vector) on quads, P1/P2 on
+Supported spaces: bilinear Q1 (scalar and 2-vector) on quads, P2 on
 segments, and the Morley triangle (vertex values plus edge-midpoint normal
 derivatives).  Essential conditions are realized by collecting the
-constrained global dofs; assembly then eliminates the constrained rows and
-columns, so all reduced matrices stay symmetric definite.
+constrained global dofs; a pencil scattered over all dofs is restricted to
+the free ones, so all reduced matrices stay symmetric definite.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,6 @@ from .geometry import ElementKind, Mesh
 class SpaceKind(str, Enum):
     Q1_SCALAR = "q1_scalar"
     Q1_VECTOR2 = "q1_vector2"
-    P1_1D = "p1_1d"
     P2_1D = "p2_1d"
     MORLEY = "morley"
 
@@ -31,12 +30,11 @@ class SpaceKind(str, Enum):
 _ELEMENT_KIND = {
     SpaceKind.Q1_SCALAR: ElementKind.QUAD4,
     SpaceKind.Q1_VECTOR2: ElementKind.QUAD4,
-    SpaceKind.P1_1D: ElementKind.SEGMENT,
     SpaceKind.P2_1D: ElementKind.SEGMENT,
     SpaceKind.MORLEY: ElementKind.TRI3,
 }
 
-Q1_SCALAR, Q1_VECTOR2, P1_1D, P2_1D, MORLEY = SpaceKind
+Q1_SCALAR, Q1_VECTOR2, P2_1D, MORLEY = SpaceKind
 
 
 @dataclass
@@ -60,15 +58,6 @@ class DofMap:
         free = np.setdiff1d(np.arange(self.n_dofs), self.constrained)
         free.flags.writeable = False
         return free
-
-    @property
-    def n_free(self) -> int:
-        return self.n_dofs - len(self.constrained)
-
-    def full_to_free(self) -> np.ndarray:
-        idx = np.full(self.n_dofs, -1, dtype=np.int64)
-        idx[self.free] = np.arange(self.n_free)
-        return idx
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
         return np.asarray(full)[self.free]
@@ -117,7 +106,7 @@ def build_dofmap(mesh: Mesh, space: SpaceKind, essential=False) -> DofMap:
         raise TypeError(f"essential must be a bool mask over (facet, component), not {type(essential).__name__}")
     nv = mesh.n_nodes
     elements = mesh.elements.astype(np.int64)
-    if space in (SpaceKind.Q1_SCALAR, SpaceKind.P1_1D):
+    if space == SpaceKind.Q1_SCALAR:
         n_dofs, e2g = nv, elements
     elif space == SpaceKind.Q1_VECTOR2:
         n_dofs, e2g = 2 * nv, np.concatenate([elements, elements + nv], axis=1)

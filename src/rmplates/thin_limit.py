@@ -25,10 +25,10 @@ exactly delta * g(x).
 
 import numpy as np
 
-from .assemble import Pencil, assemble_from_local, element_batch
+from .assemble import Pencil, assemble_pencil, element_batch, p2_ref_basis
 from .eigensolve import sparse_solve
 from .geometry import ElementKind, Mesh, ThinDomainSpec
-from .quadrature import quad_rule_anisotropic, segment_rule
+from .quadrature import quad_rule, segment_rule
 from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, rm_load_vector, solve_rm_source
 from .spaces import P2_1D, Q1_SCALAR, build_dofmap, stack_dofmaps
 
@@ -73,17 +73,20 @@ def p2_dof_points(interval_mesh: Mesh) -> np.ndarray:
     return np.concatenate([xs, mids])
 
 
+def _locate(xs: np.ndarray, x):
+    """Cell index on the sorted grid xs of each point x, and the point's
+    local coordinate in [0, 1] (points outside go to the end cells)."""
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    return idx, (x - xs[idx]) / (xs[idx + 1] - xs[idx])
+
+
 def p2_evaluate(interval_mesh: Mesh, coeffs: np.ndarray, x) -> np.ndarray:
     """Evaluate a P2 coefficient vector at arbitrary points of the interval."""
     xs = interval_mesh.nodes[:, 0]
-    nv = len(xs)
-    x = np.asarray(x, dtype=float)
-    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-    xi = (x - xs[idx]) / (xs[idx + 1] - xs[idx])
-    n0 = (1 - xi) * (1 - 2 * xi)
-    n1 = xi * (2 * xi - 1)
-    n2 = 4 * xi * (1 - xi)
-    return n0 * coeffs[idx] + n1 * coeffs[idx + 1] + n2 * coeffs[nv + idx]
+    idx, xi = _locate(xs, x)
+    n = p2_ref_basis(xi)[0]
+    return n[..., 0] * coeffs[idx] + n[..., 1] * coeffs[idx + 1] + n[..., 2] * coeffs[len(xs) + idx]
 
 
 def p2_interpolate(interval_mesh: Mesh, fn) -> np.ndarray:
@@ -128,9 +131,7 @@ def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: Mat
     mass[:, 3:, 3:] = np.einsum("eq,eqi,eqj->eij", wg, phi, phi)
 
     dofmap = stack_dofmaps([build_dofmap(interval_mesh, P2_1D), build_dofmap(interval_mesh, P2_1D)])
-    A = assemble_from_local(dofmap, bend + shear + mass)
-    B = assemble_from_local(dofmap, mass)
-    return Pencil(A, B, interval_mesh, dofmap, params)
+    return assemble_pencil(interval_mesh, dofmap, bend + shear, mass, params)
 
 
 def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray):
@@ -143,10 +144,10 @@ def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarra
 class ConnectingSystem:
     """Couples a structured thin mesh with its base-interval mesh.
 
-    The thin mesh must come from build_thin_mesh and the interval mesh must
-    share its x grid; then every vertical line through the mesh sees a
-    piecewise-linear restriction of Q1 fields, so section averages are exact
-    column-wise quadratures.
+    The thin mesh must come from build_thin_mesh with `spec` and the
+    interval mesh must share its x grid; then every vertical line through
+    the mesh sees a piecewise-linear restriction of Q1 fields, so section
+    averages are exact column-wise quadratures.
     """
 
     def __init__(self, thin_mesh: Mesh, interval_mesh: Mesh, spec: ThinDomainSpec):
@@ -158,37 +159,36 @@ class ConnectingSystem:
             interval_mesh.nodes[:, 0], xs, rtol=0, atol=1e-12
         ):
             raise ValueError("interval mesh nodes must coincide with the thin-mesh x grid")
+        # build_thin_mesh puts the bottom and top rows at -delta f1 and delta f2 to rounding
+        Y = thin_mesh.nodes[:, 1].reshape(ny + 1, nx + 1)
+        off = max(np.abs(Y[0] + spec.delta * spec.f1(xs)).max(), np.abs(Y[-1] - spec.delta * spec.f2(xs)).max())
+        if off > 1e-12 * spec.delta:
+            raise ValueError(f"thin mesh was not built with this spec: its profile rows are {off:.2e} off")
         self.thin_mesh = thin_mesh
         self.interval_mesh = interval_mesh
         self.spec = spec
         self.delta = spec.delta
         self.nx, self.ny = nx, ny
         self.xs = xs
-        self.Y = thin_mesh.nodes[:, 1].reshape(ny + 1, nx + 1)
+        self.Y = Y
         # quadrature used for all thin-side norms: exact for products of Q1
         # fields and extensions of P2 interval fields
-        self._batch = element_batch(thin_mesh, Q1_SCALAR, quad_rule_anisotropic(3, 2))
+        self._batch = element_batch(thin_mesh, Q1_SCALAR, quad_rule(3, 2))
         self._ivl_rule = segment_rule(3)
         self._ivl_batch = element_batch(interval_mesh, P2_1D, self._ivl_rule)
 
     # -- pointwise column operations ------------------------------------
-    def _column(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.nx - 1)
-        xi = (x - self.xs[idx]) / (self.xs[idx + 1] - self.xs[idx])
-        return idx, xi
-
     def section_integral(self, nodal: np.ndarray, x) -> np.ndarray:
         """Exact integral over the section {x} x (y_bottom, y_top) of the Q1
         interpolant with the given nodal values (grid shape implied)."""
-        idx, xi = self._column(x)
+        idx, xi = _locate(self.xs, x)
         U = np.asarray(nodal).reshape(self.ny + 1, self.nx + 1)
         v = (1 - xi) * U[:, idx] + xi * U[:, idx + 1]  # (ny+1, len(x))
         y = (1 - xi) * self.Y[:, idx] + xi * self.Y[:, idx + 1]
         return np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(y, axis=0), axis=0)
 
     def section_height(self, x) -> np.ndarray:
-        idx, xi = self._column(x)
+        idx, xi = _locate(self.xs, x)
         y = (1 - xi) * self.Y[:, idx] + xi * self.Y[:, idx + 1]
         return y[-1] - y[0]
 
@@ -199,7 +199,7 @@ class ConnectingSystem:
         """Section average of a callable fn(x, y), by the same column-wise
         trapezoid quadrature used for Q1 fields (exact for fields linear in
         y per mesh row; reproduces y-constant functions identically)."""
-        idx, xi = self._column(x)
+        idx, xi = _locate(self.xs, x)
         y = (1 - xi) * self.Y[:, idx] + xi * self.Y[:, idx + 1]
         v = np.array([fn(np.broadcast_to(x, yr.shape), yr) for yr in y])
         integral = np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(y, axis=0), axis=0)

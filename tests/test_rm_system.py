@@ -1,20 +1,35 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from rmplates import (
+    MORLEY,
+    P2_1D,
+    Q1_SCALAR,
     BcFamily,
+    LimitBc,
     MaterialParams,
+    assemble_biharmonic_pencil,
+    assemble_limit_pencil,
     assemble_rm_pencil,
+    build_dofmap,
+    build_interval_mesh,
     build_rect_mesh,
     build_thin_mesh,
+    constant_profile_spec,
     interpolate_pair,
     kernel_count,
     lame_coefficients,
     rigid_pair,
     solve_rm_source,
+    split_quads,
+    stack_dofmaps,
 )
+from rmplates import experiments
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
+from rmplates.experiments import dirichlet_laplace_smallest
 from rmplates.assemble import assemble_from_local
 from rmplates.errors import UnsupportedConfigurationError
 from rmplates.geometry import Mesh, PiecewiseLinear, ThinDomainSpec
@@ -123,7 +138,7 @@ class TestPencil:
         x = pair.concat()
         assert abs(x @ (shear @ x)) < 1e-12
 
-    def test_family_is_restriction_of_unconstrained_mass(self):
+    def test_family_is_restriction_of_unconstrained_mass(self, monkeypatch):
         # a family only selects free dofs: its A and B are the unconstrained
         # matrices restricted, entry for entry and with the same sparsity,
         # and restricting the free pencil gives the family's pencil
@@ -143,8 +158,50 @@ class TestPencil:
                 "restrict B_full": (pen.B_full, restricted.B_full),
             }
             for what, (M, R) in pairs.items():
-                for attr in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(M, attr), getattr(R, attr)), (bc, what, attr)
+                assert _same_csr(M, R), (bc, what)
+
+        # so are the Morley families, the limit pencil and the Dirichlet
+        # Laplacian: rescatter the blocks each one hands to the scatter over
+        # an unconstrained dofmap, and restrict
+        blocks, solved = [], []
+
+        def scatter(dofmap, local):
+            blocks.append(local.copy())
+            return assemble_from_local(dofmap, local)
+
+        def solve(A, B, opts):
+            solved.append((A, B))
+            return solve_gep_smallest(A, B, opts)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rmplates.") and getattr(module, "assemble_from_local", None) is assemble_from_local:
+                monkeypatch.setattr(module, "assemble_from_local", scatter)
+        monkeypatch.setattr(experiments, "solve_gep_smallest", solve)
+
+        tri, interval = split_quads(mesh), build_interval_mesh(0, 1, 7)
+        spec = constant_profile_spec(0, 1, 0.5, 0.2)
+        cases = {
+            bc.value: (lambda bc=bc: assemble_biharmonic_pencil(tri, 1.0, 0.3, bc), build_dofmap(tri, MORLEY))
+            for bc in LimitBc
+        }
+        cases["limit"] = (
+            lambda: assemble_limit_pencil(interval, spec, PARAMS),
+            stack_dofmaps([build_dofmap(interval, P2_1D)] * 2),
+        )
+        for what, (build, unconstrained) in cases.items():
+            blocks.clear()
+            pen = build()
+            free = pen.dofmap.free
+            A_full, B_full = (assemble_from_local(unconstrained, local) for local in blocks)
+            for M, R in ((pen.A, A_full[free][:, free]), (pen.B, B_full[free][:, free]), (pen.B_full, B_full)):
+                assert _same_csr(M, R), what
+
+        blocks.clear()
+        dirichlet_laplace_smallest(mesh)
+        free = build_dofmap(mesh, Q1_SCALAR, True).free
+        assert len(free) < mesh.n_nodes
+        for M, local in zip(solved[0], blocks):
+            assert _same_csr(M, assemble_from_local(build_dofmap(mesh, Q1_SCALAR), local)[free][:, free]), "dirichlet"
 
     def test_non_axis_aligned_trace_rejected(self):
         spec = ThinDomainSpec(
@@ -280,6 +337,11 @@ class TestSourceSolve:
         u = solve_biharmonic_source(bpen, 1.0)
         w_kl = vertex_values(tri, u)
         assert abs(sol.w.max() - w_kl.max()) / w_kl.max() < 0.05
+
+
+def _same_csr(M, R):
+    """Equal entry for entry, with the same sparsity."""
+    return all(np.array_equal(getattr(M, attr), getattr(R, attr)) for attr in ("indptr", "indices", "data"))
 
 
 def _pencil_mats(mesh, bc):

@@ -195,6 +195,18 @@ class TestConnectingSystem:
         with pytest.raises(ValueError):
             ConnectingSystem(thin, build_interval_mesh(0, 1, 12), spec)
 
+    def test_mesh_of_another_spec_rejected(self):
+        # the section averages and norms read the profiles off the mesh, so a
+        # spec that did not build it (another profile, another delta) would
+        # give wrong gaps without an error
+        thin = build_thin_mesh(constant_profile_spec(0, 1, 0.5, 0.1), 48, 6)
+        interval = build_interval_mesh(0, 1, 48)
+        for spec in (trapezoid_spec(0.1), constant_profile_spec(0, 1, 0.5, 0.2)):
+            with pytest.raises(ValueError, match="not built with this spec"):
+                ConnectingSystem(thin, interval, spec)
+        for spec in (trapezoid_spec(0.1), constant_profile_spec(0, 1, 0.5, 0.1)):
+            ConnectingSystem(build_thin_mesh(spec, 48, 6), interval, spec)
+
 
 class TestResolventGap:
     def test_constant_data_gap_tiny(self):
