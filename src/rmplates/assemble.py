@@ -255,9 +255,13 @@ class Pencil:
 
     def restrict(self, dofmap: DofMap) -> "Pencil":
         """The pencil `[free][:, free]` on the free dofs of `dofmap`, a
-        constrained version of this pencil's dof layout."""
+        constrained version of this pencil's dof layout.  With every dof
+        free it shares this pencil's matrices, so `B is B_full`."""
         free = dofmap.free
-        return Pencil(self.A[free][:, free], self.B[free][:, free], self.mesh, dofmap, self.params, B_full=self.B)
+        A, B = self.A, self.B
+        if len(free) < dofmap.n_dofs:
+            A, B = A[free][:, free], B[free][:, free]
+        return Pencil(A, B, self.mesh, dofmap, self.params, B_full=self.B)
 
 
 def assemble_pencil(mesh: Mesh, dofmap: DofMap, form: np.ndarray, mass: np.ndarray, params=None) -> Pencil:

@@ -90,6 +90,7 @@ def _write_eigs(path, result, extra):
     payload = dict(extra)
     payload["eigenvalues"] = result.eigenvalues.tolist()
     payload["residuals"] = result.residuals.tolist()
+    payload["info"] = result.info
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"wrote {path}")

@@ -9,14 +9,22 @@ Eigenvectors are re-orthonormalized in the B inner product, so clustered
 (kernel) eigenvalues come out with full multiplicity.  Every sparse LU in
 the package is made by `factorize`: the shift-invert operator and cluster
 refinement here, and `sparse_solve`.
+
+`factorize` picks the LU's ordering from the graph of the matrix.  A
+plate's graph is wider than it is long, and there a symmetric
+minimum-degree ordering without pivoting fills 2-3x less than SuperLU's
+default COLAMD.  A strip or chain is longer than it is wide, already
+nearly banded, and keeps the default LU bit for bit.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConvergenceError, SingularSystemError
 
@@ -49,7 +57,7 @@ class EigResult:
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # columns, B-orthonormal
     residuals: np.ndarray  # ||A x - lambda B x|| / ||A x||
-    info: dict = field(default_factory=dict)
+    info: dict = field(default_factory=dict)  # the shift-invert LU: ordering, lu_fill, factor_s, opinv_applies
 
 
 def clusters(eigenvalues):
@@ -65,11 +73,45 @@ def clusters(eigenvalues):
     return groups
 
 
+def ordering(M) -> str:
+    """The column ordering `factorize` uses for M: "COLAMD" when the graph
+    of M has more breadth-first levels than its widest level holds
+    vertices (a strip or a chain), else "MMD_AT_PLUS_A" (a plate).
+
+    The levels are counted from a pseudo-peripheral vertex, the last one
+    a breadth-first search from vertex 0 reaches.
+    """
+    if M.format == "csc":
+        M = M.T  # the same graph as CSR, without a copy
+    order = breadth_first_order(M, 0, directed=True, return_predecessors=False)
+    order, pred = breadth_first_order(M, order[-1], directed=True)
+    pos = np.empty(M.shape[0], dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    # the parents' positions never decrease along a breadth-first order, so
+    # each level starts after the last child of the level before it
+    parent = pos[pred[order[1:]]]
+    starts = [0, 1]
+    while starts[-1] < len(order):
+        starts.append(1 + int(np.searchsorted(parent, starts[-1])))
+    widths = np.diff(starts)
+    return "COLAMD" if len(widths) > widths.max() else "MMD_AT_PLUS_A"
+
+
 def factorize(M):
-    """Sparse LU of M with SuperLU's default ordering; a singular M raises
-    SingularSystemError."""
+    """Sparse LU of the structurally symmetric M; a singular M raises
+    SingularSystemError.
+
+    A plate (see `ordering`) is factored in SuperLU's symmetric mode: a
+    minimum-degree ordering of the pattern of M^T + M and diagonal pivots.
+    A strip keeps SuperLU's default COLAMD with partial pivoting, which on
+    strips fills about as little; it stays so until the benchmark pins
+    that sit at round-off level on the 384x24 strip are re-recorded.
+    """
+    M = M.tocsc()
     try:
-        return spla.splu(M.tocsc())
+        if ordering(M) == "COLAMD":
+            return spla.splu(M)
+        return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU failed: {exc}")
 
@@ -115,26 +157,11 @@ def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
     n = A.shape[0]
     if opts.k > n:
         raise ValueError(f"requested {opts.k} eigenvalues from an n={n} pencil")
-    v0 = np.random.default_rng(SEED).standard_normal(n)
-
-    used_arpack = opts.k <= n - 2  # ARPACK needs k < n - 1
-    if not used_arpack:
+    info = {"ordering": "dense", "lu_fill": 0, "factor_s": 0.0, "opinv_applies": 0}
+    if opts.k > n - 2:  # ARPACK needs k < n - 1
         lam, vec = scipy.linalg.eigh(A.toarray(), B.toarray(), subset_by_index=(0, opts.k - 1))
     else:
-        try:
-            lam, vec = spla.eigsh(
-                A,
-                k=opts.k,
-                M=B,
-                sigma=0.0,
-                which="LM",
-                v0=v0,
-                maxiter=MAX_ITER,
-                tol=0,
-                OPinv=spla.LinearOperator((n, n), matvec=factorize(A).solve, dtype=float),
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(str(exc), partial=(exc.eigenvalues, exc.eigenvectors))
+        lam, vec = _shift_invert_lanczos(A, B, opts.k, info)
     order = np.argsort(lam)
     lam, vec = lam[order], vec[:, order]
     vec = _b_orthonormalize(vec, B)
@@ -148,7 +175,41 @@ def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
         raise ConvergenceError(
             f"residuals {res.max():.2e} above tol {opts.tol:.1e}", partial=(lam, vec)
         )
-    return EigResult(lam, vec, res)
+    return EigResult(lam, vec, res, info)
+
+
+def _shift_invert_lanczos(A, B, k, info):
+    """k eigenpairs of (A, B) nearest 0 by Lanczos on the LU of A, recorded in `info`.
+
+    The LU lives only as long as this call, so it is freed before the
+    refinement factors a shifted matrix.
+    """
+    n = A.shape[0]
+    t0 = time.perf_counter()
+    lu = factorize(A)
+    info["factor_s"] = time.perf_counter() - t0
+    # SuperLU's count of stored L and U entries; building lu.L and lu.U
+    # to count them would hold a second copy of the factor
+    info.update(ordering=ordering(A), lu_fill=int(lu.nnz))
+
+    def opinv(x):
+        info["opinv_applies"] += 1
+        return lu.solve(x)
+
+    try:
+        return spla.eigsh(
+            A,
+            k=k,
+            M=B,
+            sigma=0.0,
+            which="LM",
+            v0=np.random.default_rng(SEED).standard_normal(n),
+            maxiter=MAX_ITER,
+            tol=0,
+            OPinv=spla.LinearOperator((n, n), matvec=opinv, dtype=float),
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(str(exc), partial=(exc.eigenvalues, exc.eigenvectors))
 
 
 def _residuals(A, B, lam, vec):

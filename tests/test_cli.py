@@ -29,6 +29,12 @@ def test_solve_rm_end_to_end(tmp_path):
     lam = np.array(data["eigenvalues"])
     assert np.sum(np.abs(lam - 1.0) <= 1e-8) == 3
     assert max(data["residuals"]) <= 1e-9
+    # the solver's diagnostics: a square plate's LU is ordered by minimum degree
+    info = data["info"]
+    assert info["ordering"] == "MMD_AT_PLUS_A"
+    assert info["lu_fill"] > 3 * 49
+    assert info["factor_s"] > 0
+    assert info["opinv_applies"] >= 6
 
     # Matrix Market dump: symmetric storage that reads back as the pencil
     assert "symmetric" in (dump / "A.mtx").read_text().splitlines()[0]
@@ -66,8 +72,11 @@ def test_solve_limit_with_profile(tmp_path):
         ]
     )
     assert code == 0
-    lam = np.array(json.loads(out.read_text())["eigenvalues"])
+    data = json.loads(out.read_text())
+    lam = np.array(data["eigenvalues"])
     assert np.sum(np.abs(lam - 1.0) <= 1e-8) == 2
+    # the limit pencil is a chain: its LU keeps SuperLU's default ordering
+    assert data["info"]["ordering"] == "COLAMD"
 
 
 def test_kernel_check_exit_code(tmp_path):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from rmplates import eigensolve
 from rmplates.eigensolve import EigOptions, principal_angles, solve_gep_smallest
 from rmplates.errors import ConvergenceError, SingularSystemError
-from rmplates.geometry import build_rect_mesh
+from rmplates.biharmonic import LimitBc, assemble_biharmonic_pencil
+from rmplates.geometry import build_interval_mesh, build_rect_mesh, build_thin_mesh, constant_profile_spec, split_quads
 from rmplates.rm_system import BcFamily, MaterialParams, assemble_rm_pencil, solve_rm_source
+from rmplates.thin_limit import assemble_limit_pencil
 
 
 def clamped_rm_pencil():
@@ -77,6 +80,16 @@ class TestSmallest:
         A = sp.diags([3.0, 1.0, 2.0]).tocsr()
         res = solve_gep_smallest(A, sp.identity(3, format="csr"), EigOptions(k=3))
         assert_allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
+        assert res.info == {"ordering": "dense", "lu_fill": 0, "factor_s": 0.0, "opinv_applies": 0}
+
+    def test_info_of_shift_invert_run(self):
+        pen = clamped_rm_pencil()
+        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
+        info = res.info
+        assert info["ordering"] == eigensolve.ordering(pen.A)
+        assert info["lu_fill"] == eigensolve.factorize(pen.A).nnz
+        assert info["factor_s"] > 0
+        assert info["opinv_applies"] >= 4
 
     def test_iteration_limit_carries_partial_results(self, monkeypatch):
         pen = clamped_rm_pencil()
@@ -143,6 +156,80 @@ class TestOneFactorization:
         rng = np.random.default_rng(4)
         solve_rm_source(pen, rng.standard_normal(2 * mesh.n_nodes), rng.standard_normal(mesh.n_nodes))
         assert len(factor_calls) == 1
+
+
+def strip_pencils():
+    spec = constant_profile_spec(0, 1, 0.5, 0.05)
+    params = MaterialParams(E=1.0, sigma=0.3, t=0.1)
+    return {
+        "thin 96x6": assemble_rm_pencil(build_thin_mesh(spec, 96, 6), params, BcFamily.FREE),
+        "limit": assemble_limit_pencil(build_interval_mesh(0.0, 1.0, 96), spec, params),
+    }
+
+
+def plate_pencils():
+    mesh = build_rect_mesh(1, 1, 32, 32)
+    return {
+        "rm 32^2": assemble_rm_pencil(mesh, MaterialParams(E=1.0, sigma=0.3, t=0.025), BcFamily.HARD_CLAMPED),
+        "morley 32^2": assemble_biharmonic_pencil(split_quads(mesh), 1.0, 0.3, LimitBc.CLAMPED),
+    }
+
+
+def colamd(M):
+    return spla.splu(M.tocsc())
+
+
+class TestOrdering:
+    """`factorize` orders plates by minimum degree and leaves strips' LUs alone."""
+
+    def test_strip_lu_is_default_lu(self):
+        for what, pen in strip_pencils().items():
+            assert eigensolve.ordering(pen.A) == "COLAMD", what
+            got, ref = eigensolve.factorize(pen.A), colamd(pen.A)
+            for attr in ("perm_c", "perm_r"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr)), (what, attr)
+            for attr in ("L", "U"):
+                assert np.array_equal(getattr(got, attr).data, getattr(ref, attr).data), (what, attr)
+
+    def test_plate_lu_fills_less_with_same_spectrum(self, monkeypatch):
+        opts = EigOptions(k=4, tol=1e-9)
+        for what, pen in plate_pencils().items():
+            assert eigensolve.ordering(pen.A) == "MMD_AT_PLUS_A", what
+            res = solve_gep_smallest(pen.A, pen.B, opts)
+            assert res.info["ordering"] == "MMD_AT_PLUS_A"
+            assert res.info["lu_fill"] < colamd(pen.A).nnz, what
+            with monkeypatch.context() as m:
+                m.setattr(eigensolve, "factorize", colamd)
+                ref = solve_gep_smallest(pen.A, pen.B, opts)
+            assert_allclose(res.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0, err_msg=what)
+
+    def test_refinement_on_indefinite_shift(self):
+        # A - shift B with the shift inside the spectrum is factored
+        # without pivoting; the refinement must still converge
+        pen = plate_pencils()["rm 32^2"]
+        A, B = pen.A, pen.B
+        tol = 1e-9
+        res = solve_gep_smallest(A, B, EigOptions(k=4, tol=tol))
+        rng = np.random.default_rng(12)
+        vec = res.eigenvectors + 1e-4 * rng.standard_normal(res.eigenvectors.shape)
+        before = eigensolve._residuals(A, B, res.eigenvalues, vec)
+        assert np.all(before > tol)
+        lam, vec = eigensolve._refine_clusters(A, B, res.eigenvalues, vec, before, tol)
+        assert np.all(eigensolve._residuals(A, B, lam, vec) <= tol)
+        assert_allclose(lam, res.eigenvalues, rtol=1e-10)
+
+    def test_disconnected_graph(self):
+        d = np.array([1.0, 2.0, 4.0, 8.0, 3.0])
+        lu = eigensolve.factorize(sp.diags(d).tocsr())
+        assert_allclose(lu.solve(d), np.ones(5), rtol=1e-15)
+
+    def test_singular_chain_raises(self):
+        # the Neumann Laplacian of a path, constants in its kernel; a
+        # singular diagonal (a plate) is test_singular_matrix_raises_singular_system_error
+        M = sp.diags([[-1.0] * 4, [1.0, 2.0, 2.0, 2.0, 1.0], [-1.0] * 4], [-1, 0, 1]).tocsr()
+        assert eigensolve.ordering(M) == "COLAMD"
+        with pytest.raises(SingularSystemError):
+            eigensolve.factorize(M)
 
 
 class TestPrincipalAngles:

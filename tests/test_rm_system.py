@@ -203,6 +203,20 @@ class TestPencil:
         for M, local in zip(solved[0], blocks):
             assert _same_csr(M, assemble_from_local(build_dofmap(mesh, Q1_SCALAR), local)[free][:, free]), "dirichlet"
 
+    def test_unconstrained_pencil_holds_its_mass_once(self):
+        # with every dof free, restriction shares the matrices instead of copying them
+        mesh = build_rect_mesh(1, 1, 6, 5)
+        spec = constant_profile_spec(0, 1, 0.5, 0.2)
+        free_pencils = {
+            "rm free": assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE),
+            "morley free": assemble_biharmonic_pencil(split_quads(mesh), 1.0, 0.3, LimitBc.FREE),
+            "limit": assemble_limit_pencil(build_interval_mesh(0, 1, 7), spec, PARAMS),
+        }
+        for what, pen in free_pencils.items():
+            assert pen.B is pen.B_full, what
+        clamped = assemble_rm_pencil(mesh, PARAMS, BcFamily.HARD_CLAMPED)
+        assert clamped.B.shape[0] < clamped.B_full.shape[0]
+
     def test_non_axis_aligned_trace_rejected(self):
         spec = ThinDomainSpec(
             (0.0, 1.0),
