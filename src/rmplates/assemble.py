@@ -1,14 +1,15 @@
 """Sparse symmetric Galerkin assembly over batched element bases.
 
 `element_batch` tabulates basis values, gradients (and Hessians for Morley)
-of one space at the quadrature points of every element at once; densities
-turn a batch into per-element matrices, and `assemble_from_local` scatters
-them into a symmetric CSR matrix over all dofs of a dofmap.  Every assembler
-tabulates a mesh once per quadrature rule, computes all of its local blocks
-from that batch, and makes them the shifted `Pencil` on the free dofs with
-`assemble_pencil`: a boundary condition reaches a matrix only by that
-restriction.  Symmetry is structural: only the lower triangle is
-accumulated, then mirrored.
+of one scalar space at the quadrature points of every element at once;
+densities (`point_gram`) turn a batch into per-element matrices, those of a
+vector field from the batch of its components, and `assemble_from_local`
+scatters them into a symmetric CSR matrix over all dofs of a dofmap.  Every
+assembler tabulates a mesh once per quadrature rule, computes all of its
+local blocks from that batch, and makes them the shifted `Pencil` on the
+free dofs with `assemble_pencil`: a boundary condition reaches a matrix
+only by that restriction.  Symmetry is structural: only the lower triangle
+is accumulated, then mirrored.
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +25,9 @@ from .spaces import DofMap, SpaceKind, edge_normal
 
 @dataclass
 class ElementBatch:
-    """Tabulated basis data: x (ne,nq,dim), w (ne,nq) with Jacobians folded in.
-
-    Scalar spaces: phi (ne,nq,nloc), grad (ne,nq,nloc,dim).
-    Vector spaces: phi (ne,nq,nloc,ncomp), grad (ne,nq,nloc,ncomp,dim).
-    Morley additionally carries hess (ne,nq,nloc,dim,dim).
+    """Tabulated scalar basis data: x (ne,nq,dim), w (ne,nq) with Jacobians
+    folded in, phi (ne,nq,nloc) and grad (ne,nq,nloc,dim).  Morley
+    additionally carries hess (ne,nq,nloc,dim,dim), constant in q.
     """
 
     x: np.ndarray
@@ -60,33 +59,21 @@ def q1_ref_basis(points: np.ndarray):
 
 
 def quad_geometry(mesh: Mesh, quad: QuadratureRule):
-    """Isoparametric geometry at quadrature points of all quad elements."""
+    """Isoparametric geometry at quadrature points of all quad elements; every sum runs from zero in index order."""
     phi, dphi = q1_ref_basis(quad.points)
     X = mesh.nodes[mesh.elements]  # (ne, 4, 2)
-    J = np.einsum("eia,qib->eqab", X, dphi)
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    node = [(X[:, i, 0, None], X[:, i, 1, None]) for i in range(4)]  # (ne, 1) per node and axis
+    x = np.stack([sum(phi[:, i] * node[i][a] for i in range(4)) for a in range(2)], axis=-1)
+    J = [[sum(node[i][a] * dphi[:, i, b] for i in range(4)) for b in range(2)] for a in range(2)]  # (ne, nq) each
+    detJ = J[0][0] * J[1][1] - J[0][1] * J[1][0]
     bad = np.nonzero(~np.all(detJ > 0, axis=1))[0]
     if len(bad):
         raise AssemblyError(int(bad[0]), "non-positive Jacobian")
-    invJ = np.empty_like(J)
-    invJ[..., 0, 0] = J[..., 1, 1] / detJ
-    invJ[..., 0, 1] = -J[..., 0, 1] / detJ
-    invJ[..., 1, 0] = -J[..., 1, 0] / detJ
-    invJ[..., 1, 1] = J[..., 0, 0] / detJ
-    x = np.einsum("qi,eia->eqa", phi, X)
+    invJ = [[J[1][1] / detJ, -J[0][1] / detJ], [-J[1][0] / detJ, J[0][0] / detJ]]
     w = quad.weights[None, :] * detJ
     # physical gradient: (J^{-T} grad_ref)_a = invJ[b,a] dphi[b]
-    grad = np.einsum("eqba,qib->eqia", invJ, dphi)
+    grad = np.stack([sum(invJ[b][a][:, :, None] * dphi[:, :, b] for b in range(2)) for a in range(2)], axis=-1)
     return x, w, phi, grad
-
-
-def segment_geometry(mesh: Mesh, quad: QuadratureRule):
-    X = mesh.nodes[mesh.elements][..., 0]  # (ne, 2)
-    h = X[:, 1] - X[:, 0]
-    xi = quad.points[:, 0]
-    x = X[:, 0][:, None] + h[:, None] * xi[None, :]
-    w = quad.weights[None, :] * h[:, None]
-    return x[..., None], w, h
 
 
 def p2_ref_basis(xi: np.ndarray):
@@ -172,41 +159,70 @@ def morley_batch(mesh: Mesh, quad: QuadratureRule) -> ElementBatch:
 def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None) -> ElementBatch:
     if quad is None:
         quad = default_rule(space)
-    if space in (SpaceKind.Q1_SCALAR, SpaceKind.Q1_VECTOR2):
+    if space == SpaceKind.Q1_SCALAR:
         x, w, phi, grad = quad_geometry(mesh, quad)
-        ne, nq = w.shape
-        phi_e = np.broadcast_to(phi[None, :, :], (ne, nq, 4))
-        if space == SpaceKind.Q1_SCALAR:
-            return ElementBatch(x, w, phi_e, grad)
-        # vector dofs: [x-component at 4 nodes, y-component at 4 nodes]
-        vphi = np.zeros((ne, nq, 8, 2))
-        vgrad = np.zeros((ne, nq, 8, 2, 2))
-        for c in range(2):
-            vphi[:, :, 4 * c : 4 * c + 4, c] = phi_e
-            vgrad[:, :, 4 * c : 4 * c + 4, c, :] = grad
-        return ElementBatch(x, w, vphi, vgrad)
+        return ElementBatch(x, w, np.broadcast_to(phi[None, :, :], w.shape + (4,)), grad)
     if space == SpaceKind.P2_1D:
-        x, w, h = segment_geometry(mesh, quad)
-        phi, dphi = p2_ref_basis(quad.points[:, 0])
-        ne, nq = w.shape
-        phi_e = np.broadcast_to(phi[None], (ne, nq, 3))
-        grad = (dphi[None, :, :] / h[:, None, None])[..., None]
-        return ElementBatch(x, w, phi_e, np.broadcast_to(grad, (ne, nq, 3, 1)))
+        X = mesh.nodes[mesh.elements][..., 0]  # (ne, 2)
+        h = X[:, 1] - X[:, 0]
+        xi = quad.points[:, 0]
+        x = X[:, 0][:, None] + h[:, None] * xi[None, :]
+        w = quad.weights[None, :] * h[:, None]
+        phi, dphi = p2_ref_basis(xi)
+        grad = dphi[None, :, :, None] / h[:, None, None, None]
+        return ElementBatch(x[..., None], w, np.broadcast_to(phi[None], w.shape + (3,)), grad)
     if space == SpaceKind.MORLEY:
         return morley_batch(mesh, quad)
     raise ValueError(space)
 
 
+def point_gram(w: np.ndarray, a: np.ndarray, b: np.ndarray = None) -> np.ndarray:
+    """Per-element sums over the points q of (w_q a_qi) b_qj, shape (ne, n_a, n_b).
+    A trailing component axis is summed at each point before the point is
+    added: numpy's einsum order for "eq,eqi...,eqj...->eij", whose bits it
+    keeps.  (Einsum sums a point from zero, which only turns a -0 into +0,
+    and a sum started at +0 never holds -0, so adding either is the same.)
+    """
+    b = a if b is None else b
+    if a.ndim == 3:
+        a, b = a[..., None], b[..., None]
+    out = np.zeros(w.shape[:1] + (a.shape[2], b.shape[2]))
+    for q in range(w.shape[1]):
+        wq = w[:, q, None]
+        terms = [(wq * a[:, q, :, d])[:, :, None] * b[:, q, None, :, d] for d in range(a.shape[3])]
+        out += sum(terms[1:], terms[0])
+    return out
+
+
 def mass_density(batch: ElementBatch) -> np.ndarray:
-    if batch.phi.ndim == 4:
-        return np.einsum("eq,eqic,eqjc->eij", batch.w, batch.phi, batch.phi)
-    return np.einsum("eq,eqi,eqj->eij", batch.w, batch.phi, batch.phi)
+    return point_gram(batch.w, batch.phi)
 
 
 def stiffness_density(batch: ElementBatch) -> np.ndarray:
-    if batch.grad.ndim == 5:
-        return np.einsum("eq,eqicd,eqjcd->eij", batch.w, batch.grad, batch.grad)
-    return np.einsum("eq,eqid,eqjd->eij", batch.w, batch.grad, batch.grad)
+    return point_gram(batch.w, batch.grad)
+
+
+def strain_blocks(batch):
+    """Per-element 8x8 blocks (eps:eps, div div) of a Q1 2-vector field over
+    [x-component(4), y-component(4)], from the scalar Q1 batch.  eps_cd is
+    (gx, gy/2, gy/2, 0) for an x-component basis function and (0, gx/2, gx/2,
+    gy) for a y-component one; each point sums its (c, d) terms as in
+    `point_gram`, which keeps the bits of the einsum over a zero-padded basis.
+    """
+    ne, nq = batch.w.shape
+    xx, xy, yx, yy, exx, eyy = sums = np.zeros((6, ne, 4, 4))
+    for q in range(nq):
+        wq, gx, gy = batch.w[:, q, None], batch.grad[:, q, :, 0], batch.grad[:, q, :, 1]
+        pxx, pxy, pyx, pyy = ((wq * a)[:, :, None] * b[:, None, :] for a, b in ((gx, gx), (gx, gy), (gy, gx), (gy, gy)))
+        quarter = 0.25 * pyy  # (w gy/2) gy/2: scaling by a power of two does not round
+        for total, point in zip(sums, (pxx, pxy, pyx, pyy, (pxx + quarter) + quarter, 0.5 * pxx + pyy)):
+            total += point
+    X, Y = slice(0, 4), slice(4, 8)
+    # a mixed block's point term is 2 (w gy/2) gx/2 = pyx / 2, and halving commutes with the sum
+    strain, div = np.zeros((2, ne, 8, 8))
+    div[:, X, X], div[:, X, Y], div[:, Y, X], div[:, Y, Y] = xx, xy, yx, yy
+    strain[:, X, X], strain[:, X, Y], strain[:, Y, X], strain[:, Y, Y] = exx, 0.5 * yx, 0.5 * xy, eyy
+    return strain, div
 
 
 def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:

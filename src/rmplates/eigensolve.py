@@ -57,7 +57,8 @@ class EigResult:
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # columns, B-orthonormal
     residuals: np.ndarray  # ||A x - lambda B x|| / ||A x||
-    info: dict = field(default_factory=dict)  # the shift-invert LU: ordering, lu_fill, factor_s, opinv_applies
+    # the shift-invert LU (ordering, lu_fill, factor_s, opinv_applies), the refinement (refine_factors, refine_rounds)
+    info: dict = field(default_factory=dict)
 
 
 def clusters(eigenvalues):
@@ -97,7 +98,7 @@ def ordering(M) -> str:
     return "COLAMD" if len(widths) > widths.max() else "MMD_AT_PLUS_A"
 
 
-def factorize(M):
+def factorize(M, info: dict = None):
     """Sparse LU of the structurally symmetric M; a singular M raises
     SingularSystemError.
 
@@ -106,14 +107,19 @@ def factorize(M):
     A strip keeps SuperLU's default COLAMD with partial pivoting, which on
     strips fills about as little; it stays so until the benchmark pins
     that sit at round-off level on the 384x24 strip are re-recorded.
+    `info`, if given, receives `ordering`, `lu_fill` (SuperLU's stored L and U entries) and `factor_s`.
     """
+    t0 = time.perf_counter()
     M = M.tocsc()
+    order = ordering(M)
+    symmetric = {"permc_spec": order, "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
     try:
-        if ordering(M) == "COLAMD":
-            return spla.splu(M)
-        return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = spla.splu(M) if order == "COLAMD" else spla.splu(M, **symmetric)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU failed: {exc}")
+    if info is not None:
+        info.update(ordering=order, lu_fill=int(lu.nnz), factor_s=time.perf_counter() - t0)
+    return lu
 
 
 def sparse_solve(A, load: np.ndarray) -> np.ndarray:
@@ -157,7 +163,7 @@ def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
     n = A.shape[0]
     if opts.k > n:
         raise ValueError(f"requested {opts.k} eigenvalues from an n={n} pencil")
-    info = {"ordering": "dense", "lu_fill": 0, "factor_s": 0.0, "opinv_applies": 0}
+    info = {"ordering": "dense", "lu_fill": 0, "factor_s": 0.0, "opinv_applies": 0, "refine_factors": 0, "refine_rounds": 0}
     if opts.k > n - 2:  # ARPACK needs k < n - 1
         lam, vec = scipy.linalg.eigh(A.toarray(), B.toarray(), subset_by_index=(0, opts.k - 1))
     else:
@@ -169,7 +175,7 @@ def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
     if np.any(res > opts.tol):
         # pairs far from 0 lose accuracy; polish each cluster with
         # one step of shifted block inverse iteration plus Rayleigh-Ritz
-        lam, vec = _refine_clusters(A, B, lam, vec, res, opts.tol)
+        lam, vec = _refine_clusters(A, B, lam, vec, res, opts.tol, info)
         res = _residuals(A, B, lam, vec)
     if np.any(res > opts.tol):
         raise ConvergenceError(
@@ -185,12 +191,7 @@ def _shift_invert_lanczos(A, B, k, info):
     refinement factors a shifted matrix.
     """
     n = A.shape[0]
-    t0 = time.perf_counter()
-    lu = factorize(A)
-    info["factor_s"] = time.perf_counter() - t0
-    # SuperLU's count of stored L and U entries; building lu.L and lu.U
-    # to count them would hold a second copy of the factor
-    info.update(ordering=ordering(A), lu_fill=int(lu.nnz))
+    lu = factorize(A, info)
 
     def opinv(x):
         info["opinv_applies"] += 1
@@ -218,7 +219,7 @@ def _residuals(A, B, lam, vec):
     return np.linalg.norm(Av - Bv * lam[None, :], axis=0) / np.linalg.norm(Av, axis=0)
 
 
-def _refine_clusters(A, B, lam, vec, res, tol):
+def _refine_clusters(A, B, lam, vec, res, tol, info):
     lam = lam.copy()
     vec = vec.copy()
     for group in clusters(lam):
@@ -228,8 +229,10 @@ def _refine_clusters(A, B, lam, vec, res, tol):
         lam_c = float(np.mean(lam[idx]))
         shift = lam_c + max(abs(lam_c), 1.0) * 1e-5
         lu = factorize(A - shift * B)
+        info["refine_factors"] += 1
         Y = vec[:, idx]
         for _ in range(REFINE_ROUNDS):
+            info["refine_rounds"] += 1
             Y = lu.solve(B @ Y)
             Y = _b_orthonormalize(Y, B)
             # Rayleigh-Ritz in the refined block

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 import scipy.linalg
 
-from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density
+from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density, strain_blocks
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
 from .eigensolve import EigOptions, _b_orthonormalize, clusters, principal_angles, solve_gep_smallest
 from .geometry import (
@@ -221,24 +221,28 @@ def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int):
     return groups
 
 
-def _delta_point(config: SweepConfig, delta: float, nx: int, ny: int, f0, num_clusters: int):
-    """All measured errors for one delta at one mesh level."""
-    spec = config.spec_at(delta)
-    thin = build_thin_mesh(spec, nx, ny)
+def _delta_level(config: SweepConfig, nx: int, ny: int, f0, num_clusters: int):
+    """All measured errors at one mesh level, one point per delta.  The limit
+    pencil sees the profile only through g = f1 + f2, so it is made and solved once."""
+    spec = config.spec_at(config.values[0])
     interval = build_interval_mesh(*spec.base_interval, nx)
-    system = ConnectingSystem(thin, interval, spec)
-    params = config.params
-
-    thin_pencil = assemble_rm_pencil(thin, params, BcFamily.FREE)
-    limit_pencil = assemble_limit_pencil(interval, spec, params)
-
-    F0 = f0[0] if f0 is not None else np.zeros(len(p2_dof_points(interval)))
-    f0w = f0[1] if f0 is not None else p2_interpolate(interval, lambda x: np.sin(np.pi * x))
-    res_gap = resolvent_gap(system, params, F0, f0w, thin_pencil, limit_pencil)
-
+    limit_pencil = assemble_limit_pencil(interval, spec, config.params)
     # fine thin meshes sit near the floating-point floor of the residual
     # metric ||Ax - lam Bx||/||Ax||; 1e-8 keeps the solves honest there
     lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=num_clusters + 4, tol=1e-8))
+    if f0 is None:
+        f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
+    return [_delta_point(config, delta, interval, ny, f0, limit_pencil, lim, num_clusters) for delta in config.values]
+
+
+def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, num_clusters: int):
+    """All measured errors for one delta against the level's limit pencil and its eigenpairs."""
+    spec = config.spec_at(delta)
+    thin = build_thin_mesh(spec, interval.n_elements, ny)
+    system = ConnectingSystem(thin, interval, spec)
+    thin_pencil = assemble_rm_pencil(thin, config.params, BcFamily.FREE)
+    res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_pencil)
+
     groups = _nonunit_clusters(lim.eigenvalues, num_clusters)
     need = 3 + sum(len(c) for c in groups) + 6
     thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need, tol=1e-8))
@@ -317,8 +321,8 @@ def sweep_delta(config: SweepConfig, f0=None, num_clusters: int = 3) -> dict:
             raise ValueError(f"f0 vectors must have length {n_p2}, the P2 dof count of the {nx}-element interval")
         coarse_points = p2_dof_points(build_interval_mesh(*base, nx // 2))
         f0_c = tuple(p2_evaluate(fine_interval, c, coarse_points) for c in f0)
-    fine = [_delta_point(config, d, nx, ny, f0, num_clusters) for d in config.values]
-    coarse = [_delta_point(config, d, nx // 2, max(ny // 2, 2), f0_c, num_clusters) for d in config.values]
+    fine = _delta_level(config, nx, ny, f0, num_clusters)
+    coarse = _delta_level(config, nx // 2, max(ny // 2, 2), f0_c, num_clusters)
 
     res_gaps = [p["resolvent_gap"] for p in fine]
     res_gaps_c = [p["resolvent_gap"] for p in coarse]
@@ -388,11 +392,12 @@ def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
     over the L2-orthogonal complement of the rigid motions.
     """
     dofmap = build_dofmap(mesh, Q1_VECTOR2)
-    batch = element_batch(mesh, Q1_VECTOR2)
-    A = assemble_from_local(dofmap, stiffness_density(batch))
-    eps = 0.5 * (batch.grad + np.swapaxes(batch.grad, -1, -2))
-    strain = np.einsum("eq,eqicd,eqjcd->eij", batch.w, eps, eps)
-    mass = mass_density(batch)
+    batch = element_batch(mesh, Q1_SCALAR)
+    strain, _ = strain_blocks(batch)
+    grad, mass = np.zeros((2,) + strain.shape)  # |D eta|^2 and |eta|^2: the scalar blocks per component
+    grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
+    mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
+    A = assemble_from_local(dofmap, grad)
     if not first_kind:
         B = assemble_from_local(dofmap, strain + mass)
         mu = solve_gep_smallest(B, A + B, EigOptions(k=1)).eigenvalues[0]

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch
+from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch, point_gram, strain_blocks
 from .errors import UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
 from .quadrature import quad_rule, shear_rule_x, shear_rule_y
@@ -124,41 +124,24 @@ class FieldPair:
 
 
 def rm_local_matrices(mesh: Mesh, params: MaterialParams):
-    """Per-element 12x12 blocks (bending, shear, mass) over the local dofs
-    [beta_x(4), beta_y(4), w(4)].
-
-    One Q1 vector batch per quadrature rule; the scalar Q1 basis of w is its
-    x-component block, `phi[..., :4, 0]` and `grad[..., :4, 0, :]`.
-    """
-    vb = element_batch(mesh, Q1_VECTOR2, quad_rule(2))
-    ne = vb.w.shape[0]
-    scalar_phi = vb.phi[..., :4, 0]
-
-    # bending: (1-s) eps:eps + s div div on the beta block
-    eps = 0.5 * (vb.grad + np.swapaxes(vb.grad, -1, -2))  # (ne,nq,8,2,2)
-    div = vb.grad[..., 0, 0] + vb.grad[..., 1, 1]  # (ne,nq,8)
+    """Per-element 12x12 blocks (bending, shear, mass) over the local dofs [beta_x(4),
+    beta_y(4), w(4)], from one scalar Q1 batch per quadrature rule; the rotation
+    blocks are `strain_blocks` of the 2x2 Gauss batch."""
+    b = element_batch(mesh, Q1_SCALAR, quad_rule(2))
+    strain, div = strain_blocks(b)
     sig = params.sigma
-    bend_beta = params.bending_factor * (
-        (1.0 - sig) * np.einsum("eq,eqicd,eqjcd->eij", vb.w, eps, eps)
-        + sig * np.einsum("eq,eqi,eqj->eij", vb.w, div, div)
-    )
-    bend = np.zeros((ne, 12, 12))
-    bend[:, :8, :8] = bend_beta
+    bend, shear, mass = np.zeros((3, len(strain), 12, 12))
+    bend[:, :8, :8] = params.bending_factor * ((1.0 - sig) * strain + sig * div)
 
     # mass: w v + t^2/12 beta.eta
-    t2_12 = params.t**2 / 12.0
-    mass = np.zeros((ne, 12, 12))
-    mass[:, :8, :8] = t2_12 * np.einsum("eq,eqic,eqjc->eij", vb.w, vb.phi, vb.phi)
-    mass[:, 8:, 8:] = np.einsum("eq,eqi,eqj->eij", vb.w, scalar_phi, scalar_phi)
+    mass[:, 8:, 8:] = point_gram(b.w, b.phi)
+    mass[:, :4, :4] = mass[:, 4:8, 4:8] = params.t**2 / 12.0 * mass[:, 8:, 8:]
 
-    # reduced-integration shear, one component per midline rule
-    shear = np.zeros((ne, 12, 12))
-    for rule, comp in ((shear_rule_x(), 0), (shear_rule_y(), 1)):
-        vbs = element_batch(mesh, Q1_VECTOR2, rule)
-        gam = np.zeros(vbs.w.shape + (12,))
-        gam[..., :8] = -vbs.phi[..., comp]
-        gam[..., 8:] = vbs.grad[..., :4, 0, comp]
-        shear += np.einsum("eq,eqi,eqj->eij", vbs.w, gam, gam)
+    # reduced-integration shear gamma_c = d_c w - beta_c on its own midline, in the (beta_c, w) 4x4 blocks
+    blocks = shear.reshape(len(shear), 3, 4, 3, 4)
+    for rule, comp, pick in ((shear_rule_x(), 0, slice(0, 3, 2)), (shear_rule_y(), 1, slice(1, 3))):
+        b = element_batch(mesh, Q1_SCALAR, rule)
+        blocks[:, pick, :, pick] += point_gram(b.w, np.concatenate([-b.phi, b.grad[..., comp]], 2)).reshape(-1, 2, 4, 2, 4)
     shear *= params.shear_factor
     return bend, shear, mass
 
@@ -206,11 +189,10 @@ def rm_load_vector(pencil: Pencil, F, f) -> np.ndarray:
     quadrature points for exact data.
     """
     if callable(F) and callable(f):
-        vb = element_batch(pencil.mesh, Q1_VECTOR2, quad_rule(3))
-        t2_12 = pencil.params.t**2 / 12.0
-        loc = np.zeros((vb.w.shape[0], 12))
-        loc[:, :8] = t2_12 * np.einsum("eq,eqc,eqic->ei", vb.w, F(vb.x), vb.phi)
-        loc[:, 8:] = np.einsum("eq,eq,eqi->ei", vb.w, f(vb.x), vb.phi[..., :4, 0])
+        b = element_batch(pencil.mesh, Q1_SCALAR, quad_rule(3))
+        data = np.concatenate([F(b.x), f(b.x)[..., None]], axis=2)  # (ne, nq, [F_x, F_y, f])
+        loc = point_gram(b.w, data, b.phi).reshape(-1, 12)
+        loc[:, :8] *= pencil.params.t**2 / 12.0
         return pencil.dofmap.restrict(assemble_load_from_local(pencil.dofmap, loc))
     if callable(F) or callable(f):
         raise ValueError("F and f must both be callables or both coefficient vectors")

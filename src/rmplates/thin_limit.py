@@ -25,7 +25,7 @@ exactly delta * g(x).
 
 import numpy as np
 
-from .assemble import Pencil, assemble_pencil, element_batch, p2_ref_basis
+from .assemble import Pencil, assemble_pencil, element_batch, p2_ref_basis, point_gram
 from .eigensolve import sparse_solve
 from .geometry import ElementKind, Mesh, ThinDomainSpec
 from .quadrature import quad_rule, segment_rule
@@ -117,18 +117,11 @@ def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: Mat
     sig = params.sigma
     c_bend = params.bending_factor * ((1.0 - sig) + limit_div_coefficient(sig, spec.d))
 
-    bend = np.zeros((ne, 6, 6))
-    bend[:, :3, :3] = c_bend * np.einsum("eq,eqi,eqj->eij", wg, dphi, dphi)
-
-    gam = np.zeros(phi.shape[:2] + (6,))
-    gam[..., :3] = -phi
-    gam[..., 3:] = dphi
-    shear = params.shear_factor * np.einsum("eq,eqi,eqj->eij", wg, gam, gam)
-
-    t2_12 = params.t**2 / 12.0
-    mass = np.zeros((ne, 6, 6))
-    mass[:, :3, :3] = t2_12 * np.einsum("eq,eqi,eqj->eij", wg, phi, phi)
-    mass[:, 3:, 3:] = np.einsum("eq,eqi,eqj->eij", wg, phi, phi)
+    bend, mass = np.zeros((2, ne, 6, 6))
+    bend[:, :3, :3] = c_bend * point_gram(wg, dphi)
+    shear = params.shear_factor * point_gram(wg, np.concatenate([-phi, dphi], axis=2))
+    mass[:, 3:, 3:] = point_gram(wg, phi)
+    mass[:, :3, :3] = params.t**2 / 12.0 * mass[:, 3:, 3:]
 
     dofmap = stack_dofmaps([build_dofmap(interval_mesh, P2_1D), build_dofmap(interval_mesh, P2_1D)])
     return assemble_pencil(interval_mesh, dofmap, bend + shear, mass, params)

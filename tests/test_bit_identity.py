@@ -1,0 +1,138 @@
+"""The scalar Q1 tabulation and Reissner-Mindlin kernels give the same bits
+as the padded-einsum reference in `einsum_reference.py`.
+
+The kernels sum in numpy's einsum order, so a failure here has to be read
+against the numpy version in the test-session header.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import einsum_reference as ref
+from rmplates import (
+    Q1_SCALAR,
+    BcFamily,
+    MaterialParams,
+    PiecewiseLinear,
+    ThinDomainSpec,
+    assemble_rm_pencil,
+    build_interval_mesh,
+    build_rect_mesh,
+    build_thin_mesh,
+    constant_profile_spec,
+    element_batch,
+    mass_density,
+    rm_dofmap,
+    stiffness_density,
+)
+from rmplates.assemble import assemble_load_from_local, assemble_pencil, quad_geometry, strain_blocks
+from rmplates.quadrature import quad_rule, shear_rule_x, shear_rule_y
+from rmplates.rm_system import rm_load_vector, rm_local_matrices
+from rmplates.thin_limit import _extended_data, p2_interpolate
+
+PARAMS = MaterialParams(E=1.0, sigma=0.3, t=0.05)
+RULES = {
+    "gauss2": quad_rule(2),
+    "gauss3": quad_rule(3),
+    "gauss3x2": quad_rule(3, 2),
+    "shear_x": shear_rule_x(),
+    "shear_y": shear_rule_y(),
+}
+
+
+def rect_mesh():
+    return build_rect_mesh(1.3, 0.7, 7, 5)
+
+
+def cylinder_mesh():
+    return build_thin_mesh(constant_profile_spec(0.0, 1.0, 0.5, 0.05), 48, 3)
+
+
+def profile_mesh(x_mid, f1, f2, delta=0.1):
+    """Thin mesh over a three-breakpoint profile; its quads are not parallelograms."""
+    xs = np.array([0.0, x_mid, 1.0])
+    return build_thin_mesh(ThinDomainSpec((0.0, 1.0), PiecewiseLinear(xs, np.array(f1)), PiecewiseLinear(xs, np.array(f2)), delta), 12, 3)
+
+
+MESHES = {"rect": rect_mesh, "cylinder": cylinder_mesh, "profile": lambda: profile_mesh(0.3, [0.5, 0.5, 0.5], [0.5, 1.0, 0.7])}
+
+profiles = st.tuples(
+    st.floats(0.1, 0.9),
+    st.lists(st.floats(0.2, 1.2), min_size=3, max_size=3),
+    st.lists(st.floats(0.2, 1.2), min_size=3, max_size=3),
+)
+
+
+def data_F(x):
+    return np.stack([np.sin(3.0 * x[..., 0]) * x[..., 1], np.cos(x[..., 0] + x[..., 1])], axis=-1)
+
+
+def data_f(x):
+    return np.exp(x[..., 0]) - x[..., 1] ** 2
+
+
+def assert_same_matrix(got, want):
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def assert_same_kernels(mesh):
+    for name, rule in RULES.items():
+        for got, want in zip(quad_geometry(mesh, rule), ref.quad_geometry(mesh, rule)):
+            assert np.array_equal(got, want), name
+    for got, want in zip(rm_local_matrices(mesh, PARAMS), ref.rm_local_matrices(mesh, PARAMS)):
+        assert np.array_equal(got, want)
+    batch = element_batch(mesh, Q1_SCALAR)
+    strain, _ = strain_blocks(batch)
+    grad, mass = np.zeros((2,) + strain.shape)
+    grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
+    mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
+    for got, want in zip((grad, strain, mass), ref.korn_blocks(mesh)):
+        assert np.array_equal(got, want)
+
+
+def assert_same_pencil(mesh, bc):
+    pencil = assemble_rm_pencil(mesh, PARAMS, bc)
+    bend, shear, mass = ref.rm_local_matrices(mesh, PARAMS)
+    want = assemble_pencil(mesh, rm_dofmap(mesh, bc), bend + shear, mass, PARAMS)
+    for got_m, want_m in ((pencil.A, want.A), (pencil.B, want.B), (pencil.B_full, want.B_full)):
+        assert_same_matrix(got_m, want_m)
+    return pencil
+
+
+def assert_same_load(pencil, F, f):
+    local = ref.rm_load_local(pencil.mesh, PARAMS, F, f)
+    want = pencil.dofmap.restrict(assemble_load_from_local(pencil.dofmap, local))
+    assert np.array_equal(rm_load_vector(pencil, F, f), want)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_tabulation_and_kernels(mesh_name):
+    assert_same_kernels(MESHES[mesh_name]())
+
+
+@pytest.mark.parametrize("bc", list(BcFamily), ids=lambda bc: bc.value)
+def test_rect_pencils_and_load(bc):
+    pencil = assert_same_pencil(rect_mesh(), bc)
+    assert_same_load(pencil, data_F, data_f)
+
+
+def test_cylinder_pencil_and_extended_load():
+    # the free thin pencil and the extended-data load of `resolvent_gap`
+    pencil = assert_same_pencil(cylinder_mesh(), BcFamily.FREE)
+    interval = build_interval_mesh(0.0, 1.0, 48)
+    F0 = p2_interpolate(interval, lambda x: np.cos(2.0 * x))
+    f0 = p2_interpolate(interval, lambda x: np.sin(np.pi * x))
+    assert_same_load(pencil, *_extended_data(interval, F0, f0))
+    assert_same_load(pencil, data_F, data_f)
+
+
+@settings(max_examples=10, deadline=None)
+@given(profile=profiles)
+def test_profile_meshes(profile):
+    mesh = profile_mesh(*profile)
+    assert_same_kernels(mesh)
+    pencil = assert_same_pencil(mesh, BcFamily.FREE)
+    assert_same_load(pencil, data_F, data_f)

@@ -80,7 +80,14 @@ class TestSmallest:
         A = sp.diags([3.0, 1.0, 2.0]).tocsr()
         res = solve_gep_smallest(A, sp.identity(3, format="csr"), EigOptions(k=3))
         assert_allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
-        assert res.info == {"ordering": "dense", "lu_fill": 0, "factor_s": 0.0, "opinv_applies": 0}
+        assert res.info == {
+            "ordering": "dense",
+            "lu_fill": 0,
+            "factor_s": 0.0,
+            "opinv_applies": 0,
+            "refine_factors": 0,
+            "refine_rounds": 0,
+        }
 
     def test_info_of_shift_invert_run(self):
         pen = clamped_rm_pencil()
@@ -90,6 +97,38 @@ class TestSmallest:
         assert info["lu_fill"] == eigensolve.factorize(pen.A).nnz
         assert info["factor_s"] > 0
         assert info["opinv_applies"] >= 4
+        assert info["refine_factors"] == info["refine_rounds"] == 0
+
+    def test_ordering_runs_once_per_lanczos_run(self, monkeypatch):
+        calls = []
+        ordering = eigensolve.ordering
+
+        def counted(M):
+            calls.append(M.shape)
+            return ordering(M)
+
+        monkeypatch.setattr(eigensolve, "ordering", counted)
+        pen = clamped_rm_pencil()
+        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
+        assert calls == [pen.A.shape]
+        assert res.info["ordering"] == ordering(pen.A)
+
+    def test_info_counts_refinement(self, monkeypatch):
+        # perturbed Lanczos vectors put every cluster above tol, so each
+        # cluster gets one factor and one to REFINE_ROUNDS rounds
+        lanczos = eigensolve._shift_invert_lanczos
+        rng = np.random.default_rng(12)
+
+        def perturbed(A, B, k, info):
+            lam, vec = lanczos(A, B, k, info)
+            return lam, vec + 1e-4 * rng.standard_normal(vec.shape)
+
+        monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", perturbed)
+        pen = clamped_rm_pencil()
+        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
+        n = len(eigensolve.clusters(res.eigenvalues))
+        assert res.info["refine_factors"] == n
+        assert n <= res.info["refine_rounds"] <= eigensolve.REFINE_ROUNDS * n
 
     def test_iteration_limit_carries_partial_results(self, monkeypatch):
         pen = clamped_rm_pencil()
@@ -138,9 +177,9 @@ class TestOneFactorization:
         calls = []
         factorize = eigensolve.factorize
 
-        def counted(M):
+        def counted(M, info=None):
             calls.append(M.shape)
-            return factorize(M)
+            return factorize(M, info)
 
         monkeypatch.setattr(eigensolve, "factorize", counted)
         return calls
@@ -175,7 +214,7 @@ def plate_pencils():
     }
 
 
-def colamd(M):
+def colamd(M, info=None):
     return spla.splu(M.tocsc())
 
 
@@ -214,7 +253,9 @@ class TestOrdering:
         vec = res.eigenvectors + 1e-4 * rng.standard_normal(res.eigenvectors.shape)
         before = eigensolve._residuals(A, B, res.eigenvalues, vec)
         assert np.all(before > tol)
-        lam, vec = eigensolve._refine_clusters(A, B, res.eigenvalues, vec, before, tol)
+        info = {"refine_factors": 0, "refine_rounds": 0}
+        lam, vec = eigensolve._refine_clusters(A, B, res.eigenvalues, vec, before, tol, info)
+        assert info["refine_factors"] == len(eigensolve.clusters(res.eigenvalues))
         assert np.all(eigensolve._residuals(A, B, lam, vec) <= tol)
         assert_allclose(lam, res.eigenvalues, rtol=1e-10)
 

@@ -100,20 +100,18 @@ class TestKernelCensus:
 class TestKorn:
     def test_rotation_rayleigh_quotient_is_three(self):
         # eta = (y, -x): int |D eta|^2 = 2, eps(eta) = 0, int |eta|^2 = 2/3
-        from rmplates.assemble import assemble_from_local, element_batch, stiffness_density
-        from rmplates.spaces import Q1_VECTOR2, build_dofmap
+        from rmplates.assemble import assemble_from_local, element_batch, mass_density, stiffness_density, strain_blocks
+        from rmplates.spaces import Q1_SCALAR, Q1_VECTOR2, build_dofmap
 
         mesh = build_rect_mesh(1, 1, 8, 8)
         dm = build_dofmap(mesh, Q1_VECTOR2)
-        A = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_VECTOR2)))
-
-        def eps_mass(b):
-            eps = 0.5 * (b.grad + np.swapaxes(b.grad, -1, -2))
-            return np.einsum("eq,eqicd,eqjcd->eij", b.w, eps, eps) + np.einsum(
-                "eq,eqic,eqjc->eij", b.w, b.phi, b.phi
-            )
-
-        B = assemble_from_local(dm, eps_mass(element_batch(mesh, Q1_VECTOR2)))
+        batch = element_batch(mesh, Q1_SCALAR)
+        strain, _ = strain_blocks(batch)
+        grad, mass = np.zeros((2,) + strain.shape)
+        grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
+        mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
+        A = assemble_from_local(dm, grad)
+        B = assemble_from_local(dm, strain + mass)
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         eta = np.concatenate([y, -x])
         q = (eta @ (A @ eta)) / (eta @ (B @ eta))
@@ -122,16 +120,17 @@ class TestKorn:
     def test_matches_dense_largest_eigenvalue(self):
         import scipy.linalg
 
-        from rmplates.assemble import assemble_from_local, element_batch, mass_density, stiffness_density
-        from rmplates.spaces import Q1_VECTOR2, build_dofmap
+        from rmplates.assemble import assemble_from_local, element_batch, mass_density, stiffness_density, strain_blocks
+        from rmplates.spaces import Q1_SCALAR, Q1_VECTOR2, build_dofmap
 
         mesh = build_rect_mesh(1.0, 0.4, 6, 3)
-        dm = build_dofmap(mesh, Q1_VECTOR2)
-        batch = element_batch(mesh, Q1_VECTOR2)
-        eps = 0.5 * (batch.grad + np.swapaxes(batch.grad, -1, -2))
-        strain = np.einsum("eq,eqicd,eqjcd->eij", batch.w, eps, eps)
-        A = assemble_from_local(dm, stiffness_density(batch)).toarray()
-        B = assemble_from_local(dm, strain + mass_density(batch)).toarray()
+        batch = element_batch(mesh, Q1_SCALAR)
+        strain, _ = strain_blocks(batch)
+        # |D eta|^2 and |eta|^2 are the scalar stiffness and mass of each component
+        scalar = build_dofmap(mesh, Q1_SCALAR)
+        K, M = (assemble_from_local(scalar, density(batch)).toarray() for density in (stiffness_density, mass_density))
+        A = scipy.linalg.block_diag(K, K)
+        B = assemble_from_local(build_dofmap(mesh, Q1_VECTOR2), strain).toarray() + scipy.linalg.block_diag(M, M)
         oracle = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
         assert_allclose(korn_constant(mesh), oracle, rtol=1e-12)
 

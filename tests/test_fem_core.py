@@ -35,10 +35,10 @@ from rmplates import (
     split_quads,
     stiffness_density,
 )
-from rmplates.assemble import assemble_load_from_local
+from rmplates.assemble import assemble_load_from_local, strain_blocks
 from rmplates.biharmonic import morley_interpolate
 from rmplates.errors import UnsupportedConfigurationError
-from rmplates.experiments import dirichlet_laplace_smallest
+from rmplates.experiments import SweepConfig, dirichlet_laplace_smallest, sweep_delta
 from rmplates.quadrature import (
     quad_rule,
     segment_rule,
@@ -285,9 +285,10 @@ class TestAssembly:
     def test_exact_symmetry(self):
         mesh = build_rect_mesh(1.3, 0.7, 5, 4)
         dm = build_dofmap(mesh, Q1_VECTOR2)
-        K = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_VECTOR2)))
-        diff = K - K.T
-        assert diff.nnz == 0
+        for block in strain_blocks(element_batch(mesh, Q1_SCALAR)):
+            K = assemble_from_local(dm, block)
+            diff = K - K.T
+            assert diff.nnz == 0
 
     def test_q1_closed_form_element_matrices(self):
         # one a x b rectangle against hand-derived element matrices; the
@@ -448,9 +449,11 @@ class TestAssembledMatrices:
         mesh = build_rect_mesh(1.0, 0.3, nx, ny)
         vector = build_dofmap(mesh, Q1_VECTOR2)
         scalar = build_dofmap(mesh, Q1_SCALAR, True)
-        for dm, space in ((vector, Q1_VECTOR2), (scalar, Q1_SCALAR)):
-            for density in (stiffness_density, mass_density):
-                assert_canonical_symmetric(assemble_from_local(dm, density(element_batch(mesh, space))))
+        batch = element_batch(mesh, Q1_SCALAR)
+        for block in strain_blocks(batch):
+            assert_canonical_symmetric(assemble_from_local(vector, block))
+        for density in (stiffness_density, mass_density):
+            assert_canonical_symmetric(assemble_from_local(scalar, density(batch)))
 
 
 class TestOneBatchPerRule:
@@ -468,8 +471,12 @@ class TestOneBatchPerRule:
             (lambda: dirichlet_laplace_smallest(build_rect_mesh(1, 1, 4, 4)), 1, 2),
             # one free pencil for all eight families, each a restriction of it
             (lambda: kernel_census(MaterialParams(E=1.0, sigma=0.3), build_rect_mesh(1, 1, 4, 4)), 3, 2),
+            # per level, one limit pencil (1 tabulation, 2 scatters) and per
+            # delta a thin pencil (3, 2), the connecting system's two rules
+            # and the resolvent load's rule: 2 levels x (1 + 3 x 6), 2 x (2 + 3 x 2)
+            (lambda: sweep_delta(SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2), num_clusters=2), 38, 16),
         ],
-        ids=["morley_pencil", "rm_pencil", "korn", "korn_first_kind", "dirichlet_laplace", "kernel_census"],
+        ids=["morley_pencil", "rm_pencil", "korn", "korn_first_kind", "dirichlet_laplace", "kernel_census", "sweep_delta"],
     )
     def test_tabulation_count(self, monkeypatch, build, tabulations, scatters):
         calls = {"element_batch": [], "assemble_from_local": []}
