@@ -4,7 +4,7 @@
 of one scalar space at the quadrature points of every element at once;
 densities (`point_gram`) turn a batch into per-element matrices, those of a
 vector field from the batch of its components, and `assemble_from_local`
-scatters them into a symmetric CSR matrix over all dofs of a dofmap.  Every
+scatters them into symmetric CSR matrices over all dofs of a dofmap.  Every
 assembler tabulates a mesh once per quadrature rule, computes all of its
 local blocks from that batch, and makes them the shifted `Pencil` on the
 free dofs with `assemble_pencil`: a boundary condition reaches a matrix
@@ -13,6 +13,8 @@ is accumulated, then mirrored.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,15 +28,21 @@ from .spaces import DofMap, SpaceKind, edge_normal
 @dataclass
 class ElementBatch:
     """Tabulated scalar basis data: x (ne,nq,dim), w (ne,nq) with Jacobians
-    folded in, phi (ne,nq,nloc) and grad (ne,nq,nloc,dim).  Morley
-    additionally carries hess (ne,nq,nloc,dim,dim), constant in q.
+    folded in, phi (ne,nq,nloc) and grad (ne,nq,nloc,dim), which
+    `compute_grad` makes on first use: loads and the connecting system never
+    read it.  Morley additionally carries hess (ne,nq,nloc,dim,dim),
+    constant in q.
     """
 
     x: np.ndarray
     w: np.ndarray
     phi: np.ndarray
-    grad: np.ndarray
+    compute_grad: Callable[[], np.ndarray] = field(repr=False)
     hess: np.ndarray = None
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self.compute_grad()
 
 
 def default_rule(space: SpaceKind) -> QuadratureRule:
@@ -59,7 +67,14 @@ def q1_ref_basis(points: np.ndarray):
 
 
 def quad_geometry(mesh: Mesh, quad: QuadratureRule):
-    """Isoparametric geometry at quadrature points of all quad elements; every sum runs from zero in index order."""
+    """Isoparametric geometry at quadrature points of all quad elements: x,
+    w, phi and the physical gradients; every sum runs from zero in index order."""
+    x, w, phi, grad = _quad_geometry(mesh, quad)
+    return x, w, phi, grad()
+
+
+def _quad_geometry(mesh: Mesh, quad: QuadratureRule):
+    """`quad_geometry` with a function in place of the gradients, which cost as much as the rest."""
     phi, dphi = q1_ref_basis(quad.points)
     X = mesh.nodes[mesh.elements]  # (ne, 4, 2)
     node = [(X[:, i, 0, None], X[:, i, 1, None]) for i in range(4)]  # (ne, 1) per node and axis
@@ -69,10 +84,13 @@ def quad_geometry(mesh: Mesh, quad: QuadratureRule):
     bad = np.nonzero(~np.all(detJ > 0, axis=1))[0]
     if len(bad):
         raise AssemblyError(int(bad[0]), "non-positive Jacobian")
-    invJ = [[J[1][1] / detJ, -J[0][1] / detJ], [-J[1][0] / detJ, J[0][0] / detJ]]
     w = quad.weights[None, :] * detJ
-    # physical gradient: (J^{-T} grad_ref)_a = invJ[b,a] dphi[b]
-    grad = np.stack([sum(invJ[b][a][:, :, None] * dphi[:, :, b] for b in range(2)) for a in range(2)], axis=-1)
+
+    def grad():
+        invJ = [[J[1][1] / detJ, -J[0][1] / detJ], [-J[1][0] / detJ, J[0][0] / detJ]]
+        # physical gradient: (J^{-T} grad_ref)_a = invJ[b,a] dphi[b]
+        return np.stack([sum(invJ[b][a][:, :, None] * dphi[:, :, b] for b in range(2)) for a in range(2)], axis=-1)
+
     return x, w, phi, grad
 
 
@@ -150,9 +168,12 @@ def morley_batch(mesh: Mesh, quad: QuadratureRule) -> ElementBatch:
         axis=-1,
     )  # (ne,nq,6,2) in scaled coords
     phi = np.einsum("eqm,emi->eqi", mono, coeffs)
-    grad = np.einsum("eqmd,emi->eqid", dmono, coeffs) / scales[:, None, None, None]
     hess = np.einsum("mab,emi->eiab", _MONO_HESS, coeffs) / (scales**2)[:, None, None, None]
     hess = np.broadcast_to(hess[:, None, :, :, :], (X.shape[0], len(quad.weights), 6, 2, 2))
+
+    def grad():
+        return np.einsum("eqmd,emi->eqid", dmono, coeffs) / scales[:, None, None, None]
+
     return ElementBatch(x, w, phi, grad, hess=hess)
 
 
@@ -160,7 +181,7 @@ def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None) -> 
     if quad is None:
         quad = default_rule(space)
     if space == SpaceKind.Q1_SCALAR:
-        x, w, phi, grad = quad_geometry(mesh, quad)
+        x, w, phi, grad = _quad_geometry(mesh, quad)
         return ElementBatch(x, w, np.broadcast_to(phi[None, :, :], w.shape + (4,)), grad)
     if space == SpaceKind.P2_1D:
         X = mesh.nodes[mesh.elements][..., 0]  # (ne, 2)
@@ -170,7 +191,7 @@ def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None) -> 
         w = quad.weights[None, :] * h[:, None]
         phi, dphi = p2_ref_basis(xi)
         grad = dphi[None, :, :, None] / h[:, None, None, None]
-        return ElementBatch(x[..., None], w, np.broadcast_to(phi[None], w.shape + (3,)), grad)
+        return ElementBatch(x[..., None], w, np.broadcast_to(phi[None], w.shape + (3,)), lambda: grad)
     if space == SpaceKind.MORLEY:
         return morley_batch(mesh, quad)
     raise ValueError(space)
@@ -225,28 +246,33 @@ def strain_blocks(batch):
     return strain, div
 
 
-def assemble_from_local(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
-    """Scatter symmetric per-element matrices into a canonical, exactly
-    symmetric CSR matrix over all `dofmap.n_dofs` dofs, constrained or not.
+def assemble_from_local(dofmap: DofMap, *stacks: np.ndarray):
+    """Scatter each stack of symmetric per-element matrices into a
+    canonical, exactly symmetric CSR matrix over all `dofmap.n_dofs` dofs,
+    constrained or not: one matrix for one stack, else a tuple.  The index
+    arrays of the lower triangle are built once for all stacks.
 
     Raises `AssemblyError` naming the first element whose block holds a
     non-finite entry.
     """
-    bad = np.nonzero(~np.all(np.isfinite(local.reshape(len(local), -1)), axis=1))[0]
-    if len(bad):
-        raise AssemblyError(int(bad[0]), "local matrix has a non-finite entry")
-    local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
     gi = dofmap.element_to_global  # (ne, nloc)
     rows = np.repeat(gi[:, :, None], gi.shape[1], axis=2).ravel()
     cols = np.repeat(gi[:, None, :], gi.shape[1], axis=1).ravel()
-    vals = local.ravel()
     keep = rows >= cols
+    rows, cols = rows[keep], cols[keep]
     n = dofmap.n_dofs
-    lower = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    lower.sum_duplicates()
-    lower.eliminate_zeros()
-    # sum duplicates in one triangle, then mirror: summing both rounds differently per side
-    return (lower + sp.tril(lower, k=-1).T).tocsr()
+    matrices = []
+    for local in stacks:
+        bad = np.nonzero(~np.all(np.isfinite(local.reshape(len(local), -1)), axis=1))[0]
+        if len(bad):
+            raise AssemblyError(int(bad[0]), "local matrix has a non-finite entry")
+        vals = (0.5 * (local + np.transpose(local, (0, 2, 1)))).ravel()[keep]
+        lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        lower.sum_duplicates()
+        lower.eliminate_zeros()
+        # sum duplicates in one triangle, then mirror: summing both rounds differently per side
+        matrices.append((lower + sp.tril(lower, k=-1).T).tocsr())
+    return matrices[0] if len(matrices) == 1 else tuple(matrices)
 
 
 @dataclass
@@ -288,7 +314,7 @@ def assemble_pencil(mesh: Mesh, dofmap: DofMap, form: np.ndarray, mass: np.ndarr
     `form` in place, so pass a temporary.
     """
     form += mass
-    A, B = assemble_from_local(dofmap, form), assemble_from_local(dofmap, mass)
+    A, B = assemble_from_local(dofmap, form, mass)
     return Pencil(A, B, mesh, dofmap, params).restrict(dofmap)
 
 

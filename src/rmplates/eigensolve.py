@@ -8,7 +8,19 @@ and from a dense solve when the pencil is too small for Krylov iteration.
 Eigenvectors are re-orthonormalized in the B inner product, so clustered
 (kernel) eigenvalues come out with full multiplicity.  Every sparse LU in
 the package is made by `factorize`: the shift-invert operator and cluster
-refinement here, and `sparse_solve`.
+refinement here, and `sparse_solve`.  A caller that needs a source solve
+and the spectrum of one matrix factors it once: `sparse_solve` and then
+`solve_gep_smallest` take the `Factor`, and the Lanczos run releases its LU.
+
+`sparse_solve` corrects every solution until its componentwise backward
+error (Oettli-Prager) is at most SOLVE_BACKWARD_ERROR.  Diagonal scaling
+does not change that bound, and fixed-precision refinement reaches it from
+any LU that is not too unstable (Skeel 1980), so the plain LU of a thin
+strip solves as well as its scaled LU.  Without a given factor the solve
+factors the Jacobi-scaled S A S, which plates need: a rigid pair
+(a, a.x + b) must come back unchanged from the shifted free plate, and on
+the 64^2 plate at t = 0.1 the plain LU moved one by up to 1.8e-10, the
+scaled LU by at most 6.4e-11.
 
 `factorize` picks the LU's ordering from the graph of the matrix.  A
 plate's graph is wider than it is long, and there a symmetric
@@ -34,8 +46,10 @@ CLUSTER_RTOL = 1e-7
 SEED = 7
 #: iteration limit of every Lanczos run
 MAX_ITER = 5000
-#: backward-error bound every `sparse_solve` solution meets
-SOLVE_RTOL = 1e-12
+#: componentwise backward error every `sparse_solve` solution meets
+SOLVE_BACKWARD_ERROR = 1e-14
+#: residual corrections `sparse_solve` may make to reach it
+SOLVE_CORRECTIONS = 3
 #: block inverse-iteration rounds per cluster in the refinement
 REFINE_ROUNDS = 3
 
@@ -98,7 +112,19 @@ def ordering(M) -> str:
     return "COLAMD" if len(widths) > widths.max() else "MMD_AT_PLUS_A"
 
 
-def factorize(M, info: dict = None):
+@dataclass
+class Factor:
+    """A SuperLU factor `lu` and how it was made: its column `ordering`,
+    `lu_fill` (SuperLU's stored L and U entries) and `factor_s`.  A
+    shift-invert run that is handed the record sets `lu` to None."""
+
+    lu: spla.SuperLU
+    ordering: str
+    lu_fill: int
+    factor_s: float
+
+
+def factorize(M) -> Factor:
     """Sparse LU of the structurally symmetric M; a singular M raises
     SingularSystemError.
 
@@ -107,7 +133,6 @@ def factorize(M, info: dict = None):
     A strip keeps SuperLU's default COLAMD with partial pivoting, which on
     strips fills about as little; it stays so until the benchmark pins
     that sit at round-off level on the 384x24 strip are re-recorded.
-    `info`, if given, receives `ordering`, `lu_fill` (SuperLU's stored L and U entries) and `factor_s`.
     """
     t0 = time.perf_counter()
     M = M.tocsc()
@@ -117,48 +142,60 @@ def factorize(M, info: dict = None):
         lu = spla.splu(M) if order == "COLAMD" else spla.splu(M, **symmetric)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU failed: {exc}")
-    if info is not None:
-        info.update(ordering=order, lu_fill=int(lu.nnz), factor_s=time.perf_counter() - t0)
-    return lu
+    return Factor(lu, order, int(lu.nnz), time.perf_counter() - t0)
 
 
-def sparse_solve(A, load: np.ndarray) -> np.ndarray:
-    """Sparse LU solve of A x = load with symmetric diagonal scaling.
-
-    Jacobi scaling evens out the very different block magnitudes (the
-    rotation mass carries t^2/12).  The residual contract is
-    backward-error style, ||A x - b|| / (||A|| ||x|| + ||b||) <= SOLVE_RTOL; the
-    LU solution is corrected with float64 residuals at most three times,
-    stopping as soon as the contract holds.
+def sparse_solve(A, load: np.ndarray, factor: Factor = None) -> np.ndarray:
+    """Solve A x = load on `factor`, an LU of A, or else on an LU of the
+    Jacobi-scaled S A S, S = diag(A)^(-1/2).  x is corrected with float64
+    residuals until its componentwise backward error
+    max_i |load - A x|_i / (|A| |x| + |load|)_i is at most
+    SOLVE_BACKWARD_ERROR (see the module docstring for why plates keep the
+    scaling); SingularSystemError if SOLVE_CORRECTIONS corrections do not
+    get there.
     """
-    d = A.diagonal()
-    if np.any(d <= 0):
-        raise SingularSystemError("non-positive diagonal; system is not definite")
-    s = 1.0 / np.sqrt(d)
-    S = sp.diags(s)
-    As = (S @ A @ S).tocsc()
-    bs = s * load
-    lu = factorize(As)
-    normA = spla.norm(As, np.inf)
+    if factor is None:
+        d = A.diagonal()
+        if np.any(d <= 0):
+            raise SingularSystemError("non-positive diagonal; system is not definite")
+        s = 1.0 / np.sqrt(d)
+        S = sp.diags(s)
+        lu = factorize(S @ A @ S).lu
+
+        def solve(r):
+            return s * lu.solve(s * r)
+
+    else:
+        solve = factor.lu.solve
+    absA = abs(A)
 
     def backward_error(v):
-        r = bs - As @ v
-        return r, float(np.linalg.norm(r) / max(normA * np.linalg.norm(v) + np.linalg.norm(bs), 1e-300))
+        r = load - A @ v
+        # a row with a zero bound has r = 0 exactly, and the floor makes that 0 / floor
+        bound = np.maximum(absA @ np.abs(v) + np.abs(load), np.finfo(float).tiny)
+        return r, float(np.max(np.abs(r) / bound, initial=0.0))
 
-    y = lu.solve(bs)
-    r, err = backward_error(y)
-    for _ in range(3):
-        if err <= SOLVE_RTOL:
+    x = solve(load)
+    r, err = backward_error(x)
+    for _ in range(SOLVE_CORRECTIONS):
+        if err <= SOLVE_BACKWARD_ERROR:
             break
-        y = y + lu.solve(r)
-        r, err = backward_error(y)
-    if err > SOLVE_RTOL:
-        raise SingularSystemError("direct solve residual above tolerance after refinement")
-    return s * y
+        x = x + solve(r)
+        r, err = backward_error(x)
+    if not err <= SOLVE_BACKWARD_ERROR:
+        raise SingularSystemError(
+            f"componentwise backward error {err:.2e} above {SOLVE_BACKWARD_ERROR:.0e} after {SOLVE_CORRECTIONS} corrections"
+        )
+    return x
 
 
-def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
-    """k smallest eigenvalues of the sparse pencil (A, B), A and B symmetric positive definite."""
+def solve_gep_smallest(A, B, opts: EigOptions = None, factor: Factor = None) -> EigResult:
+    """k smallest eigenvalues of the sparse pencil (A, B), A and B symmetric positive definite.
+
+    `factor`, a `factorize(A)` the caller has already used, serves the
+    shift-invert run in place of a new LU; the run releases its LU, so the
+    record's `lu` is None afterwards and the refinement never holds two LUs.
+    """
     opts = opts or EigOptions()
     n = A.shape[0]
     if opts.k > n:
@@ -167,7 +204,7 @@ def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
     if opts.k > n - 2:  # ARPACK needs k < n - 1
         lam, vec = scipy.linalg.eigh(A.toarray(), B.toarray(), subset_by_index=(0, opts.k - 1))
     else:
-        lam, vec = _shift_invert_lanczos(A, B, opts.k, info)
+        lam, vec = _shift_invert_lanczos(A, B, opts.k, factorize(A) if factor is None else factor, info)
     order = np.argsort(lam)
     lam, vec = lam[order], vec[:, order]
     vec = _b_orthonormalize(vec, B)
@@ -184,14 +221,16 @@ def solve_gep_smallest(A, B, opts: EigOptions = None) -> EigResult:
     return EigResult(lam, vec, res, info)
 
 
-def _shift_invert_lanczos(A, B, k, info):
-    """k eigenpairs of (A, B) nearest 0 by Lanczos on the LU of A, recorded in `info`.
+def _shift_invert_lanczos(A, B, k, factor, info):
+    """k eigenpairs of (A, B) nearest 0 by Lanczos on `factor`, an LU of A,
+    whose stats go to `info`.
 
-    The LU lives only as long as this call, so it is freed before the
-    refinement factors a shifted matrix.
+    The LU is taken out of the record and lives only as long as this call,
+    so it is freed before the refinement factors a shifted matrix.
     """
     n = A.shape[0]
-    lu = factorize(A, info)
+    info.update(ordering=factor.ordering, lu_fill=factor.lu_fill, factor_s=factor.factor_s)
+    lu, factor.lu = factor.lu, None
 
     def opinv(x):
         info["opinv_applies"] += 1
@@ -228,7 +267,7 @@ def _refine_clusters(A, B, lam, vec, res, tol, info):
             continue
         lam_c = float(np.mean(lam[idx]))
         shift = lam_c + max(abs(lam_c), 1.0) * 1e-5
-        lu = factorize(A - shift * B)
+        lu = factorize(A - shift * B).lu
         info["refine_factors"] += 1
         Y = vec[:, idx]
         for _ in range(REFINE_ROUNDS):

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density, strain_blocks
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
-from .eigensolve import EigOptions, _b_orthonormalize, clusters, principal_angles, solve_gep_smallest
+from .eigensolve import EigOptions, _b_orthonormalize, clusters, factorize, principal_angles, solve_gep_smallest
 from .geometry import (
     Mesh,
     PiecewiseLinear,
@@ -40,6 +40,7 @@ from .thin_limit import (
     p2_evaluate,
     p2_interpolate,
     resolvent_gap,
+    solve_limit_source,
 )
 
 #: agreement required between two mesh levels before a rate is claimed
@@ -223,7 +224,8 @@ def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int):
 
 def _delta_level(config: SweepConfig, nx: int, ny: int, f0, num_clusters: int):
     """All measured errors at one mesh level, one point per delta.  The limit
-    pencil sees the profile only through g = f1 + f2, so it is made and solved once."""
+    pencil sees the profile only through g = f1 + f2, so it is made, its
+    eigenproblem solved and its source problem solved once."""
     spec = config.spec_at(config.values[0])
     interval = build_interval_mesh(*spec.base_interval, nx)
     limit_pencil = assemble_limit_pencil(interval, spec, config.params)
@@ -232,20 +234,29 @@ def _delta_level(config: SweepConfig, nx: int, ny: int, f0, num_clusters: int):
     lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=num_clusters + 4, tol=1e-8))
     if f0 is None:
         f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
-    return [_delta_point(config, delta, interval, ny, f0, limit_pencil, lim, num_clusters) for delta in config.values]
+    limit_solution = solve_limit_source(limit_pencil, *f0)
+    return [
+        _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution, num_clusters)
+        for delta in config.values
+    ]
 
 
-def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, num_clusters: int):
-    """All measured errors for one delta against the level's limit pencil and its eigenpairs."""
+def _delta_point(
+    config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, limit_solution, num_clusters: int
+):
+    """All measured errors for one delta against the level's limit pencil,
+    its eigenpairs and its source solution.  The thin A is factored once:
+    the source solve and the Lanczos run share the LU."""
     spec = config.spec_at(delta)
     thin = build_thin_mesh(spec, interval.n_elements, ny)
     system = ConnectingSystem(thin, interval, spec)
     thin_pencil = assemble_rm_pencil(thin, config.params, BcFamily.FREE)
-    res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_pencil)
+    factor = factorize(thin_pencil.A)
+    res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_solution, factor=factor)
 
     groups = _nonunit_clusters(lim.eigenvalues, num_clusters)
     need = 3 + sum(len(c) for c in groups) + 6
-    thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need, tol=1e-8))
+    thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need, tol=1e-8), factor)
 
     # averaged thin eigenvectors, B0-normalized; transverse (y-odd) branches
     # average to nearly zero and are excluded from the matching
@@ -397,15 +408,13 @@ def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
     grad, mass = np.zeros((2,) + strain.shape)  # |D eta|^2 and |eta|^2: the scalar blocks per component
     grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
     mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
-    A = assemble_from_local(dofmap, grad)
     if not first_kind:
-        B = assemble_from_local(dofmap, strain + mass)
+        A, B = assemble_from_local(dofmap, grad, strain + mass)
         mu = solve_gep_smallest(B, A + B, EigOptions(k=1)).eigenvalues[0]
         return float(1.0 / mu - 1.0)
 
-    B = assemble_from_local(dofmap, strain)
+    A, B, M = assemble_from_local(dofmap, grad, strain, mass)
     nv = mesh.n_nodes
-    M = assemble_from_local(dofmap, mass)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     R = np.column_stack(
         [
@@ -451,7 +460,7 @@ def dirichlet_laplace_smallest(mesh: Mesh) -> float:
     dofmap = build_dofmap(mesh, Q1_SCALAR, True)
     batch = element_batch(mesh, Q1_SCALAR)
     free = dofmap.free
-    A, B = (assemble_from_local(dofmap, loc)[free][:, free] for loc in (stiffness_density(batch), mass_density(batch)))
+    A, B = (M[free][:, free] for M in assemble_from_local(dofmap, stiffness_density(batch), mass_density(batch)))
     res = solve_gep_smallest(A, B, EigOptions(k=1))
     return float(res.eigenvalues[0])
 

@@ -200,10 +200,11 @@ def rm_load_vector(pencil: Pencil, F, f) -> np.ndarray:
     return pencil.dofmap.restrict(pencil.B_full @ data)
 
 
-def solve_rm_source(pencil: Pencil, F, f) -> FieldPair:
-    """Solve the shifted source problem with data (t^2/12 F, f)."""
+def solve_rm_source(pencil: Pencil, F, f, factor=None) -> FieldPair:
+    """Solve the shifted source problem with data (t^2/12 F, f), on `factor`
+    if given (an LU of `pencil.A`, see `sparse_solve`)."""
     load = rm_load_vector(pencil, F, f)
-    x = sparse_solve(pencil.A, load)
+    x = sparse_solve(pencil.A, load, factor)
     full = pencil.dofmap.expand(x)
     beta, w = pencil.split(full)
     return FieldPair(beta, w)

@@ -315,24 +315,28 @@ def resolvent_gap(
     F0_coeffs: np.ndarray,
     f0_coeffs: np.ndarray,
     thin_pencil: Pencil = None,
-    limit_pencil: Pencil = None,
+    limit_solution=None,
     scale_thin: bool = False,
+    factor=None,
 ) -> float:
     """Relative H_delta distance between the thin resolvent applied to
     extended data and the extended limit resolvent.
 
     Both solves use the shifted operator and the (t^2/12 F, f) data
     convention; the extension is evaluated exactly at quadrature points when
-    building the thin load.  See `hdelta_gap_norm` for `scale_thin`.
+    building the thin load.  `limit_solution` is the limit pair (Phi0, phi0)
+    of `solve_limit_source` for this data, which does not depend on delta;
+    `factor` is an LU of `thin_pencil.A` for the thin solve (see
+    `sparse_solve`).  See `hdelta_gap_norm` for `scale_thin`.
     """
     if thin_pencil is None:
         thin_pencil = assemble_rm_pencil(system.thin_mesh, params, BcFamily.FREE)
-    if limit_pencil is None:
+    if limit_solution is None:
         limit_pencil = assemble_limit_pencil(system.interval_mesh, system.spec, params)
+        limit_solution = solve_limit_source(limit_pencil, F0_coeffs, f0_coeffs)
 
-    pair = solve_rm_source(thin_pencil, *_extended_data(system.interval_mesh, F0_coeffs, f0_coeffs))
-    Phi0, phi0 = solve_limit_source(limit_pencil, F0_coeffs, f0_coeffs)
-    gap = system.hdelta_gap_norm(pair, Phi0, phi0, scale_thin=scale_thin)
+    pair = solve_rm_source(thin_pencil, *_extended_data(system.interval_mesh, F0_coeffs, f0_coeffs), factor)
+    gap = system.hdelta_gap_norm(pair, *limit_solution, scale_thin=scale_thin)
     denom = system.h0_norm(F0_coeffs, f0_coeffs)
     if denom == 0:
         raise ValueError("data must be nonzero")

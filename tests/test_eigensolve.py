@@ -1,4 +1,5 @@
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestSmallest:
         res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
         info = res.info
         assert info["ordering"] == eigensolve.ordering(pen.A)
-        assert info["lu_fill"] == eigensolve.factorize(pen.A).nnz
+        assert info["lu_fill"] == eigensolve.factorize(pen.A).lu.nnz
         assert info["factor_s"] > 0
         assert info["opinv_applies"] >= 4
         assert info["refine_factors"] == info["refine_rounds"] == 0
@@ -119,8 +120,8 @@ class TestSmallest:
         lanczos = eigensolve._shift_invert_lanczos
         rng = np.random.default_rng(12)
 
-        def perturbed(A, B, k, info):
-            lam, vec = lanczos(A, B, k, info)
+        def perturbed(A, B, k, factor, info):
+            lam, vec = lanczos(A, B, k, factor, info)
             return lam, vec + 1e-4 * rng.standard_normal(vec.shape)
 
         monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", perturbed)
@@ -177,9 +178,9 @@ class TestOneFactorization:
         calls = []
         factorize = eigensolve.factorize
 
-        def counted(M, info=None):
+        def counted(M):
             calls.append(M.shape)
-            return factorize(M, info)
+            return factorize(M)
 
         monkeypatch.setattr(eigensolve, "factorize", counted)
         return calls
@@ -195,6 +196,75 @@ class TestOneFactorization:
         rng = np.random.default_rng(4)
         solve_rm_source(pen, rng.standard_normal(2 * mesh.n_nodes), rng.standard_normal(mesh.n_nodes))
         assert len(factor_calls) == 1
+
+
+def thin_source_pencil():
+    # a thin free strip whose plain LU solves to 1e-3 forward error before correction
+    spec = constant_profile_spec(0, 1, 0.5, 0.003)
+    return assemble_rm_pencil(build_thin_mesh(spec, 192, 12), MaterialParams(E=1.0, sigma=0.3, t=0.01), BcFamily.FREE)
+
+
+def componentwise_backward_error(A, x, b):
+    return float(np.max(np.abs(b - A @ x) / (abs(A) @ np.abs(x) + np.abs(b))))
+
+
+class TestSharedFactor:
+    """`sparse_solve` meets one contract on a given LU of A and on its own
+    scaled LU; `solve_gep_smallest` releases a given LU before refining."""
+
+    def test_source_solve_on_plain_and_scaled_lu(self):
+        pen = thin_source_pencil()
+        mesh, A = pen.mesh, pen.A
+        x = mesh.nodes[:, 0]
+        # manufactured smooth plate field: beta = (cos pi x, 0), w = sin pi x
+        exact = pen.dofmap.restrict(np.concatenate([np.cos(np.pi * x), np.zeros_like(x), np.sin(np.pi * x)]))
+        b = A @ exact
+        forward = {}
+        for what, factor in (("scaled", None), ("given", eigensolve.factorize(A))):
+            got = eigensolve.sparse_solve(A, b, factor)
+            assert componentwise_backward_error(A, got, b) <= eigensolve.SOLVE_BACKWARD_ERROR, what
+            forward[what] = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+        assert forward["given"] <= forward["scaled"], forward
+        # without corrections the plain LU's solution is far off
+        plain = eigensolve.factorize(A).lu.solve(b)
+        assert componentwise_backward_error(A, plain, b) > 1e3 * eigensolve.SOLVE_BACKWARD_ERROR
+        assert np.linalg.norm(plain - exact) > 1e2 * forward["scaled"] * np.linalg.norm(exact)
+
+    def test_unreachable_backward_error_raises(self, monkeypatch):
+        pen = clamped_rm_pencil()
+        monkeypatch.setattr(eigensolve, "SOLVE_BACKWARD_ERROR", 0.0)
+        with pytest.raises(SingularSystemError, match="backward error"):
+            eigensolve.sparse_solve(pen.A, np.ones(pen.A.shape[0]))
+
+    def test_refinement_after_given_lu_released(self, monkeypatch):
+        class Lu:
+            """A weakly referenceable stand-in holding the only reference to the LU."""
+
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        lanczos, refine = eigensolve._shift_invert_lanczos, eigensolve._refine_clusters
+        rng = np.random.default_rng(12)
+        alive_at_refinement = []
+
+        def perturbed(A, B, k, factor, info):
+            lam, vec = lanczos(A, B, k, factor, info)
+            return lam, vec + 1e-4 * rng.standard_normal(vec.shape)
+
+        def refined(*args):
+            alive_at_refinement.append((factor.lu, lu_ref()))
+            return refine(*args)
+
+        monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", perturbed)
+        monkeypatch.setattr(eigensolve, "_refine_clusters", refined)
+        pen = clamped_rm_pencil()
+        factor = eigensolve.factorize(pen.A)
+        factor.lu = Lu(factor.lu)
+        lu_ref = weakref.ref(factor.lu)
+        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4), factor)
+        assert alive_at_refinement == [(None, None)]
+        assert res.info["refine_factors"] >= 1
+        assert res.info["lu_fill"] == factor.lu_fill and res.info["factor_s"] == factor.factor_s
 
 
 def strip_pencils():
@@ -214,8 +284,9 @@ def plate_pencils():
     }
 
 
-def colamd(M, info=None):
-    return spla.splu(M.tocsc())
+def colamd(M):
+    lu = spla.splu(M.tocsc())
+    return eigensolve.Factor(lu, "COLAMD", int(lu.nnz), 0.0)
 
 
 class TestOrdering:
@@ -224,7 +295,7 @@ class TestOrdering:
     def test_strip_lu_is_default_lu(self):
         for what, pen in strip_pencils().items():
             assert eigensolve.ordering(pen.A) == "COLAMD", what
-            got, ref = eigensolve.factorize(pen.A), colamd(pen.A)
+            got, ref = eigensolve.factorize(pen.A).lu, colamd(pen.A).lu
             for attr in ("perm_c", "perm_r"):
                 assert np.array_equal(getattr(got, attr), getattr(ref, attr)), (what, attr)
             for attr in ("L", "U"):
@@ -236,7 +307,7 @@ class TestOrdering:
             assert eigensolve.ordering(pen.A) == "MMD_AT_PLUS_A", what
             res = solve_gep_smallest(pen.A, pen.B, opts)
             assert res.info["ordering"] == "MMD_AT_PLUS_A"
-            assert res.info["lu_fill"] < colamd(pen.A).nnz, what
+            assert res.info["lu_fill"] < colamd(pen.A).lu_fill, what
             with monkeypatch.context() as m:
                 m.setattr(eigensolve, "factorize", colamd)
                 ref = solve_gep_smallest(pen.A, pen.B, opts)
@@ -261,7 +332,7 @@ class TestOrdering:
 
     def test_disconnected_graph(self):
         d = np.array([1.0, 2.0, 4.0, 8.0, 3.0])
-        lu = eigensolve.factorize(sp.diags(d).tocsr())
+        lu = eigensolve.factorize(sp.diags(d).tocsr()).lu
         assert_allclose(lu.solve(d), np.ones(5), rtol=1e-15)
 
     def test_singular_chain_raises(self):

@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from rmplates import (
     korn_constant,
     p2_interpolate,
     poincare_check,
+    solve_gep_smallest,
     sweep_delta,
     sweep_thickness,
 )
-from rmplates import experiments
+from rmplates import eigensolve, experiments
 from rmplates.experiments import CONTROL_RTOL, EXPECTED_KERNELS, SweepConfig, korn_sweep
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
@@ -229,6 +231,62 @@ class TestSweeps:
         control = [p["resolvent_gap"] for p in explicit["points_control"]]
         assert control == [p["resolvent_gap"] for p in default["points_control"]]
         assert explicit["control_ok"] == default["control_ok"]
+
+    def test_delta_point_factors_thin_matrix_once(self, monkeypatch):
+        # per delta point one LU of the thin A serves the source solve and
+        # the Lanczos run; refinement factors of A - sigma B are not counted
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+        thin_shapes, factored, refining = [], [], []
+        assemble, factorize, refine = experiments.assemble_rm_pencil, eigensolve.factorize, eigensolve._refine_clusters
+
+        def assembled(*args, **kwargs):
+            pencil = assemble(*args, **kwargs)
+            thin_shapes.append(pencil.A.shape)
+            return pencil
+
+        def counted(M, *args, **kwargs):
+            if not refining:
+                factored.append(M.shape)
+            return factorize(M, *args, **kwargs)
+
+        def refined(*args, **kwargs):
+            refining.append(True)
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                refining.pop()
+
+        monkeypatch.setattr(experiments, "assemble_rm_pencil", assembled)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rmplates.") and getattr(module, "factorize", None) is factorize:
+                monkeypatch.setattr(module, "factorize", counted)
+        monkeypatch.setattr(eigensolve, "_refine_clusters", refined)
+        sweep_delta(cfg, num_clusters=2)
+        assert len(thin_shapes) == 2 * len(cfg.values)
+        for shape in set(thin_shapes):
+            assert factored.count(shape) == thin_shapes.count(shape), shape
+
+    def test_delta_sweep_eigenpairs_match_separate_solve(self, monkeypatch):
+        # the shared LU is the one a separate eigensolve makes, so the thin
+        # eigenpairs keep every bit
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+        solved = []
+        solve = experiments.solve_gep_smallest
+
+        def recorded(A, B, opts, factor=None):
+            res = solve(A, B, opts, factor)
+            if factor is not None:
+                solved.append((A, B, opts, res))
+            return res
+
+        monkeypatch.setattr(experiments, "solve_gep_smallest", recorded)
+        sweep_delta(cfg, num_clusters=2)
+        assert len(solved) == 2 * len(cfg.values)
+        for A, B, opts, res in solved:
+            ref = solve_gep_smallest(A, B, opts)
+            for got, want in ((res.eigenvalues, ref.eigenvalues), (res.eigenvectors, ref.eigenvectors), (res.residuals, ref.residuals)):
+                assert np.array_equal(got, want)
+            assert {k: v for k, v in res.info.items() if k != "factor_s"} == {k: v for k, v in ref.info.items() if k != "factor_s"}
 
     def test_delta_sweep_rejects_wrong_load_length(self):
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)

@@ -458,27 +458,34 @@ class TestAssembledMatrices:
 
 class TestOneBatchPerRule:
     """Every assembler tabulates its mesh once per quadrature rule and
-    derives all of its local blocks from that batch."""
+    derives all of its local blocks from that batch; it scatters all of its
+    matrices in one `assemble_from_local` call, which builds the index
+    arrays once."""
 
     @pytest.mark.parametrize(
-        "build,tabulations,scatters",
+        "build,tabulations,scatters,scatter_calls",
         [
-            (lambda: assemble_biharmonic_pencil(split_quads(build_rect_mesh(1, 1, 3, 3)), 1.0, 0.3, LimitBc.CLAMPED), 1, 2),
+            (lambda: assemble_biharmonic_pencil(split_quads(build_rect_mesh(1, 1, 3, 3)), 1.0, 0.3, LimitBc.CLAMPED), 1, 2, 1),
             # full 2x2 Gauss plus the two midline shear rules
-            (lambda: assemble_rm_pencil(build_rect_mesh(1, 1, 3, 3), MaterialParams(E=1.0, sigma=0.3), BcFamily.HARD_CLAMPED), 3, 2),
-            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4)), 1, 2),
-            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4), first_kind=True), 1, 3),
-            (lambda: dirichlet_laplace_smallest(build_rect_mesh(1, 1, 4, 4)), 1, 2),
+            (lambda: assemble_rm_pencil(build_rect_mesh(1, 1, 3, 3), MaterialParams(E=1.0, sigma=0.3), BcFamily.HARD_CLAMPED), 3, 2, 1),
+            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4)), 1, 2, 1),
+            (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4), first_kind=True), 1, 3, 1),
+            (lambda: dirichlet_laplace_smallest(build_rect_mesh(1, 1, 4, 4)), 1, 2, 1),
             # one free pencil for all eight families, each a restriction of it
-            (lambda: kernel_census(MaterialParams(E=1.0, sigma=0.3), build_rect_mesh(1, 1, 4, 4)), 3, 2),
+            (lambda: kernel_census(MaterialParams(E=1.0, sigma=0.3), build_rect_mesh(1, 1, 4, 4)), 3, 2, 1),
             # per level, one limit pencil (1 tabulation, 2 scatters) and per
             # delta a thin pencil (3, 2), the connecting system's two rules
             # and the resolvent load's rule: 2 levels x (1 + 3 x 6), 2 x (2 + 3 x 2)
-            (lambda: sweep_delta(SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2), num_clusters=2), 38, 16),
+            (
+                lambda: sweep_delta(SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2), num_clusters=2),
+                38,
+                16,
+                8,
+            ),
         ],
         ids=["morley_pencil", "rm_pencil", "korn", "korn_first_kind", "dirichlet_laplace", "kernel_census", "sweep_delta"],
     )
-    def test_tabulation_count(self, monkeypatch, build, tabulations, scatters):
+    def test_tabulation_count(self, monkeypatch, build, tabulations, scatters, scatter_calls):
         calls = {"element_batch": [], "assemble_from_local": []}
 
         def counting(fn):
@@ -495,4 +502,5 @@ class TestOneBatchPerRule:
                     monkeypatch.setattr(module, fn.__name__, counting(fn))
         build()
         assert len(calls["element_batch"]) == tabulations
-        assert len(calls["assemble_from_local"]) == scatters
+        assert len(calls["assemble_from_local"]) == scatter_calls
+        assert sum(len(args) - 1 for args in calls["assemble_from_local"]) == scatters

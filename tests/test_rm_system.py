@@ -165,9 +165,9 @@ class TestPencil:
         # an unconstrained dofmap, and restrict
         blocks, solved = [], []
 
-        def scatter(dofmap, local):
-            blocks.append(local.copy())
-            return assemble_from_local(dofmap, local)
+        def scatter(dofmap, *stacks):
+            blocks.extend(local.copy() for local in stacks)
+            return assemble_from_local(dofmap, *stacks)
 
         def solve(A, B, opts):
             solved.append((A, B))
