@@ -50,7 +50,6 @@ from .rm_system import (
     assemble_rm_pencil,
     interpolate_pair,
     kernel_count,
-    lame_coefficients,
     rigid_pair,
     rm_dofmap,
     solve_rm_source,
@@ -59,16 +58,12 @@ from .biharmonic import (
     LimitBc,
     assemble_biharmonic_pencil,
     map_limit_bc,
-    morley_interpolate,
-    solve_biharmonic_source,
 )
 from .thin_limit import (
     ConnectingSystem,
     assemble_limit_pencil,
     divgrad_consistency_gap,
-    energy_functional,
     limit_div_coefficient,
-    limit_rigid_pair,
     p2_dof_points,
     p2_evaluate,
     p2_interpolate,

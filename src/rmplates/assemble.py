@@ -68,13 +68,8 @@ def q1_ref_basis(points: np.ndarray):
 
 def quad_geometry(mesh: Mesh, quad: QuadratureRule):
     """Isoparametric geometry at quadrature points of all quad elements: x,
-    w, phi and the physical gradients; every sum runs from zero in index order."""
-    x, w, phi, grad = _quad_geometry(mesh, quad)
-    return x, w, phi, grad()
-
-
-def _quad_geometry(mesh: Mesh, quad: QuadratureRule):
-    """`quad_geometry` with a function in place of the gradients, which cost as much as the rest."""
+    w, phi and a function computing the physical gradients, which cost as
+    much as the rest; every sum runs from zero in index order."""
     phi, dphi = q1_ref_basis(quad.points)
     X = mesh.nodes[mesh.elements]  # (ne, 4, 2)
     node = [(X[:, i, 0, None], X[:, i, 1, None]) for i in range(4)]  # (ne, 1) per node and axis
@@ -181,7 +176,7 @@ def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None) -> 
     if quad is None:
         quad = default_rule(space)
     if space == SpaceKind.Q1_SCALAR:
-        x, w, phi, grad = _quad_geometry(mesh, quad)
+        x, w, phi, grad = quad_geometry(mesh, quad)
         return ElementBatch(x, w, np.broadcast_to(phi[None, :, :], w.shape + (4,)), grad)
     if space == SpaceKind.P2_1D:
         X = mesh.nodes[mesh.elements][..., 0]  # (ne, 2)

@@ -21,13 +21,12 @@ from enum import Enum
 
 import numpy as np
 
-from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch, mass_density
-from .eigensolve import sparse_solve
+from .assemble import Pencil, assemble_pencil, element_batch, mass_density
 from .errors import UnsupportedLimitError
 from .geometry import ElementKind, Mesh
 from .quadrature import triangle_rule
 from .rm_system import BcFamily
-from .spaces import MORLEY, build_dofmap, edge_normal, edge_table
+from .spaces import MORLEY, build_dofmap
 
 
 class LimitBc(str, Enum):
@@ -84,28 +83,3 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
     bend = (1.0 - sigma) * (H @ H.transpose(0, 2, 1)) + sigma * (lap[:, :, None] * lap[:, None, :])
     return assemble_pencil(mesh, dofmap, (pref * batch.w.sum(axis=1))[:, None, None] * bend, mass_density(batch))
 
-
-def solve_biharmonic_source(pencil: Pencil, f) -> np.ndarray:
-    """Solve A u = (f, phi_i) for a callable or constant source f; returns
-    the full Morley coefficient vector."""
-    batch = element_batch(pencil.mesh, MORLEY, triangle_rule(4))
-    fx = f(batch.x) if callable(f) else np.full(batch.w.shape, float(f))
-    load = assemble_load_from_local(pencil.dofmap, np.einsum("eq,eq,eqi->ei", batch.w, fx, batch.phi))
-    u = sparse_solve(pencil.A, pencil.dofmap.restrict(load))
-    return pencil.dofmap.expand(u)
-
-
-def morley_interpolate(mesh: Mesh, fn, grad_fn) -> np.ndarray:
-    """Morley interpolant: vertex values of fn, edge-midpoint normal
-    derivatives of grad_fn (with the global edge-normal convention)."""
-    edges, _ = edge_table(mesh)
-    vals = np.asarray(fn(mesh.nodes))
-    mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-    grads = np.asarray(grad_fn(mids))
-    normals = edge_normal(mesh, edges[:, 0], edges[:, 1])
-    return np.concatenate([vals, np.sum(grads * normals, axis=1)])
-
-
-def vertex_values(mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:
-    """Morley vertex dofs are nodal values; convenience slice."""
-    return coeffs[: mesh.n_nodes]

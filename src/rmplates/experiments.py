@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-import scipy.linalg
 
 from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density, strain_blocks
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
@@ -37,7 +36,6 @@ from .thin_limit import (
     ConnectingSystem,
     assemble_limit_pencil,
     p2_dof_points,
-    p2_evaluate,
     p2_interpolate,
     resolvent_gap,
     solve_limit_source,
@@ -149,11 +147,6 @@ def _morley_eigenvalues(level: int, params: MaterialParams, limit_bc, k: int) ->
     return solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=k)).eigenvalues
 
 
-def _biharmonic_reference(n: int, params: MaterialParams, limit_bc, k: int) -> np.ndarray:
-    """Richardson-extrapolated Morley eigenvalues at levels n/2 and n."""
-    return _richardson(*(_morley_eigenvalues(level, params, limit_bc, k) for level in (n // 2, n)))
-
-
 def _thickness_gaps(n: int, config: SweepConfig, reference: np.ndarray):
     """RM eigenvalue gaps to the biharmonic reference on an n x n mesh."""
     mesh = build_rect_mesh(1.0, 1.0, n, n)
@@ -172,6 +165,8 @@ def sweep_thickness(config: SweepConfig) -> dict:
     t0 = time.perf_counter()
     limit_bc = map_limit_bc(config.bc)  # raises for unsupported families
     n = config.mesh_n
+    if n % 4:
+        raise ValueError(f"mesh_n = {n}: the thickness sweep halves it twice, so it must be a multiple of 4")
     k = config.num_eigs
     # the references at n and n/2 share the n/2 level; each level is solved once
     lam = {level: _morley_eigenvalues(level, config.params, limit_bc, k) for level in (n // 4, n // 2, n)}
@@ -222,18 +217,18 @@ def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int):
     return groups
 
 
-def _delta_level(config: SweepConfig, nx: int, ny: int, f0, num_clusters: int):
+def _delta_level(config: SweepConfig, nx: int, ny: int, num_clusters: int):
     """All measured errors at one mesh level, one point per delta.  The limit
     pencil sees the profile only through g = f1 + f2, so it is made, its
-    eigenproblem solved and its source problem solved once."""
+    eigenproblem solved and its source problem solved once.  The data is
+    (F0, f0) = (0, sin(pi x)) on the level's own interval mesh."""
     spec = config.spec_at(config.values[0])
     interval = build_interval_mesh(*spec.base_interval, nx)
     limit_pencil = assemble_limit_pencil(interval, spec, config.params)
     # fine thin meshes sit near the floating-point floor of the residual
     # metric ||Ax - lam Bx||/||Ax||; 1e-8 keeps the solves honest there
     lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=num_clusters + 4, tol=1e-8))
-    if f0 is None:
-        f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
+    f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
     limit_solution = solve_limit_source(limit_pencil, *f0)
     return [
         _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution, num_clusters)
@@ -303,18 +298,16 @@ def _delta_point(
     }
 
 
-def sweep_delta(config: SweepConfig, f0=None, num_clusters: int = 3) -> dict:
+def sweep_delta(config: SweepConfig, num_clusters: int = 3) -> dict:
     """Resolvent gaps, clustered eigenvalue gaps and projection angles as the
     thin domain collapses.
 
-    `f0` is an optional pair (F0, f0) of P2 coefficient vectors on the
-    `mesh_n`-element base interval; the control level uses their restriction
-    to its own interval mesh.  The default is (0, sin(pi x)).
-
-    Each entry of `points` (the `mesh_n` level) and `points_control` (half
-    the mesh in each direction) holds, per limit cluster, `eig_gap_signed`,
-    the sum of `lam_i - lam_0` over the matched thin eigenvalues, and
-    `eig_gap_sums`, the sum of `|lam_i - lam_0|`.  The signed gaps of the two
+    The resolvent data is (F0, f0) = (0, sin(pi x)), interpolated on each
+    level's base interval.  Each entry of `points` (the `mesh_n` level) and
+    `points_control` (half the mesh in each direction, so `mesh_n` must be
+    even) holds, per limit cluster, `eig_gap_signed`, the sum of
+    `lam_i - lam_0` over the matched thin eigenvalues, and `eig_gap_sums`,
+    the sum of `|lam_i - lam_0|`.  The signed gaps of the two
     levels admit a Richardson step in h (`_richardson`).  `eig_gap_fits[j]`
     is the rate fit of cluster j's `eig_gap_sums` over `points`, claimed
     only when `points_control` reproduces them within `CONTROL_RTOL` and
@@ -323,17 +316,10 @@ def sweep_delta(config: SweepConfig, f0=None, num_clusters: int = 3) -> dict:
     """
     t0 = time.perf_counter()
     nx, ny = config.mesh_n, config.mesh_ny
-    f0_c = None
-    if f0 is not None:
-        base = config.spec_at(config.values[0]).base_interval
-        fine_interval = build_interval_mesh(*base, nx)
-        n_p2 = len(p2_dof_points(fine_interval))
-        if any(len(c) != n_p2 for c in f0):
-            raise ValueError(f"f0 vectors must have length {n_p2}, the P2 dof count of the {nx}-element interval")
-        coarse_points = p2_dof_points(build_interval_mesh(*base, nx // 2))
-        f0_c = tuple(p2_evaluate(fine_interval, c, coarse_points) for c in f0)
-    fine = _delta_level(config, nx, ny, f0, num_clusters)
-    coarse = _delta_level(config, nx // 2, max(ny // 2, 2), f0_c, num_clusters)
+    if nx % 2:
+        raise ValueError(f"mesh_n = {nx}: the control level halves it, so it must be even")
+    fine = _delta_level(config, nx, ny, num_clusters)
+    coarse = _delta_level(config, nx // 2, max(ny // 2, 2), num_clusters)
 
     res_gaps = [p["resolvent_gap"] for p in fine]
     res_gaps_c = [p["resolvent_gap"] for p in coarse]
@@ -394,13 +380,10 @@ def kernel_census(params: MaterialParams, mesh: Mesh) -> dict:
     }
 
 
-def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
+def korn_constant(mesh: Mesh) -> float:
     """Discrete second-Korn constant: largest eigenvalue of
     ( |D eta|^2 , |eps(eta)|^2 + |eta|^2 ).  It is 1/mu - 1 for the smallest
     eigenvalue mu of the definite pencil (B, A + B) of that pair (A, B).
-
-    With `first_kind`, the mass term is dropped and the quotient is maximized
-    over the L2-orthogonal complement of the rigid motions.
     """
     dofmap = build_dofmap(mesh, Q1_VECTOR2)
     batch = element_batch(mesh, Q1_SCALAR)
@@ -408,26 +391,9 @@ def korn_constant(mesh: Mesh, first_kind: bool = False) -> float:
     grad, mass = np.zeros((2,) + strain.shape)  # |D eta|^2 and |eta|^2: the scalar blocks per component
     grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
     mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
-    if not first_kind:
-        A, B = assemble_from_local(dofmap, grad, strain + mass)
-        mu = solve_gep_smallest(B, A + B, EigOptions(k=1)).eigenvalues[0]
-        return float(1.0 / mu - 1.0)
-
-    A, B, M = assemble_from_local(dofmap, grad, strain, mass)
-    nv = mesh.n_nodes
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    R = np.column_stack(
-        [
-            np.concatenate([np.ones(nv), np.zeros(nv)]),
-            np.concatenate([np.zeros(nv), np.ones(nv)]),
-            np.concatenate([y, -x]),
-        ]
-    )
-    C = scipy.linalg.null_space((R.T @ M).astype(float))
-    Ad = C.T @ A.toarray() @ C
-    Bd = C.T @ B.toarray() @ C
-    lam = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)
-    return float(lam[-1])
+    A, B = assemble_from_local(dofmap, grad, strain + mass)
+    mu = solve_gep_smallest(B, A + B, EigOptions(k=1)).eigenvalues[0]
+    return float(1.0 / mu - 1.0)
 
 
 def korn_sweep(config: SweepConfig) -> dict:

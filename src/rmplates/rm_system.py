@@ -66,13 +66,6 @@ class MaterialParams:
         return self.E * self.k / (2.0 * (1.0 + self.sigma) * self.t**2)
 
 
-def lame_coefficients(params: MaterialParams):
-    """mu1 = E / (2(1+sigma)),  mu2 = sigma E / (2(1-sigma^2))."""
-    mu1 = params.E / (2.0 * (1.0 + params.sigma))
-    mu2 = params.sigma * params.E / (2.0 * (1.0 - params.sigma**2))
-    return mu1, mu2
-
-
 class BcFamily(str, Enum):
     HARD_CLAMPED = "hard_clamped"
     SOFT_CLAMPED = "soft_clamped"

@@ -29,7 +29,7 @@ from .assemble import Pencil, assemble_pencil, element_batch, p2_ref_basis, poin
 from .eigensolve import sparse_solve
 from .geometry import ElementKind, Mesh, ThinDomainSpec
 from .quadrature import quad_rule, segment_rule
-from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, rm_load_vector, solve_rm_source
+from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, solve_rm_source
 from .spaces import P2_1D, Q1_SCALAR, build_dofmap, stack_dofmaps
 
 
@@ -91,12 +91,6 @@ def p2_evaluate(interval_mesh: Mesh, coeffs: np.ndarray, x) -> np.ndarray:
 
 def p2_interpolate(interval_mesh: Mesh, fn) -> np.ndarray:
     return np.asarray(fn(p2_dof_points(interval_mesh)), dtype=float)
-
-
-def limit_rigid_pair(interval_mesh: Mesh, a: float, b: float):
-    """(Phi, phi) = (a, a x + b) as P2 coefficients (exact for affine data)."""
-    pts = p2_dof_points(interval_mesh)
-    return np.full_like(pts, float(a)), a * pts + b
 
 
 def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: MaterialParams) -> Pencil:
@@ -188,22 +182,12 @@ class ConnectingSystem:
     def section_average(self, nodal: np.ndarray, x) -> np.ndarray:
         return self.section_integral(nodal, x) / self.section_height(x)
 
-    def section_average_of_function(self, fn, x) -> np.ndarray:
-        """Section average of a callable fn(x, y), by the same column-wise
-        trapezoid quadrature used for Q1 fields (exact for fields linear in
-        y per mesh row; reproduces y-constant functions identically)."""
-        idx, xi = _locate(self.xs, x)
-        y = (1 - xi) * self.Y[:, idx] + xi * self.Y[:, idx + 1]
-        v = np.array([fn(np.broadcast_to(x, yr.shape), yr) for yr in y])
-        integral = np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(y, axis=0), axis=0)
-        return integral / (y[-1] - y[0])
-
     def g_mesh(self, x) -> np.ndarray:
         """Section weight implied by the mesh (equals spec.g up to profile
         resampling at the x grid)."""
         return self.section_height(x) / self.delta
 
-    # -- averaging and extension -----------------------------------------
+    # -- averaging --------------------------------------------------------
     def average_to_p2(self, nodal: np.ndarray) -> np.ndarray:
         """Section averages sampled at the P2 dof points of the interval mesh."""
         return self.section_average(nodal, p2_dof_points(self.interval_mesh))
@@ -216,13 +200,6 @@ class ConnectingSystem:
             self.average_to_p2(pair.beta[nv:]),
             self.average_to_p2(pair.w),
         )
-
-    def extend_nodal(self, Phi_coeffs: np.ndarray, phi_coeffs: np.ndarray) -> FieldPair:
-        """Nodal Q1 interpolant of the extension (Phi(x), 0, phi(x))."""
-        x = self.thin_mesh.nodes[:, 0]
-        bx = p2_evaluate(self.interval_mesh, Phi_coeffs, x)
-        w = p2_evaluate(self.interval_mesh, phi_coeffs, x)
-        return FieldPair(np.concatenate([bx, np.zeros_like(bx)]), w)
 
     # -- quadrature-level fields ------------------------------------------
     def q1_at_rule(self, nodal: np.ndarray) -> np.ndarray:
@@ -257,24 +234,15 @@ class ConnectingSystem:
         val = self.integrate_thin(Phi**2 + phi**2) / self.delta
         return float(np.sqrt(val))
 
-    def hdelta_gap_norm(
-        self, pair: FieldPair, Phi_coeffs: np.ndarray, phi_coeffs: np.ndarray, scale_thin: bool = False
-    ) -> float:
-        """H_delta distance between a thin pair and an extended limit pair.
-
-        By default all blocks are measured in the plain L2(delta^{-d}) norm
-        of the connecting-system space.  `scale_thin` divides the thin
-        rotation block by delta instead; that stronger norm does NOT vanish
-        along the limit, because the transverse rotation approaches the
-        strain-relaxation profile d(beta_y)/dy -> q_jj * y with q_jj =
-        -sigma div Phi / ((1-sigma) + d sigma), so beta_y is exactly of
-        order delta.  The scaled variant is reported as a diagnostic only.
-        """
+    def hdelta_gap_norm(self, pair: FieldPair, Phi_coeffs: np.ndarray, phi_coeffs: np.ndarray) -> float:
+        """H_delta distance between a thin pair and an extended limit pair,
+        every block in the plain L2(delta^{-d}) norm.  The thin rotation block
+        is not divided by delta: beta_y tends to the strain-relaxation profile
+        q_jj * y (see `qjj_value`), so it is of order delta and that stronger
+        norm would not vanish along the limit."""
         nv = self.thin_mesh.n_nodes
         bI = self.q1_at_rule(pair.beta[:nv]) - self.p2x_at_rule(Phi_coeffs)
         bII = self.q1_at_rule(pair.beta[nv:])
-        if scale_thin:
-            bII = bII / self.delta
         wg = self.q1_at_rule(pair.w) - self.p2x_at_rule(phi_coeffs)
         val = self.integrate_thin(bI**2 + bII**2 + wg**2) / self.delta
         return float(np.sqrt(val))
@@ -297,7 +265,7 @@ class ConnectingSystem:
 
 def _extended_data(interval_mesh: Mesh, F0_coeffs: np.ndarray, f0_coeffs: np.ndarray):
     """Callables (F, f) evaluating the extension of interval data (F0, 0, f0)
-    at thin-domain points, for `rm_load_vector`."""
+    at thin-domain points, for `solve_rm_source`."""
 
     def F(x):
         vals = p2_evaluate(interval_mesh, F0_coeffs, x[..., 0].ravel()).reshape(x.shape[:-1])
@@ -316,7 +284,6 @@ def resolvent_gap(
     f0_coeffs: np.ndarray,
     thin_pencil: Pencil = None,
     limit_solution=None,
-    scale_thin: bool = False,
     factor=None,
 ) -> float:
     """Relative H_delta distance between the thin resolvent applied to
@@ -327,7 +294,7 @@ def resolvent_gap(
     building the thin load.  `limit_solution` is the limit pair (Phi0, phi0)
     of `solve_limit_source` for this data, which does not depend on delta;
     `factor` is an LU of `thin_pencil.A` for the thin solve (see
-    `sparse_solve`).  See `hdelta_gap_norm` for `scale_thin`.
+    `sparse_solve`).  The distance is `hdelta_gap_norm`.
     """
     if thin_pencil is None:
         thin_pencil = assemble_rm_pencil(system.thin_mesh, params, BcFamily.FREE)
@@ -336,33 +303,9 @@ def resolvent_gap(
         limit_solution = solve_limit_source(limit_pencil, F0_coeffs, f0_coeffs)
 
     pair = solve_rm_source(thin_pencil, *_extended_data(system.interval_mesh, F0_coeffs, f0_coeffs), factor)
-    gap = system.hdelta_gap_norm(pair, *limit_solution, scale_thin=scale_thin)
+    gap = system.hdelta_gap_norm(pair, *limit_solution)
     denom = system.h0_norm(F0_coeffs, f0_coeffs)
     if denom == 0:
         raise ValueError("data must be nonzero")
     return gap / denom
 
-
-def energy_functional(
-    pencil: Pencil,
-    pair: FieldPair,
-    F0_coeffs: np.ndarray = None,
-    f0_coeffs: np.ndarray = None,
-    system: ConnectingSystem = None,
-    homogeneous: bool = False,
-) -> float:
-    """Thin-domain energy 1/2 a_shifted(pair, pair) - load(pair), times delta^{-d}.
-
-    The load pairs the extension of (F0, f0) against the pair with the same
-    (t^2/12 F, f) weighting as the source solve, so the solve is exactly the
-    minimizer of this functional over the discrete space.  With
-    `homogeneous`, the load term is dropped.
-    """
-    x = pencil.dofmap.restrict(pair.concat())
-    d = system.spec.d if system is not None else 1
-    delta = system.delta if system is not None else pencil.mesh.meta.get("delta", 1.0)
-    val = 0.5 * float(x @ (pencil.A @ x))
-    if not homogeneous and f0_coeffs is not None:
-        load = rm_load_vector(pencil, *_extended_data(system.interval_mesh, F0_coeffs, f0_coeffs))
-        val -= float(load @ x)
-    return val / delta**d

@@ -9,17 +9,20 @@ from numpy.testing import assert_allclose
 
 from rmplates import (
     BcFamily,
+    ConnectingSystem,
     LimitBc,
     MaterialParams,
     assemble_biharmonic_pencil,
     build_interval_mesh,
     build_rect_mesh,
+    build_thin_mesh,
     emit_report,
     fit_rate,
     kernel_census,
     korn_constant,
     p2_interpolate,
     poincare_check,
+    resolvent_gap,
     solve_gep_smallest,
     sweep_delta,
     sweep_thickness,
@@ -142,15 +145,6 @@ class TestKorn:
         assert c16 >= 3.0 and c32 >= 3.0
         assert abs(c32 - c16) / c16 <= 0.05
 
-    def test_first_kind_constant(self):
-        # |eps|^2 <= |D|^2 pointwise, so the quotient is at least 1; the
-        # discrete constant on the rigid-free complement converges slowly
-        # from below, so only coarse stability is asserted
-        c8 = korn_constant(build_rect_mesh(1, 1, 8, 8), first_kind=True)
-        c16 = korn_constant(build_rect_mesh(1, 1, 16, 16), first_kind=True)
-        assert c8 > 1.0 and c16 > c8
-        assert (c16 - c8) / c8 <= 0.2
-
     def test_thin_sweep_increases(self):
         cfg = SweepConfig(kind="korn", values=(0.4, 0.2, 0.1), mesh_n=32, mesh_ny=6)
         rep = korn_sweep(cfg)
@@ -189,8 +183,16 @@ class TestSweeps:
         rep = sweep_thickness(cfg)
         assert sorted(levels) == [2, 4, 8]
         monkeypatch.undo()
-        reference = experiments._biharmonic_reference(8, cfg.params, LimitBc.CLAMPED, 2)
+        lam = [experiments._morley_eigenvalues(level, cfg.params, LimitBc.CLAMPED, 2) for level in (4, 8)]
+        reference = experiments._richardson(*lam)
         assert rep["reference_eigenvalues"] == reference.tolist()
+
+    def test_thickness_sweep_rejects_mesh_it_cannot_halve_twice(self):
+        # mesh_n = 10 would solve Morley levels 2, 5 and 10, and the control
+        # reference would be a Richardson step between h = 1/2 and 1/5
+        cfg = SweepConfig(kind="thickness", values=(0.2, 0.1, 0.05), mesh_n=10, num_eigs=2, bc=BcFamily.HARD_CLAMPED)
+        with pytest.raises(ValueError, match="mesh_n = 10"):
+            sweep_thickness(cfg)
 
     def test_thickness_sweep_rejects_nonstandard_limit(self):
         from rmplates.errors import UnsupportedLimitError
@@ -220,17 +222,24 @@ class TestSweeps:
             assert (fit is None) == (not agree)
 
     def test_delta_sweep_explicit_load_matches_default(self):
-        # an explicit f0 lives on the fine interval; the control level must
-        # restrict it to its own mesh rather than reuse the fine coefficients
+        # the sweep's data is (0, sin(pi x)) interpolated on each level's own
+        # interval mesh, the control level included
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
-        fine = build_interval_mesh(0.0, 1.0, 16)
-        f0 = p2_interpolate(fine, lambda x: np.sin(np.pi * x))
-        default = sweep_delta(cfg, num_clusters=2)
-        explicit = sweep_delta(cfg, f0=(np.zeros_like(f0), f0), num_clusters=2)
-        assert explicit["resolvent_gaps"] == default["resolvent_gaps"]
-        control = [p["resolvent_gap"] for p in explicit["points_control"]]
-        assert control == [p["resolvent_gap"] for p in default["points_control"]]
-        assert explicit["control_ok"] == default["control_ok"]
+        rep = sweep_delta(cfg, num_clusters=2)
+        for level, nx, ny in (("points", 16, 2), ("points_control", 8, 2)):
+            interval = build_interval_mesh(0.0, 1.0, nx)
+            f0 = p2_interpolate(interval, lambda x: np.sin(np.pi * x))
+            for point in rep[level]:
+                spec = cfg.spec_at(point["delta"])
+                system = ConnectingSystem(build_thin_mesh(spec, nx, ny), interval, spec)
+                explicit = resolvent_gap(system, cfg.params, np.zeros_like(f0), f0)
+                assert_allclose(point["resolvent_gap"], explicit, rtol=1e-9)
+
+    def test_delta_sweep_rejects_odd_mesh(self):
+        # the control level is documented as half the mesh; 15 would give 7
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=15, mesh_ny=2)
+        with pytest.raises(ValueError, match="mesh_n = 15"):
+            sweep_delta(cfg, num_clusters=2)
 
     def test_delta_point_factors_thin_matrix_once(self, monkeypatch):
         # per delta point one LU of the thin A serves the source solve and
@@ -287,12 +296,6 @@ class TestSweeps:
             for got, want in ((res.eigenvalues, ref.eigenvalues), (res.eigenvectors, ref.eigenvectors), (res.residuals, ref.residuals)):
                 assert np.array_equal(got, want)
             assert {k: v for k, v in res.info.items() if k != "factor_s"} == {k: v for k, v in ref.info.items() if k != "factor_s"}
-
-    def test_delta_sweep_rejects_wrong_load_length(self):
-        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
-        f0 = np.ones(17)
-        with pytest.raises(ValueError, match="length 33"):
-            sweep_delta(cfg, f0=(f0, f0), num_clusters=2)
 
     def test_delta_sweep_trapezoid_convergence_only(self):
         # general profiles are outside the cylinder rate theorem: assert

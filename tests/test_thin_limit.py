@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rmplates import (
@@ -12,9 +14,7 @@ from rmplates import (
     build_thin_mesh,
     constant_profile_spec,
     divgrad_consistency_gap,
-    energy_functional,
     limit_div_coefficient,
-    limit_rigid_pair,
     p2_dof_points,
     p2_evaluate,
     p2_interpolate,
@@ -24,8 +24,8 @@ from rmplates import (
 )
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.geometry import PiecewiseLinear, ThinDomainSpec
-from rmplates.rm_system import FieldPair, solve_rm_source
-from rmplates.thin_limit import solve_limit_source
+from rmplates.rm_system import FieldPair, rm_load_vector, solve_rm_source
+from rmplates.thin_limit import _extended_data, solve_limit_source
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -87,7 +87,8 @@ class TestLimitPencil:
     def test_rigid_pair_unit_eigenpair(self):
         mesh = build_interval_mesh(0, 1, 12)
         pen = assemble_limit_pencil(mesh, trapezoid_spec(0.1), PARAMS)
-        Phi, phi = limit_rigid_pair(mesh, -0.7, 0.4)
+        pts = p2_dof_points(mesh)
+        Phi, phi = np.full_like(pts, -0.7), -0.7 * pts + 0.4
         x = np.concatenate([Phi, phi])
         r = pen.A @ x - pen.B @ x
         assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(x).max())
@@ -151,6 +152,31 @@ class TestConnectingSystem:
             rhs = cs.adjoint_rhs(u, v)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        kinks=st.lists(st.floats(0.05, 0.95), max_size=3, unique=True),
+        heights=st.lists(st.floats(0.05, 1.0), min_size=10, max_size=10),
+        delta=st.floats(0.01, 0.5),
+        nx=st.integers(2, 12),
+        ny=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identities_on_random_profiles(self, kinks, heights, delta, nx, ny, seed):
+        # both identities are exact at the quadrature level for every
+        # positive piecewise-linear profile, not only the two specs above
+        xs = np.array([0.0, *sorted(kinks), 1.0])
+        f1, f2 = np.array(heights[: len(xs)]), np.array(heights[5 : 5 + len(xs)])
+        spec = ThinDomainSpec((0.0, 1.0), PiecewiseLinear(xs, f1), PiecewiseLinear(xs, f2), delta)
+        cs = make_system(spec, nx, ny)
+        rng = np.random.default_rng(seed)
+        n = len(p2_dof_points(cs.interval_mesh))
+        Phi, phi = rng.standard_normal(n), rng.standard_normal(n)
+        b = cs.h0_norm(Phi, phi)
+        assert abs(cs.hdelta_norm_extended(Phi, phi) - b) <= 1e-12 * b
+        u = rng.standard_normal(cs.thin_mesh.n_nodes)
+        lhs, rhs = cs.adjoint_lhs(u, phi), cs.adjoint_rhs(u, phi)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
     def test_average_of_constant(self):
         cs = make_system(trapezoid_spec(0.3))
         got = cs.average_to_p2(np.full(cs.thin_mesh.n_nodes, 2.5))
@@ -167,22 +193,15 @@ class TestConnectingSystem:
         got = cs.section_average(vals, cs.xs)
         assert_allclose(got, cs.xs**2, atol=1e-13)
 
-    def test_average_of_exact_extension_is_identity(self):
-        cs = make_system(trapezoid_spec(0.25))
-        rng = np.random.default_rng(3)
-        u0 = rng.standard_normal(len(p2_dof_points(cs.interval_mesh)))
-        pts = p2_dof_points(cs.interval_mesh)
-        got = cs.section_average_of_function(
-            lambda x, y: p2_evaluate(cs.interval_mesh, u0, x), pts
-        )
-        assert_allclose(got, u0, atol=1e-12)
-
     def test_average_of_nodal_extension_exact_at_vertices(self):
         cs = make_system(trapezoid_spec(0.25))
         rng = np.random.default_rng(5)
         n = len(p2_dof_points(cs.interval_mesh))
         Phi, phi = rng.standard_normal(n), rng.standard_normal(n)
-        pair = cs.extend_nodal(Phi, phi)
+        # nodal Q1 interpolant of the extension (Phi(x), 0, phi(x))
+        x = cs.thin_mesh.nodes[:, 0]
+        bx = p2_evaluate(cs.interval_mesh, Phi, x)
+        pair = FieldPair(np.concatenate([bx, np.zeros_like(bx)]), p2_evaluate(cs.interval_mesh, phi, x))
         Phi_bar, bII_bar, phi_bar = cs.average_pair(pair)
         nv = cs.interval_mesh.n_nodes
         assert_allclose(Phi_bar[:nv], Phi[:nv], atol=1e-12)
@@ -217,7 +236,8 @@ class TestResolventGap:
 
     def test_rigid_data_gap_tiny(self):
         cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2), nx=24, ny=3)
-        F, f = limit_rigid_pair(cs.interval_mesh, 0.8, -0.3)
+        pts = p2_dof_points(cs.interval_mesh)
+        F, f = np.full_like(pts, 0.8), 0.8 * pts - 0.3
         gap = resolvent_gap(cs, PARAMS, F, f)
         assert gap < 1e-10
 
@@ -295,7 +315,7 @@ class TestScaledGapFloor:
         f0 = p2_interpolate(cs.interval_mesh, lambda x: np.sin(np.pi * x))
         F0 = np.zeros_like(f0)
         lp = assemble_limit_pencil(cs.interval_mesh, cs.spec, PARAMS)
-        Phi0, _ = solve_limit_source(lp, F0, f0)
+        Phi0, phi0 = solve_limit_source(lp, F0, f0)
 
         batch = element_batch(cs.interval_mesh, P2_1D)
         e2g = lp.dofmap.aux["blocks"][0].element_to_global
@@ -303,20 +323,30 @@ class TestScaledGapFloor:
         q_norm = np.sqrt(np.sum(batch.w * (PARAMS.sigma * dPhi) ** 2))
         floor = q_norm / np.sqrt(12.0) / cs.h0_norm(F0, f0)
 
-        scaled = resolvent_gap(cs, PARAMS, F0, f0, scale_thin=True)
+        # the distance of `resolvent_gap` with the thin rotation block divided by delta
+        pen = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
+        pair = solve_rm_source(pen, *_extended_data(cs.interval_mesh, F0, f0))
+        nv = cs.thin_mesh.n_nodes
+        bI = cs.q1_at_rule(pair.beta[:nv]) - cs.p2x_at_rule(Phi0)
+        bII = cs.q1_at_rule(pair.beta[nv:]) / delta
+        wg = cs.q1_at_rule(pair.w) - cs.p2x_at_rule(phi0)
+        scaled = np.sqrt(cs.integrate_thin(bI**2 + bII**2 + wg**2) / delta) / cs.h0_norm(F0, f0)
         plain = resolvent_gap(cs, PARAMS, F0, f0)
         assert abs(scaled - floor) / floor < 5e-3
         assert plain < 0.1 * scaled
 
 
-class TestEnergyFunctional:
-    def test_zero_pair_zero_energy(self):
-        cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2), nx=12, ny=3)
-        pen = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
-        nv = cs.thin_mesh.n_nodes
-        pair = FieldPair(np.zeros(2 * nv), np.zeros(nv))
-        assert energy_functional(pen, pair, system=cs) == 0.0
+def energy(pen, pair, delta, load=None):
+    """Thin-domain energy 1/2 a_shifted(pair, pair) - load(pair), times
+    delta^{-d} (d = 1); the source solve is its minimizer."""
+    x = pen.dofmap.restrict(pair.concat())
+    val = 0.5 * float(x @ (pen.A @ x))
+    if load is not None:
+        val -= float(load @ x)
+    return val / delta
 
+
+class TestEnergyFunctional:
     def test_homogeneous_coercivity(self):
         cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2), nx=12, ny=3)
         pen = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
@@ -326,7 +356,7 @@ class TestEnergyFunctional:
         c = min(PARAMS.t**2 / 24.0, 0.5)
         for _ in range(20):
             pair = FieldPair(rng.standard_normal(2 * nv), rng.standard_normal(nv))
-            hom = energy_functional(pen, pair, system=cs, homogeneous=True)
+            hom = energy(pen, pair, cs.delta)
             norm2 = cs.hdelta_gap_norm(pair, zeros, zeros) ** 2
             assert hom >= c * norm2 - 1e-12 * max(1.0, norm2)
 
@@ -334,20 +364,15 @@ class TestEnergyFunctional:
         cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2), nx=16, ny=3)
         pen = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
         f0 = p2_interpolate(cs.interval_mesh, lambda x: np.sin(np.pi * x))
-        F0 = np.zeros_like(f0)
+        data = _extended_data(cs.interval_mesh, np.zeros_like(f0), f0)
+        load = rm_load_vector(pen, *data)
 
-        def fx(x):
-            return np.zeros(x.shape[:-1] + (2,))
-
-        def fw(x):
-            return p2_evaluate(cs.interval_mesh, f0, x[..., 0].ravel()).reshape(x.shape[:-1])
-
-        sol = solve_rm_source(pen, fx, fw)
-        e_min = energy_functional(pen, sol, F0, f0, system=cs)
+        sol = solve_rm_source(pen, *data)
+        e_min = energy(pen, sol, cs.delta, load)
         rng = np.random.default_rng(7)
         nv = cs.thin_mesh.n_nodes
         for _ in range(10):
             other = FieldPair(
                 sol.beta + 0.1 * rng.standard_normal(2 * nv), sol.w + 0.1 * rng.standard_normal(nv)
             )
-            assert energy_functional(pen, other, F0, f0, system=cs) > e_min
+            assert energy(pen, other, cs.delta, load) > e_min
