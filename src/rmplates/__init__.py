@@ -21,6 +21,7 @@ from .geometry import (
     load_mesh,
     mesh_from_dict,
     mesh_to_dict,
+    profile_spec,
     rescale_to_reference,
     save_mesh,
     split_quads,
@@ -72,7 +73,6 @@ from .thin_limit import (
     solve_limit_source,
 )
 from .experiments import (
-    RateFit,
     SweepConfig,
     emit_report,
     fit_rate,

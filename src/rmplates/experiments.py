@@ -22,12 +22,12 @@ from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
 from .eigensolve import EigOptions, _b_orthonormalize, clusters, factorize, principal_angles, solve_gep_smallest
 from .geometry import (
     Mesh,
-    PiecewiseLinear,
     ThinDomainSpec,
     build_interval_mesh,
     build_rect_mesh,
     build_thin_mesh,
     constant_profile_spec,
+    profile_spec,
     split_quads,
 )
 from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, at_one, kernel_count, rm_dofmap
@@ -46,22 +46,24 @@ CONTROL_RTOL = 0.20
 
 DEFAULT_PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
+#: limit eigenvalue clusters (beyond the kernel) that the delta-sweep tracks
+DELTA_CLUSTERS = 3
 
-@dataclass
-class RateFit:
-    """Least-squares slope of log(error) against log(parameter)."""
-
-    slope: float
-    intercept: float
-    r2: float
-    points: list
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept, "r2": self.r2, "points": self.points}
+#: the `SweepConfig` keys that each kind of sweep reads; a report echoes
+#: these and the command line rejects any other key
+CONFIG_KEYS = {
+    "thickness": ("values", "mesh_n", "num_eigs", "params", "bc"),
+    "delta": ("values", "mesh_n", "mesh_ny", "params", "profile"),
+    "kernel": ("mesh_n", "params"),
+    "korn": ("values", "mesh_n", "mesh_ny", "profile"),
+    "poincare": ("values", "mesh_n", "mesh_ny"),
+}
 
 
-def fit_rate(points) -> RateFit:
-    """Ordinary least squares on the log-log cloud; needs >= 3 positive errors."""
+def fit_rate(points) -> dict:
+    """Ordinary least squares on the log-log cloud; needs >= 3 positive errors.
+    Returns the `slope`, `intercept` and `r2` of log(error) against
+    log(parameter), and the fitted `points`."""
     pts = [(float(p), float(e)) for p, e in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a rate fit")
@@ -75,14 +77,14 @@ def fit_rate(points) -> RateFit:
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(float(coef[0]), float(coef[1]), r2, pts)
+    return {"slope": float(coef[0]), "intercept": float(coef[1]), "r2": r2, "points": pts}
 
 
 @dataclass
 class SweepConfig:
     """Sweep settings; `values` must be strictly decreasing."""
 
-    kind: str  # thickness | delta | korn | kernel | poincare
+    kind: str  # a key of CONFIG_KEYS
     values: tuple = ()
     mesh_n: int = 64
     mesh_ny: int = 8
@@ -90,9 +92,10 @@ class SweepConfig:
     params: MaterialParams = field(default_factory=lambda: DEFAULT_PARAMS)
     bc: BcFamily = BcFamily.HARD_CLAMPED
     profile: dict = None  # {"x": [...], "f1": [...], "f2": [...]}; None = cylinder
-    out: str = None
 
     def __post_init__(self):
+        if self.kind not in CONFIG_KEYS:
+            raise ValueError(f"sweep kind {self.kind!r} is not one of {sorted(CONFIG_KEYS)}")
         vals = tuple(float(v) for v in self.values)
         if len(vals) >= 2 and np.any(np.diff(vals) >= 0):
             raise ValueError("sweep values must be strictly decreasing")
@@ -101,18 +104,13 @@ class SweepConfig:
     def spec_at(self, delta: float) -> ThinDomainSpec:
         if self.profile is None:
             return constant_profile_spec(0.0, 1.0, 0.5, delta)
-        xs = np.asarray(self.profile["x"], dtype=float)
-        return ThinDomainSpec(
-            (xs[0], xs[-1]),
-            PiecewiseLinear(xs, np.asarray(self.profile["f1"], dtype=float)),
-            PiecewiseLinear(xs, np.asarray(self.profile["f2"], dtype=float)),
-            delta,
-        )
+        return profile_spec(self.profile, delta)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["params"] = {k: getattr(self.params, k) for k in ("E", "sigma", "k", "t")}
-        d["bc"] = self.bc.value if isinstance(self.bc, BcFamily) else self.bc
+        """The keys that this kind of sweep reads (`CONFIG_KEYS`), as JSON values."""
+        d = {key: value for key, value in asdict(self).items() if key in CONFIG_KEYS[self.kind]}
+        if "bc" in d:
+            d["bc"] = BcFamily(self.bc).value
         return d
 
 
@@ -192,7 +190,7 @@ def sweep_thickness(config: SweepConfig) -> dict:
         "gaps": gaps.tolist(),
         "gaps_control": gaps_c.tolist(),
         "relative_final_gaps": rel_final,
-        "fit": fit.to_dict() if fit else None,
+        "fit": fit,
         "per_eig_monotone": monotone,
         "control_ok": control_ok,
         "rate_claimed": fit is not None,
@@ -217,7 +215,7 @@ def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int):
     return groups
 
 
-def _delta_level(config: SweepConfig, nx: int, ny: int, num_clusters: int):
+def _delta_level(config: SweepConfig, nx: int, ny: int):
     """All measured errors at one mesh level, one point per delta.  The limit
     pencil sees the profile only through g = f1 + f2, so it is made, its
     eigenproblem solved and its source problem solved once.  The data is
@@ -227,18 +225,15 @@ def _delta_level(config: SweepConfig, nx: int, ny: int, num_clusters: int):
     limit_pencil = assemble_limit_pencil(interval, spec, config.params)
     # fine thin meshes sit near the floating-point floor of the residual
     # metric ||Ax - lam Bx||/||Ax||; 1e-8 keeps the solves honest there
-    lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=num_clusters + 4, tol=1e-8))
+    lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4, tol=1e-8))
     f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
     limit_solution = solve_limit_source(limit_pencil, *f0)
     return [
-        _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution, num_clusters)
-        for delta in config.values
+        _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution) for delta in config.values
     ]
 
 
-def _delta_point(
-    config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, limit_solution, num_clusters: int
-):
+def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, limit_solution):
     """All measured errors for one delta against the level's limit pencil,
     its eigenpairs and its source solution.  The thin A is factored once:
     the source solve and the Lanczos run share the LU."""
@@ -249,7 +244,7 @@ def _delta_point(
     factor = factorize(thin_pencil.A)
     res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_solution, factor=factor)
 
-    groups = _nonunit_clusters(lim.eigenvalues, num_clusters)
+    groups = _nonunit_clusters(lim.eigenvalues, DELTA_CLUSTERS)
     need = 3 + sum(len(c) for c in groups) + 6
     thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need, tol=1e-8), factor)
 
@@ -298,14 +293,15 @@ def _delta_point(
     }
 
 
-def sweep_delta(config: SweepConfig, num_clusters: int = 3) -> dict:
+def sweep_delta(config: SweepConfig) -> dict:
     """Resolvent gaps, clustered eigenvalue gaps and projection angles as the
     thin domain collapses.
 
     The resolvent data is (F0, f0) = (0, sin(pi x)), interpolated on each
     level's base interval.  Each entry of `points` (the `mesh_n` level) and
-    `points_control` (half the mesh in each direction, so `mesh_n` must be
-    even) holds, per limit cluster, `eig_gap_signed`, the sum of
+    `points_control` (half the mesh in each direction, so `mesh_n` and
+    `mesh_ny` must be even) holds, per tracked limit cluster
+    (`DELTA_CLUSTERS`), `eig_gap_signed`, the sum of
     `lam_i - lam_0` over the matched thin eigenvalues, and `eig_gap_sums`,
     the sum of `|lam_i - lam_0|`.  The signed gaps of the two
     levels admit a Richardson step in h (`_richardson`).  `eig_gap_fits[j]`
@@ -316,10 +312,11 @@ def sweep_delta(config: SweepConfig, num_clusters: int = 3) -> dict:
     """
     t0 = time.perf_counter()
     nx, ny = config.mesh_n, config.mesh_ny
-    if nx % 2:
-        raise ValueError(f"mesh_n = {nx}: the control level halves it, so it must be even")
-    fine = _delta_level(config, nx, ny, num_clusters)
-    coarse = _delta_level(config, nx // 2, max(ny // 2, 2), num_clusters)
+    for name, n in (("mesh_n", nx), ("mesh_ny", ny)):
+        if n % 2:
+            raise ValueError(f"{name} = {n}: the control level halves it, so it must be even")
+    fine = _delta_level(config, nx, ny)
+    coarse = _delta_level(config, nx // 2, ny // 2)
 
     res_gaps = [p["resolvent_gap"] for p in fine]
     res_gaps_c = [p["resolvent_gap"] for p in coarse]
@@ -334,14 +331,14 @@ def sweep_delta(config: SweepConfig, num_clusters: int = 3) -> dict:
     for j in range(eig_tables.shape[1]):
         col = eig_tables[:, j]
         claimed = np.all(col > 0) and _control_ok(col, eig_tables_c[:, j])
-        eig_fits.append(fit_rate(list(zip(config.values, col))).to_dict() if claimed else None)
+        eig_fits.append(fit_rate(list(zip(config.values, col))) if claimed else None)
     return {
         "kind": "delta",
         "parameter_values": list(config.values),
         "points": fine,
         "points_control": coarse,
         "resolvent_gaps": res_gaps,
-        "fit": fit.to_dict() if fit else None,
+        "fit": fit,
         "eig_gap_fits": eig_fits,
         "relative_eig_gaps": rel_eig.tolist(),
         "eig_gaps_monotone_per_cluster": [bool(np.all(np.diff(eig_tables[:, j]) < 0)) for j in range(eig_tables.shape[1])],
@@ -452,7 +449,7 @@ def poincare_check(delta_values, mesh_n: int = 32, mesh_ny: int = 8) -> dict:
     lam_sq = float(_richardson(np.array([lam_c]), np.array([lam_f]))[0])
     ref = 2.0 * np.pi**2
     checks = {
-        "slope_steep": fit.slope <= -1.9,
+        "slope_steep": fit["slope"] <= -1.9,
         "square_matches": abs(lam_sq - ref) / ref <= 0.01,
         "all_positive": all(e > 0 for e in eigs),
     }
@@ -460,7 +457,7 @@ def poincare_check(delta_values, mesh_n: int = 32, mesh_ny: int = 8) -> dict:
         "kind": "poincare",
         "parameter_values": list(delta_values),
         "eigenvalues": eigs,
-        "fit": fit.to_dict(),
+        "fit": fit,
         "square_extrapolated": lam_sq,
         "square_reference": ref,
         "checks": checks,

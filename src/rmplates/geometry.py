@@ -137,6 +137,14 @@ def constant_profile_spec(a: float, b: float, half_width: float, delta: float) -
     )
 
 
+def profile_spec(profile: dict, delta: float, interval=None, d: int = 1) -> ThinDomainSpec:
+    """Thin domain of a `{"x", "f1", "f2"}` profile (breakpoints and the two
+    piecewise-linear half-widths) over `interval`, by default the span of `x`."""
+    xs = np.asarray(profile["x"], dtype=float)
+    f1, f2 = (PiecewiseLinear(xs, np.asarray(profile[key], dtype=float)) for key in ("f1", "f2"))
+    return ThinDomainSpec(interval or (xs[0], xs[-1]), f1, f2, delta, d)
+
+
 def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     """Quad4 mesh of (0, lx) x (0, ly) with nx*ny cells, boundary tagged whole."""
     if lx <= 0 or ly <= 0:

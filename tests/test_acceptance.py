@@ -133,7 +133,7 @@ def test_criterion_3_thickness_convergence():
         # the 2% bound applies to the fitted (first) eigenvalue family
         assert gaps[-1, 0] / reference[0] <= 0.02
         fit = fit_rate(list(zip(cfg.values, gaps[:, 0])))
-        assert fit.slope >= 0.9
+        assert fit["slope"] >= 0.9
         assert time.perf_counter() - start < 300.0
 
 

@@ -1,10 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 import scipy.io
 
 from rmplates import BcFamily, MaterialParams, assemble_rm_pencil, build_rect_mesh, load_mesh, save_mesh
-from rmplates.cli import main
+from rmplates.cli import SWEEPS, main
+from rmplates.experiments import CONFIG_KEYS, SweepConfig
+
+PROFILE = {"x": [0.0, 1.0], "f1": [0.5, 0.5], "f2": [0.5, 1.0]}
 
 
 def test_solve_rm_end_to_end(tmp_path):
@@ -103,3 +108,88 @@ def test_sweep_t_writes_report(tmp_path):
     assert code == 0
     assert (tmp_path / "rep" / "report.json").exists()
     assert (tmp_path / "rep" / "report.csv").exists()
+
+
+def test_sweep_delta_writes_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"values": [0.4, 0.2, 0.1], "mesh_n": 16, "mesh_ny": 2}))
+    assert main(["sweep-delta", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+    rep = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert rep["parameter_values"] == [0.4, 0.2, 0.1]
+    assert all(len(p["eig_gap_sums"]) == 3 for p in rep["points"])
+    # the echo holds what the delta-sweep read: no boundary family, no eigenvalue count
+    assert list(rep["config"]) == ["values", "mesh_n", "mesh_ny", "params", "profile"]
+    assert (tmp_path / "rep" / "report.csv").exists()
+
+
+def test_korn_subcommand(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"values": [0.4, 0.2, 0.1], "mesh_n": 16, "mesh_ny": 4}))
+    assert main(["korn", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+    rep = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert rep["checks"] == {"strictly_increasing": True, "square_at_least_rotation_bound": True}
+    assert list(rep["config"]) == ["values", "mesh_n", "mesh_ny", "profile"]
+
+
+@pytest.mark.parametrize(
+    "command,config,unread",
+    [
+        ("sweep-delta", {"values": [0.4, 0.2, 0.1], "mesh_n": 16, "mesh_ny": 2, "bc": "hard_clamped"}, "bc"),
+        ("sweep-delta", {"values": [0.4, 0.2, 0.1], "mesh_n": 16, "mesh_ny": 2, "num_eigs": 9}, "num_eigs"),
+        ("sweep-t", {"values": [0.2, 0.1, 0.05], "mesh_n": 8, "num_eigs": 2, "mesh_ny": 4}, "mesh_ny"),
+        ("korn", {"values": [0.4, 0.2, 0.1], "mesh_n": 16, "mesh_ny": 4, "params": {"E": 2.0, "sigma": 0.3}}, "params"),
+        ("poincare", {"values": [0.4, 0.2, 0.1], "mesh_n": 16, "mesh_ny": 8, "profile": PROFILE}, "profile"),
+        ("kernel-check", {"mesh_n": 4, "values": [0.4, 0.2, 0.1]}, "values"),
+    ],
+)
+def test_config_key_the_sweep_does_not_read_is_rejected(tmp_path, command, config, unread):
+    # a key the sweep would ignore is refused by name before anything runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit, match=rf"does not read config keys \['{unread}'\]"):
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")])
+    assert not (tmp_path / "rep").exists()
+
+
+def test_solve_limit_default_profile_is_the_constant_one(tmp_path):
+    # without --g-profile the section is f1 = f2 = 0.5 over the interval
+    prof = tmp_path / "g.json"
+    prof.write_text(json.dumps({"x": [0.0, 2.0], "f1": [0.5, 0.5], "f2": [0.5, 0.5]}))
+    common = ["solve-limit", "--interval", "0,2", "--n", "16", "--d", "2", "--num-eigs", "4"]
+    for side, extra in (("a", []), ("b", ["--g-profile", str(prof)])):
+        assert main(common + extra + ["--out", str(tmp_path / f"{side}.json"), "--dump-matrices", str(tmp_path / side)]) == 0
+    for name in ("A.mtx", "B.mtx"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    a, b = (json.loads((tmp_path / f"{side}.json").read_text()) for side in "ab")
+    assert a["eigenvalues"] == b["eigenvalues"]
+
+
+@pytest.mark.parametrize(
+    "command,small",
+    [
+        ("sweep-t", {"values": (0.2, 0.1, 0.05), "mesh_n": 8, "num_eigs": 2}),
+        ("sweep-delta", {"values": (0.4, 0.2, 0.1), "mesh_n": 16, "mesh_ny": 2}),
+        ("kernel-check", {"mesh_n": 4}),
+        ("korn", {"values": (0.4, 0.2, 0.1), "mesh_n": 16, "mesh_ny": 4}),
+        ("poincare", {"values": (0.4, 0.2, 0.1), "mesh_n": 16, "mesh_ny": 8}),
+    ],
+)
+def test_each_sweep_reads_exactly_its_config_keys(command, small):
+    # CONFIG_KEYS decides what the CLI accepts and what a report echoes, so
+    # it must name exactly the fields that the subcommand's runner reads
+    kind, run, _, _ = SWEEPS[command]
+    read = set()
+
+    class Recording(SweepConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+        def to_dict(self):
+            return {}
+
+    config = Recording(kind, **small)
+    read.clear()
+    run(config)
+    fields = {f.name for f in dataclasses.fields(SweepConfig)}
+    assert read & fields == set(CONFIG_KEYS[kind])

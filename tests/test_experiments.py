@@ -37,26 +37,26 @@ class TestFitRate:
     def test_exact_square_law(self):
         pts = [(p, p**2) for p in (0.4, 0.2, 0.1, 0.05)]
         fit = fit_rate(pts)
-        assert_allclose(fit.slope, 2.0, atol=1e-12)
-        assert_allclose(fit.r2, 1.0, atol=1e-12)
+        assert_allclose(fit["slope"], 2.0, atol=1e-12)
+        assert_allclose(fit["r2"], 1.0, atol=1e-12)
 
     def test_constant_error(self):
         fit = fit_rate([(p, 3.0) for p in (0.4, 0.2, 0.1)])
-        assert_allclose(fit.slope, 0.0, atol=1e-12)
+        assert_allclose(fit["slope"], 0.0, atol=1e-12)
 
     def test_noisy_square_root(self):
         rng = np.random.default_rng(12)
         ps = np.geomspace(1.0, 1e-3, 12)
         pts = [(p, 3.0 * np.sqrt(p) * (1.0 + 1e-3 * rng.standard_normal())) for p in ps]
         fit = fit_rate(pts)
-        assert abs(fit.slope - 0.5) < 0.02
+        assert abs(fit["slope"] - 0.5) < 0.02
 
     def test_axis_rescaling_shifts_intercept_only(self):
         pts = [(p, 2.0 * p**1.3) for p in (0.4, 0.2, 0.1, 0.05)]
         a = fit_rate(pts)
         b = fit_rate([(7.0 * p, e) for p, e in pts])
-        assert abs(a.slope - b.slope) < 1e-12
-        assert abs(a.intercept - b.intercept) > 0.1
+        assert abs(a["slope"] - b["slope"]) < 1e-12
+        assert abs(a["intercept"] - b["intercept"]) > 0.1
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -69,6 +69,11 @@ class TestSweepConfig:
     def test_values_must_decrease(self):
         with pytest.raises(ValueError):
             SweepConfig(kind="delta", values=(0.1, 0.2))
+
+    def test_kind_must_be_a_sweep(self):
+        # the kind picks the keys a report echoes; a typo fails before the sweep runs
+        with pytest.raises(ValueError, match="'thick'"):
+            SweepConfig(kind="thick", values=(0.2, 0.1))
 
     def test_profile_spec(self):
         cfg = SweepConfig(
@@ -203,10 +208,10 @@ class TestSweeps:
 
     def test_delta_sweep_small(self):
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=32, mesh_ny=4)
-        rep = sweep_delta(cfg, num_clusters=2)
+        rep = sweep_delta(cfg)
         assert rep["checks"]["resolvent_monotone"]
         assert len(rep["resolvent_gaps"]) == 3
-        assert all(len(p["eig_gap_sums"]) == 2 for p in rep["points"])
+        assert all(len(p["eig_gap_sums"]) == 3 for p in rep["points"])
         # the signed cluster gap is bounded by the absolute one, and equals
         # it up to sign for a single-eigenvalue cluster; the constant-profile
         # limit spectrum is simple, so every cluster here is one of those
@@ -225,8 +230,8 @@ class TestSweeps:
         # the sweep's data is (0, sin(pi x)) interpolated on each level's own
         # interval mesh, the control level included
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
-        rep = sweep_delta(cfg, num_clusters=2)
-        for level, nx, ny in (("points", 16, 2), ("points_control", 8, 2)):
+        rep = sweep_delta(cfg)
+        for level, nx, ny in (("points", 16, 2), ("points_control", 8, 1)):
             interval = build_interval_mesh(0.0, 1.0, nx)
             f0 = p2_interpolate(interval, lambda x: np.sin(np.pi * x))
             for point in rep[level]:
@@ -239,7 +244,15 @@ class TestSweeps:
         # the control level is documented as half the mesh; 15 would give 7
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=15, mesh_ny=2)
         with pytest.raises(ValueError, match="mesh_n = 15"):
-            sweep_delta(cfg, num_clusters=2)
+            sweep_delta(cfg)
+
+    def test_delta_sweep_rejects_odd_mesh_ny(self):
+        # 3 rows have no half level: rounding to 1 or 2 rows would make the
+        # control y-spacing other than twice the fine one, and the Richardson
+        # step in h between the two levels would have no basis
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=3)
+        with pytest.raises(ValueError, match="mesh_ny = 3"):
+            sweep_delta(cfg)
 
     def test_delta_point_factors_thin_matrix_once(self, monkeypatch):
         # per delta point one LU of the thin A serves the source solve and
@@ -270,7 +283,7 @@ class TestSweeps:
             if name.startswith("rmplates.") and getattr(module, "factorize", None) is factorize:
                 monkeypatch.setattr(module, "factorize", counted)
         monkeypatch.setattr(eigensolve, "_refine_clusters", refined)
-        sweep_delta(cfg, num_clusters=2)
+        sweep_delta(cfg)
         assert len(thin_shapes) == 2 * len(cfg.values)
         for shape in set(thin_shapes):
             assert factored.count(shape) == thin_shapes.count(shape), shape
@@ -289,7 +302,7 @@ class TestSweeps:
             return res
 
         monkeypatch.setattr(experiments, "solve_gep_smallest", recorded)
-        sweep_delta(cfg, num_clusters=2)
+        sweep_delta(cfg)
         assert len(solved) == 2 * len(cfg.values)
         for A, B, opts, res in solved:
             ref = solve_gep_smallest(A, B, opts)
@@ -308,7 +321,7 @@ class TestSweeps:
             bc=BcFamily.FREE,
             profile={"x": [0.0, 1.0], "f1": [0.5, 0.5], "f2": [0.5, 1.0]},
         )
-        rep = sweep_delta(cfg, num_clusters=2)
+        rep = sweep_delta(cfg)
         assert rep["checks"]["resolvent_monotone"]
         rel = np.array(rep["relative_eig_gaps"])
         assert np.all(rel[-1] <= 0.01)

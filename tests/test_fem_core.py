@@ -485,7 +485,7 @@ class TestOneBatchPerRule:
             # delta a thin pencil (3, 2), the connecting system's two rules
             # and the resolvent load's rule: 2 levels x (1 + 3 x 6), 2 x (2 + 3 x 2)
             (
-                lambda: sweep_delta(SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2), num_clusters=2),
+                lambda: sweep_delta(SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)),
                 38,
                 16,
                 8,
