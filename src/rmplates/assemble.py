@@ -8,21 +8,23 @@ scatters them into symmetric CSR matrices over all dofs of a dofmap.  Every
 assembler tabulates a mesh once per quadrature rule, computes all of its
 local blocks from that batch, and makes them the shifted `Pencil` on the
 free dofs with `assemble_pencil`: a boundary condition reaches a matrix
-only by that restriction.  Symmetry is structural: only the lower triangle
-is accumulated, then mirrored.
+only by that restriction, which also numbers a plate in nested-dissection
+order.  Symmetry is structural: only the lower triangle is accumulated,
+then mirrored.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
+from .eigensolve import ordering
 from .errors import AssemblyError
 from .geometry import ElementKind, Mesh
 from .quadrature import QuadratureRule, quad_rule, segment_rule, triangle_rule
-from .spaces import DofMap, SpaceKind, edge_normal
+from .spaces import DofMap, SpaceKind, edge_normal, nested_dissection
 
 
 @dataclass
@@ -272,11 +274,11 @@ def assemble_from_local(dofmap: DofMap, *stacks: np.ndarray):
 
 @dataclass
 class Pencil:
-    """Symmetric matrices (A, B) over the free dofs of `dofmap` on `mesh`.
+    """Symmetric matrices (A, B) on `mesh` whose rows are the dofs
+    `dofmap.free`, in that order.
 
     A stacked dofmap (`stack_dofmaps`) lays the fields out block after
-    block.  A pencil made by `restrict` keeps the mass of the pencil it was
-    cut from as `B_full`.
+    block.  `B_full` is the mass over all dofs in the global order.
     """
 
     A: sp.csr_matrix
@@ -291,26 +293,38 @@ class Pencil:
         return tuple(np.split(full_vector, self.dofmap.aux["offsets"][1:-1]))
 
     def restrict(self, dofmap: DofMap) -> "Pencil":
-        """The pencil `[free][:, free]` on the free dofs of `dofmap`, a
-        constrained version of this pencil's dof layout.  With every dof
-        free it shares this pencil's matrices, so `B is B_full`."""
-        free = dofmap.free
-        A, B = self.A, self.B
-        if len(free) < dofmap.n_dofs:
-            A, B = A[free][:, free], B[free][:, free]
-        return Pencil(A, B, self.mesh, dofmap, self.params, B_full=self.B)
+        """The pencil on the free dofs of `dofmap`, a constrained version of
+        this pencil's dof layout, in this pencil's order."""
+        keep = np.flatnonzero(~np.isin(self.dofmap.free, dofmap.constrained))
+        return _cut(self.A, self.B, keep, self.mesh, replace(dofmap, free=self.dofmap.free[keep]), self.params, self.B_full)
+
+
+def _cut(A, B, rows, *pencil) -> Pencil:
+    """The pencil of A[rows][:, rows] and B[rows][:, rows] in canonical
+    CSR; all rows in order share A and B.  Both are exactly symmetric, so
+    M[rows][:, rows] is the transpose of M[rows] cut at `rows`, which comes
+    out with sorted indices and costs less than sorting a column cut."""
+    if not np.array_equal(rows, np.arange(A.shape[0])):
+        A, B = (M[rows].T.tocsr()[rows] for M in (A, B))
+    return Pencil(A, B, *pencil)
+
+
+def free_pencil(A, B, mesh: Mesh, dofmap: DofMap, params=None) -> Pencil:
+    """The pencil of A and B, over all dofs of `dofmap`, on its free dofs
+    with B as `B_full`: a plate's (`eigensolve.ordering`) in
+    `nested_dissection` order, a strip's or chain's in the global order."""
+    order = np.arange(dofmap.n_dofs) if ordering(A) == "COLAMD" else nested_dissection(dofmap.points, mesh.nodes)
+    free = order[~np.isin(order, dofmap.constrained)]
+    return _cut(A, B, free, mesh, replace(dofmap, free=free), params, B)
 
 
 def assemble_pencil(mesh: Mesh, dofmap: DofMap, form: np.ndarray, mass: np.ndarray, params=None) -> Pencil:
-    """The shifted pencil A = form + mass, B = mass of per-element blocks.
-
-    Both are scattered over all dofs, then restricted to the free dofs of
-    `dofmap`, with the unrestricted mass as `B_full`.  The mass is added to
+    """The shifted pencil A = form + mass, B = mass of per-element blocks,
+    scattered over all dofs and made a `free_pencil`.  The mass is added to
     `form` in place, so pass a temporary.
     """
     form += mass
-    A, B = assemble_from_local(dofmap, form, mass)
-    return Pencil(A, B, mesh, dofmap, params).restrict(dofmap)
+    return free_pencil(*assemble_from_local(dofmap, form, mass), mesh, dofmap, params)
 
 
 def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:

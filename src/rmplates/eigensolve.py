@@ -22,11 +22,10 @@ factors the Jacobi-scaled S A S, which plates need: a rigid pair
 the 64^2 plate at t = 0.1 the plain LU moved one by up to 1.8e-10, the
 scaled LU by at most 6.4e-11.
 
-`factorize` picks the LU's ordering from the graph of the matrix.  A
-plate's graph is wider than it is long, and there a symmetric
-minimum-degree ordering without pivoting fills 2-3x less than SuperLU's
-default COLAMD.  A strip or chain is longer than it is wide, already
-nearly banded, and keeps the default LU bit for bit.
+`factorize` tells a plate, whose graph is wider than it is long, from a
+strip or chain by `ordering`.  Assembly numbers a plate in nested-dissection
+order, and SuperLU's symmetric mode factors it as numbered.  A strip is
+already nearly banded and keeps the global order and COLAMD bit for bit.
 """
 
 import time
@@ -89,9 +88,9 @@ def clusters(eigenvalues):
 
 
 def ordering(M) -> str:
-    """The column ordering `factorize` uses for M: "COLAMD" when the graph
-    of M has more breadth-first levels than its widest level holds
-    vertices (a strip or a chain), else "MMD_AT_PLUS_A" (a plate).
+    """The ordering of M's LU: "COLAMD" when the graph of M has more
+    breadth-first levels than its widest level holds vertices (a strip or
+    a chain), else "nested_dissection" (a plate, numbered so by assembly).
 
     The levels are counted from a pseudo-peripheral vertex, the last one
     a breadth-first search from vertex 0 reaches.
@@ -109,7 +108,7 @@ def ordering(M) -> str:
     while starts[-1] < len(order):
         starts.append(1 + int(np.searchsorted(parent, starts[-1])))
     widths = np.diff(starts)
-    return "COLAMD" if len(widths) > widths.max() else "MMD_AT_PLUS_A"
+    return "COLAMD" if len(widths) > widths.max() else "nested_dissection"
 
 
 @dataclass
@@ -128,8 +127,8 @@ def factorize(M) -> Factor:
     """Sparse LU of the structurally symmetric M; a singular M raises
     SingularSystemError.
 
-    A plate (see `ordering`) is factored in SuperLU's symmetric mode: a
-    minimum-degree ordering of the pattern of M^T + M and diagonal pivots.
+    A plate (see `ordering`), numbered by `assemble.free_pencil`, is
+    factored as numbered in SuperLU's symmetric mode with diagonal pivots.
     A strip keeps SuperLU's default COLAMD with partial pivoting, which on
     strips fills about as little; it stays so until the benchmark pins
     that sit at round-off level on the 384x24 strip are re-recorded.
@@ -137,7 +136,7 @@ def factorize(M) -> Factor:
     t0 = time.perf_counter()
     M = M.tocsc()
     order = ordering(M)
-    symmetric = {"permc_spec": order, "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+    symmetric = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
     try:
         lu = spla.splu(M) if order == "COLAMD" else spla.splu(M, **symmetric)
     except RuntimeError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .assemble import assemble_from_local, element_batch, mass_density, stiffness_density, strain_blocks
+from .assemble import assemble_from_local, element_batch, free_pencil, mass_density, stiffness_density, strain_blocks
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
 from .eigensolve import EigOptions, _b_orthonormalize, clusters, factorize, principal_angles, solve_gep_smallest
 from .geometry import (
@@ -388,8 +388,8 @@ def korn_constant(mesh: Mesh) -> float:
     grad, mass = np.zeros((2,) + strain.shape)  # |D eta|^2 and |eta|^2: the scalar blocks per component
     grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
     mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
-    A, B = assemble_from_local(dofmap, grad, strain + mass)
-    mu = solve_gep_smallest(B, A + B, EigOptions(k=1)).eigenvalues[0]
+    pen = free_pencil(*assemble_from_local(dofmap, grad, strain + mass), mesh, dofmap)
+    mu = solve_gep_smallest(pen.B, pen.A + pen.B, EigOptions(k=1)).eigenvalues[0]
     return float(1.0 / mu - 1.0)
 
 
@@ -422,9 +422,8 @@ def dirichlet_laplace_smallest(mesh: Mesh) -> float:
     """Smallest eigenvalue of the Dirichlet Laplacian (Q1) on the mesh, unshifted, over the interior dofs."""
     dofmap = build_dofmap(mesh, Q1_SCALAR, True)
     batch = element_batch(mesh, Q1_SCALAR)
-    free = dofmap.free
-    A, B = (M[free][:, free] for M in assemble_from_local(dofmap, stiffness_density(batch), mass_density(batch)))
-    res = solve_gep_smallest(A, B, EigOptions(k=1))
+    pen = free_pencil(*assemble_from_local(dofmap, stiffness_density(batch), mass_density(batch)), mesh, dofmap)
+    res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=1))
     return float(res.eigenvalues[0])
 
 
@@ -432,8 +431,8 @@ def poincare_check(delta_values, mesh_n: int = 32, mesh_ny: int = 8) -> dict:
     """Blow-up of the Dirichlet constant on collapsing domains.
 
     Reports the smallest Dirichlet-Laplace eigenvalue per delta, the log-log
-    slope (about -2), and the delta = 1 value against the square reference
-    2 pi^2 after one Richardson step.
+    slope (about -2), the delta = 1 value against the square reference
+    2 pi^2 after one Richardson step, and the mesh it ran on.
     """
     t0 = time.perf_counter()
     delta_values = tuple(float(v) for v in delta_values)
@@ -462,6 +461,8 @@ def poincare_check(delta_values, mesh_n: int = 32, mesh_ny: int = 8) -> dict:
         "square_reference": ref,
         "checks": checks,
         "ok": all(checks.values()),
+        "mesh_n": mesh_n,
+        "mesh_ny": mesh_ny,
         "version": _version_string(),
         "elapsed_s": time.perf_counter() - t0,
     }
@@ -472,7 +473,9 @@ def emit_report(results: dict, out_dir) -> dict:
 
     CSV columns: sweep kind, parameter, one gap column per tracked
     eigenvalue family, the resolvent gap (nan when not measured), and the
-    claimed slope; 2 + k + 1 + 1 columns in total.
+    claimed slope; 2 + k + 1 + 1 columns in total, and a last `value`
+    column for a sweep that measures one value per point (the Korn
+    constant, the Dirichlet eigenvalue).
     """
     if not results or not results.get("parameter_values"):
         raise ValueError("refusing to write an empty report")
@@ -492,14 +495,16 @@ def emit_report(results: dict, out_dir) -> dict:
     k = max((len(g) for g in gaps), default=0)
     res_gaps = results.get("resolvent_gaps", [float("nan")] * len(values))
     slope = (results.get("fit") or {}).get("slope", float("nan"))
+    measured = results.get("constants") or results.get("eigenvalues") or []
 
     cpath = out / "report.csv"
     with open(cpath, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sweep", "parameter"] + [f"gap_eig_{j + 1}" for j in range(k)] + ["resolvent_gap", "fitted_slope"])
+        header = ["sweep", "parameter"] + [f"gap_eig_{j + 1}" for j in range(k)] + ["resolvent_gap", "fitted_slope"]
+        writer.writerow(header + ["value"] * bool(measured))
         for i, v in enumerate(values):
             row = [results["kind"], v]
             row += list(gaps[i]) + [float("nan")] * (k - len(gaps[i]))
-            row += [res_gaps[i], slope]
+            row += [res_gaps[i], slope] + measured[i : i + 1]
             writer.writerow(row)
     return {"json": str(jpath), "csv": str(cpath)}

@@ -4,12 +4,12 @@ Supported spaces: bilinear Q1 (scalar and 2-vector) on quads, P2 on
 segments, and the Morley triangle (vertex values plus edge-midpoint normal
 derivatives).  Essential conditions are realized by collecting the
 constrained global dofs; a pencil scattered over all dofs is restricted to
-the free ones, so all reduced matrices stay symmetric definite.
+the free ones, so all reduced matrices stay symmetric definite.  Every dof
+has a point, from which `nested_dissection` numbers the dofs of a plate.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -36,28 +36,32 @@ _ELEMENT_KIND = {
 
 Q1_SCALAR, Q1_VECTOR2, P2_1D, MORLEY = SpaceKind
 
+#: parts of at most this many points are not bisected further
+ND_LEAF = 16
+
 
 @dataclass
 class DofMap:
     """Global dof layout of one space on one mesh.
 
     `element_to_global` holds the global index of every local dof,
-    `constrained` the sorted global dofs fixed to zero.  The free-dof
-    ordering is the global ordering with constrained entries removed, so it
-    is deterministic given mesh and constraints.  A dofmap is not changed
-    after construction, so `free` is computed once and read-only.
+    `constrained` the sorted global dofs fixed to zero, `points` the
+    position (n_dofs, dim) of every dof and `free` the free dofs in the
+    order of a pencil's rows: by default the global order.  A dofmap is
+    not changed after construction, so `free` is read-only.
     """
 
     n_dofs: int
     element_to_global: np.ndarray
     constrained: np.ndarray
+    points: np.ndarray
     aux: dict = field(default_factory=dict)
+    free: np.ndarray = None
 
-    @cached_property
-    def free(self) -> np.ndarray:
-        free = np.setdiff1d(np.arange(self.n_dofs), self.constrained)
-        free.flags.writeable = False
-        return free
+    def __post_init__(self):
+        if self.free is None:
+            self.free = np.setdiff1d(np.arange(self.n_dofs), self.constrained, assume_unique=True)
+        self.free.flags.writeable = False
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
         return np.asarray(full)[self.free]
@@ -104,17 +108,16 @@ def build_dofmap(mesh: Mesh, space: SpaceKind, essential=False) -> DofMap:
     mask = np.asarray(essential)
     if mask.dtype != bool:
         raise TypeError(f"essential must be a bool mask over (facet, component), not {type(essential).__name__}")
-    nv = mesh.n_nodes
+    nv, x = mesh.n_nodes, mesh.nodes
     elements = mesh.elements.astype(np.int64)
     if space == SpaceKind.Q1_SCALAR:
-        n_dofs, e2g = nv, elements
+        n_dofs, e2g, points = nv, elements, x
     elif space == SpaceKind.Q1_VECTOR2:
-        n_dofs, e2g = 2 * nv, np.concatenate([elements, elements + nv], axis=1)
-    elif space == SpaceKind.P2_1D:
-        n_dofs, e2g = nv + mesh.n_elements, np.column_stack([elements, nv + np.arange(mesh.n_elements)])
-    else:
-        edges, edge_ids = edge_table(mesh)
-        n_dofs, e2g = nv + len(edges), np.column_stack([elements, nv + edge_ids])
+        n_dofs, e2g, points = 2 * nv, np.concatenate([elements, elements + nv], axis=1), np.concatenate([x, x])
+    else:  # a dof per node, then one per segment (P2) or edge (Morley), at its midpoint
+        pairs, pair_ids = (elements, np.arange(mesh.n_elements)) if space == SpaceKind.P2_1D else edge_table(mesh)
+        n_dofs, e2g = nv + len(pairs), np.column_stack([elements, nv + pair_ids])
+        points = np.concatenate([x, 0.5 * (x[pairs[:, 0]] + x[pairs[:, 1]])])
 
     facets = mesh.facets
     ncomp = 2 if space in (SpaceKind.Q1_VECTOR2, SpaceKind.MORLEY) else 1
@@ -130,7 +133,7 @@ def build_dofmap(mesh: Mesh, space: SpaceKind, essential=False) -> DofMap:
         picked = [facets.nodes[mask[:, 0]].ravel(), edge_dofs[mask[:, 1]]]
     else:
         picked = [c * nv + facets.nodes[mask[:, c]].ravel() for c in range(ncomp)]
-    return DofMap(n_dofs, e2g, np.unique(np.concatenate(picked)).astype(np.int64))
+    return DofMap(n_dofs, e2g, np.unique(np.concatenate(picked)).astype(np.int64), points)
 
 
 def stack_dofmaps(dofmaps) -> DofMap:
@@ -139,4 +142,46 @@ def stack_dofmaps(dofmaps) -> DofMap:
     e2g = np.concatenate([dm.element_to_global + off for dm, off in zip(dofmaps, offsets)], axis=1)
     constrained = np.concatenate([dm.constrained + off for dm, off in zip(dofmaps, offsets)])
     aux = {"offsets": offsets, "blocks": list(dofmaps)}
-    return DofMap(int(offsets[-1]), e2g, np.sort(constrained).astype(np.int64), aux)
+    points = np.concatenate([dm.points for dm in dofmaps])
+    return DofMap(int(offsets[-1]), e2g, np.sort(constrained).astype(np.int64), points, aux)
+
+
+def nested_dissection(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of the dofs at `points` (n, dim) (George, "Nested
+    dissection of a regular finite element mesh", SIAM J. Numer. Anal. 10, 1973).
+
+    The distinct points are ordered, each followed by its dofs.  All parts of
+    one depth are cut at once, each across the longer side of its box at the
+    middle line through `nodes` inside it, which no element crosses: the
+    points below the line come first, then those above, those on it last.  A
+    part of at most ND_LEAF points, or with no node line inside, keeps its
+    row order.
+    """
+    dim, o = points.shape[1], np.lexsort(points.T)
+    sorted_points = points[o]
+    new = np.r_[True, np.any(sorted_points[1:] != sorted_points[:-1], axis=1)]
+    point = np.empty(len(o), np.intp)  # the distinct point of each dof
+    point[o] = np.cumsum(new) - 1
+    pts, lines = sorted_points[new], [np.unique(nodes[:, a]) for a in range(dim)]
+    # per part: its first position and box; per point still to order: its part
+    start, box = np.zeros(1, np.intp), np.array([[xs[0] for xs in lines], [xs[-1] for xs in lines]])[..., None]
+    active, part, key = np.arange(len(pts)), np.zeros(len(pts), np.intp), np.empty(len(pts), np.intp)
+    while len(active):
+        axis, cut = np.argmax(box[1] - box[0], axis=0), np.full(len(start), np.nan)
+        for a, xs in enumerate(lines):
+            lo, hi = np.searchsorted(xs, box[0, a], "right"), np.searchsorted(xs, box[1, a], "left")
+            inside = (axis == a) & (hi > lo)
+            cut[inside] = xs[(lo + hi)[inside] // 2]
+        cut[np.bincount(part, minlength=len(start)) <= ND_LEAF] = np.nan  # a leaf
+        x, c = pts.ravel()[dim * active + axis[part]], cut[part]
+        above = x > c
+        done = ~((x < c) | above)  # in a leaf or on a cut line
+        # part p's children: 2p below the cut, in the lower half of its box, and 2p + 1 above it
+        child = (2 * part + above)[~done]
+        size = np.bincount(child, minlength=2 * len(start))
+        key[active[done]] = (start + size[0::2] + size[1::2])[part[done]]  # the first position of their set
+        box, used, k = np.repeat(box, 2, axis=2), size > 0, np.arange(len(start))
+        box[1, axis, 2 * k] = box[0, axis, 2 * k + 1] = cut
+        start, box = np.stack([start, start + size[0::2]], axis=1).ravel()[used], box[:, :, used]
+        active, part = active[~done], (np.cumsum(used) - 1)[child]
+    return np.lexsort((point, key[point]))

@@ -34,9 +34,9 @@ def test_solve_rm_end_to_end(tmp_path):
     lam = np.array(data["eigenvalues"])
     assert np.sum(np.abs(lam - 1.0) <= 1e-8) == 3
     assert max(data["residuals"]) <= 1e-9
-    # the solver's diagnostics: a square plate's LU is ordered by minimum degree
+    # the solver's diagnostics: a square plate's LU is nested-dissection ordered
     info = data["info"]
-    assert info["ordering"] == "MMD_AT_PLUS_A"
+    assert info["ordering"] == "nested_dissection"
     assert info["lu_fill"] > 3 * 49
     assert info["factor_s"] > 0
     assert info["opinv_applies"] >= 6

@@ -290,7 +290,7 @@ def colamd(M):
 
 
 class TestOrdering:
-    """`factorize` orders plates by minimum degree and leaves strips' LUs alone."""
+    """`factorize` factors plates as nested dissection numbers them and leaves strips' LUs alone."""
 
     def test_strip_lu_is_default_lu(self):
         for what, pen in strip_pencils().items():
@@ -304,9 +304,9 @@ class TestOrdering:
     def test_plate_lu_fills_less_with_same_spectrum(self, monkeypatch):
         opts = EigOptions(k=4, tol=1e-9)
         for what, pen in plate_pencils().items():
-            assert eigensolve.ordering(pen.A) == "MMD_AT_PLUS_A", what
+            assert eigensolve.ordering(pen.A) == "nested_dissection", what
             res = solve_gep_smallest(pen.A, pen.B, opts)
-            assert res.info["ordering"] == "MMD_AT_PLUS_A"
+            assert res.info["ordering"] == "nested_dissection"
             assert res.info["lu_fill"] < colamd(pen.A).lu_fill, what
             with monkeypatch.context() as m:
                 m.setattr(eigensolve, "factorize", colamd)

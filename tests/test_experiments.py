@@ -374,6 +374,17 @@ class TestEmitReport:
         assert len(rows[0]) == 2 + k + 1 + 1
         assert len(rows) == 1 + len(rep["parameter_values"])
 
+    def test_korn_and_poincare_csv_carry_their_values(self, tmp_path):
+        import csv
+
+        korn = korn_sweep(SweepConfig(kind="korn", values=(0.4, 0.2, 0.1), mesh_n=8, mesh_ny=2))
+        poincare = poincare_check((0.4, 0.2, 0.1), mesh_n=8, mesh_ny=4)
+        assert (poincare["mesh_n"], poincare["mesh_ny"]) == (8, 4)
+        for rep, measured in ((korn, korn["constants"]), (poincare, poincare["eigenvalues"])):
+            rows = list(csv.reader(open(emit_report(rep, tmp_path / rep["kind"])["csv"])))
+            assert rows[0][-1] == "value"
+            assert [float(row[-1]) for row in rows[1:]] == measured, rep["kind"]
+
 
 class TestVersion:
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")

@@ -30,6 +30,7 @@ from rmplates import experiments
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.experiments import dirichlet_laplace_smallest
 from rmplates.assemble import assemble_from_local
+from rmplates.assemble import free_pencil as free_pencil_of
 from rmplates.errors import UnsupportedConfigurationError
 from rmplates.geometry import Mesh, PiecewiseLinear, ThinDomainSpec
 from rmplates.rm_system import rm_dofmap, rm_load_vector, rm_local_matrices
@@ -64,7 +65,7 @@ class TestPencil:
         mesh = build_rect_mesh(1, 1, 5, 4)
         pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE)
         for a, b in [((1.0, 0.0), 0.0), ((0.3, -0.2), 0.7), ((0.0, 0.0), 1.0)]:
-            x = rigid_pair(mesh, a, b).concat()
+            x = pen.dofmap.restrict(rigid_pair(mesh, a, b).concat())
             r = pen.A @ x - pen.B @ x
             assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(x).max())
 
@@ -123,8 +124,9 @@ class TestPencil:
 
     def test_family_is_restriction_of_unconstrained_mass(self, monkeypatch):
         # a family only selects free dofs: its A and B are the unconstrained
-        # matrices restricted, entry for entry and with the same sparsity,
-        # and restricting the free pencil gives the family's pencil
+        # matrices restricted to its rows (the free dofs, renumbered),
+        # entry for entry and with the same sparsity, and restricting the
+        # free pencil gives the family's pencil
         mesh = build_rect_mesh(1, 1, 6, 5)
         bend, shear, mass = rm_local_matrices(mesh, PARAMS)
         A_full = assemble_from_local(rm_dofmap(mesh, BcFamily.FREE), bend + shear + mass)
@@ -132,10 +134,11 @@ class TestPencil:
         for bc in BcFamily:
             pen = assemble_rm_pencil(mesh, PARAMS, bc)
             free = pen.dofmap.free
+            assert np.array_equal(np.sort(free), rm_dofmap(mesh, bc).free), bc
             restricted = free_pencil.restrict(rm_dofmap(mesh, bc))
             pairs = {
-                "A": (pen.A, A_full[free][:, free]),
-                "B": (pen.B, pen.B_full[free][:, free]),
+                "A": (pen.A, _restricted(A_full, free)),
+                "B": (pen.B, _restricted(pen.B_full, free)),
                 "restrict A": (pen.A, restricted.A),
                 "restrict B": (pen.B, restricted.B),
                 "restrict B_full": (pen.B_full, restricted.B_full),
@@ -146,20 +149,20 @@ class TestPencil:
         # so are the Morley families, the limit pencil and the Dirichlet
         # Laplacian: rescatter the blocks each one hands to the scatter over
         # an unconstrained dofmap, and restrict
-        blocks, solved = [], []
+        blocks, pencils = [], []
 
         def scatter(dofmap, *stacks):
             blocks.extend(local.copy() for local in stacks)
             return assemble_from_local(dofmap, *stacks)
 
-        def solve(A, B, opts):
-            solved.append((A, B))
-            return solve_gep_smallest(A, B, opts)
+        def numbered(*args):
+            pencils.append(free_pencil_of(*args))
+            return pencils[-1]
 
         for name, module in list(sys.modules.items()):
             if name.startswith("rmplates.") and getattr(module, "assemble_from_local", None) is assemble_from_local:
                 monkeypatch.setattr(module, "assemble_from_local", scatter)
-        monkeypatch.setattr(experiments, "solve_gep_smallest", solve)
+        monkeypatch.setattr(experiments, "free_pencil", numbered)
 
         tri, interval = split_quads(mesh), build_interval_mesh(0, 1, 7)
         spec = constant_profile_spec(0, 1, 0.5, 0.2)
@@ -176,27 +179,38 @@ class TestPencil:
             pen = build()
             free = pen.dofmap.free
             A_full, B_full = (assemble_from_local(unconstrained, local) for local in blocks)
-            for M, R in ((pen.A, A_full[free][:, free]), (pen.B, B_full[free][:, free]), (pen.B_full, B_full)):
+            for M, R in ((pen.A, _restricted(A_full, free)), (pen.B, _restricted(B_full, free)), (pen.B_full, B_full)):
                 assert _same_csr(M, R), what
 
         blocks.clear()
         dirichlet_laplace_smallest(mesh)
-        free = build_dofmap(mesh, Q1_SCALAR, True).free
+        (pen,) = pencils
+        free = pen.dofmap.free
         assert len(free) < mesh.n_nodes
-        for M, local in zip(solved[0], blocks):
-            assert _same_csr(M, assemble_from_local(build_dofmap(mesh, Q1_SCALAR), local)[free][:, free]), "dirichlet"
+        assert np.array_equal(np.sort(free), build_dofmap(mesh, Q1_SCALAR, True).free)
+        for M, local in zip((pen.A, pen.B), blocks):
+            assert _same_csr(M, _restricted(assemble_from_local(build_dofmap(mesh, Q1_SCALAR), local), free)), "dirichlet"
 
     def test_unconstrained_pencil_holds_its_mass_once(self):
-        # with every dof free, restriction shares the matrices instead of copying them
+        # with every dof free, a strip or chain keeps the global order and
+        # shares the matrices instead of copying them; a plate's pencil is
+        # its mass renumbered
         mesh = build_rect_mesh(1, 1, 6, 5)
         spec = constant_profile_spec(0, 1, 0.5, 0.2)
-        free_pencils = {
-            "rm free": assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE),
-            "morley free": assemble_biharmonic_pencil(split_quads(mesh), 1.0, 0.3, LimitBc.FREE),
+        strips = {
+            "thin free": assemble_rm_pencil(build_thin_mesh(spec, 24, 2), PARAMS, BcFamily.FREE),
             "limit": assemble_limit_pencil(build_interval_mesh(0, 1, 7), spec, PARAMS),
         }
-        for what, pen in free_pencils.items():
+        for what, pen in strips.items():
             assert pen.B is pen.B_full, what
+        plates = {
+            "rm free": assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE),
+            "morley free": assemble_biharmonic_pencil(split_quads(mesh), 1.0, 0.3, LimitBc.FREE),
+        }
+        for what, pen in plates.items():
+            free = pen.dofmap.free
+            assert np.array_equal(np.sort(free), np.arange(pen.dofmap.n_dofs)), what
+            assert _same_csr(pen.B, _restricted(pen.B_full, free)), what
         clamped = assemble_rm_pencil(mesh, PARAMS, BcFamily.HARD_CLAMPED)
         assert clamped.B.shape[0] < clamped.B_full.shape[0]
 
@@ -335,6 +349,13 @@ class TestSourceSolve:
         one[: tri.n_nodes] = 1.0
         w_kl = bpen.dofmap.expand(sparse_solve(bpen.A, bpen.dofmap.restrict(bpen.B_full @ one)))[: tri.n_nodes]
         assert abs(sol.w.max() - w_kl.max()) / w_kl.max() < 0.05
+
+
+def _restricted(M, free):
+    """M[free][:, free] in canonical CSR: a matrix over all dofs on a pencil's rows."""
+    M = M[free][:, free]
+    M.sort_indices()
+    return M
 
 
 def _same_csr(M, R):

@@ -1,0 +1,117 @@
+"""Time the plate LU: `factorize`, its fill and 20 solves per pencil and size.
+
+The package is imported from the `src/` of the checkout this file sits in:
+
+    python3 tools/bench_factor.py --sizes 32 64 128 192 > factor.json
+
+Pencils, on the unit square with n x n cells:
+
+    rm_clamped       hard-clamped Reissner-Mindlin, t = 0.025
+    morley_clamped   clamped Morley on the split mesh
+    rm_free_scaled   the Jacobi-scaled S A S of the free plate at t = 0.1,
+                     the matrix a free-plate source solve factors
+
+For every pencil and size the result holds the free dofs, the ordering
+`factorize` reports, `lu_fill` (SuperLU's stored L and U entries), the
+median `factor_s` over the repeats and the median seconds of 20 solves with
+seeded right-hand sides.  `growth_exp` is the least-squares slope of
+log(factor_s), log(lu_fill) and log(solve_s) against log(dofs).  The last
+line of standard output is the JSON result.
+"""
+
+import argparse
+import json
+import pathlib
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+import scipy
+import scipy.sparse as sp
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from rmplates import (  # noqa: E402
+    BcFamily,
+    MaterialParams,
+    assemble_biharmonic_pencil,
+    assemble_rm_pencil,
+    build_rect_mesh,
+    split_quads,
+)
+from rmplates.eigensolve import factorize  # noqa: E402
+
+SOLVES = 20
+
+
+def rm_clamped(n):
+    params = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.025)
+    return assemble_rm_pencil(build_rect_mesh(1.0, 1.0, n, n), params, BcFamily.HARD_CLAMPED).A
+
+
+def morley_clamped(n):
+    return assemble_biharmonic_pencil(split_quads(build_rect_mesh(1.0, 1.0, n, n)), 1.0, 0.3, "clamped").A
+
+
+def rm_free_scaled(n):
+    params = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
+    A = assemble_rm_pencil(build_rect_mesh(1.0, 1.0, n, n), params, BcFamily.FREE).A
+    S = sp.diags(1.0 / np.sqrt(A.diagonal()))
+    return (S @ A @ S).tocsr()
+
+
+PENCILS = {"rm_clamped": rm_clamped, "morley_clamped": morley_clamped, "rm_free_scaled": rm_free_scaled}
+
+
+def measure(M, repeats):
+    factor_s, solve_s = [], []
+    rhs = np.random.default_rng(0).standard_normal((SOLVES, M.shape[0]))
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        factor = factorize(M)
+        factor_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for b in rhs:
+            factor.lu.solve(b)
+        solve_s.append(time.perf_counter() - t0)
+        del factor.lu
+    return {
+        "dofs": M.shape[0],
+        "ordering": factor.ordering,
+        "lu_fill": factor.lu_fill,
+        "factor_s": statistics.median(factor_s),
+        "solve_s": statistics.median(solve_s),
+    }
+
+
+def slope(xs, ys):
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0]) if len(xs) >= 2 else None
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128, 192])
+    ap.add_argument("--repeats", type=int, default=3, help="factorizations per pencil below 128^2; one from 128^2 up")
+    args = ap.parse_args()
+    out = {
+        "host": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
+        "solves": SOLVES,
+        "pencils": {},
+        "growth_exp": {},
+    }
+    for name, build in PENCILS.items():
+        rows = {}
+        for n in args.sizes:
+            rows[n] = measure(build(n), args.repeats if n < 128 else 1)
+            print(name, n, rows[n], file=sys.stderr, flush=True)
+        out["pencils"][name] = rows
+        dofs = [r["dofs"] for r in rows.values()]
+        metrics = ("factor_s", "lu_fill", "solve_s")
+        out["growth_exp"][name] = {key: slope(dofs, [r[key] for r in rows.values()]) for key in metrics}
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()
