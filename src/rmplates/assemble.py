@@ -309,22 +309,18 @@ def _cut(A, B, rows, *pencil) -> Pencil:
     return Pencil(A, B, *pencil)
 
 
-def free_pencil(A, B, mesh: Mesh, dofmap: DofMap, params=None) -> Pencil:
-    """The pencil of A and B, over all dofs of `dofmap`, on its free dofs
-    with B as `B_full`: a plate's (`eigensolve.ordering`) in
-    `nested_dissection` order, a strip's or chain's in the global order."""
+def assemble_pencil(mesh: Mesh, dofmap: DofMap, form: np.ndarray, mass: np.ndarray, params=None) -> Pencil:
+    """The shifted pencil A = form + mass, B = mass of per-element blocks,
+    scattered over all dofs and cut to the free dofs of `dofmap`, with the
+    unrestricted B as `B_full`: a plate's (`eigensolve.ordering` of A) in
+    `nested_dissection` order, a strip's or chain's in the global order.
+    The mass is added to `form` in place, so pass a temporary.
+    """
+    form += mass
+    A, B = assemble_from_local(dofmap, form, mass)
     order = np.arange(dofmap.n_dofs) if ordering(A) == "COLAMD" else nested_dissection(dofmap.points, mesh.nodes)
     free = order[~np.isin(order, dofmap.constrained)]
     return _cut(A, B, free, mesh, replace(dofmap, free=free), params, B)
-
-
-def assemble_pencil(mesh: Mesh, dofmap: DofMap, form: np.ndarray, mass: np.ndarray, params=None) -> Pencil:
-    """The shifted pencil A = form + mass, B = mass of per-element blocks,
-    scattered over all dofs and made a `free_pencil`.  The mass is added to
-    `form` in place, so pass a temporary.
-    """
-    form += mass
-    return free_pencil(*assemble_from_local(dofmap, form, mass), mesh, dofmap, params)
 
 
 def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:

@@ -12,15 +12,11 @@ refinement here, and `sparse_solve`.  A caller that needs a source solve
 and the spectrum of one matrix factors it once: `sparse_solve` and then
 `solve_gep_smallest` take the `Factor`, and the Lanczos run releases its LU.
 
-`sparse_solve` corrects every solution until its componentwise backward
-error (Oettli-Prager) is at most SOLVE_BACKWARD_ERROR.  Diagonal scaling
-does not change that bound, and fixed-precision refinement reaches it from
-any LU that is not too unstable (Skeel 1980), so the plain LU of a thin
-strip solves as well as its scaled LU.  Without a given factor the solve
-factors the Jacobi-scaled S A S, which plates need: a rigid pair
-(a, a.x + b) must come back unchanged from the shifted free plate, and on
-the 64^2 plate at t = 0.1 the plain LU moved one by up to 1.8e-10, the
-scaled LU by at most 6.4e-11.
+`sparse_solve` solves on `factorize(A)`, the same LU the eigensolver
+uses, and corrects every solution until its componentwise backward error
+(Oettli-Prager) is at most SOLVE_BACKWARD_ERROR.  Fixed-precision
+refinement reaches that bound from any LU that is not too unstable
+(Skeel 1980), so the plain LU of a plate or a thin strip needs no scaling.
 
 `factorize` tells a plate, whose graph is wider than it is long, from a
 strip or chain by `ordering`.  Assembly numbers a plate in nested-dissection
@@ -33,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
@@ -124,10 +119,11 @@ class Factor:
 
 
 def factorize(M) -> Factor:
-    """Sparse LU of the structurally symmetric M; a singular M raises
-    SingularSystemError.
+    """Sparse LU of the structurally symmetric M, the one LU recipe of the
+    package: the eigensolver and `sparse_solve` factor a pencil's A as it
+    is.  A singular M raises SingularSystemError.
 
-    A plate (see `ordering`), numbered by `assemble.free_pencil`, is
+    A plate (see `ordering`), numbered by `assemble.assemble_pencil`, is
     factored as numbered in SuperLU's symmetric mode with diagonal pivots.
     A strip keeps SuperLU's default COLAMD with partial pivoting, which on
     strips fills about as little; it stays so until the benchmark pins
@@ -145,27 +141,13 @@ def factorize(M) -> Factor:
 
 
 def sparse_solve(A, load: np.ndarray, factor: Factor = None) -> np.ndarray:
-    """Solve A x = load on `factor`, an LU of A, or else on an LU of the
-    Jacobi-scaled S A S, S = diag(A)^(-1/2).  x is corrected with float64
-    residuals until its componentwise backward error
-    max_i |load - A x|_i / (|A| |x| + |load|)_i is at most
-    SOLVE_BACKWARD_ERROR (see the module docstring for why plates keep the
-    scaling); SingularSystemError if SOLVE_CORRECTIONS corrections do not
-    get there.
+    """Solve A x = load on `factor`, an LU of A, or else on `factorize(A)`.
+    x is corrected with float64 residuals until its componentwise backward
+    error max_i |load - A x|_i / (|A| |x| + |load|)_i is at most
+    SOLVE_BACKWARD_ERROR; SingularSystemError if SOLVE_CORRECTIONS
+    corrections do not get there.
     """
-    if factor is None:
-        d = A.diagonal()
-        if np.any(d <= 0):
-            raise SingularSystemError("non-positive diagonal; system is not definite")
-        s = 1.0 / np.sqrt(d)
-        S = sp.diags(s)
-        lu = factorize(S @ A @ S).lu
-
-        def solve(r):
-            return s * lu.solve(s * r)
-
-    else:
-        solve = factor.lu.solve
+    solve = (factorize(A) if factor is None else factor).lu.solve
     absA = abs(A)
 
     def backward_error(v):

