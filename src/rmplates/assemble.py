@@ -53,7 +53,7 @@ def default_rule(space: SpaceKind) -> QuadratureRule:
         return quad_rule(2)
     if kind == ElementKind.SEGMENT:
         return segment_rule(3)
-    return triangle_rule(4)
+    return triangle_rule()
 
 
 def q1_ref_basis(points: np.ndarray):

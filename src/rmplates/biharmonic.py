@@ -76,7 +76,7 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
     dofmap = build_dofmap(mesh, MORLEY, np.array(_ESSENTIAL[LimitBc(bc)]))
     pref = E / (12.0 * (1.0 - sigma**2))
 
-    batch = element_batch(mesh, MORLEY, triangle_rule(4))
+    batch = element_batch(mesh, MORLEY, triangle_rule())
     # the Hessians are constant per element: one product, times the element's weight sum
     H = batch.hess[:, 0].reshape(len(batch.w), 6, 4)
     lap = H[..., 0] + H[..., 3]

@@ -84,16 +84,18 @@ def _build_limit(args):
 
 
 def cmd_solve(args) -> int:
-    """Solve the pencil of the subcommand's builder; dump it and write its payload with the eigenpairs."""
+    """Solve the pencil of the subcommand's builder; dump it, over the free dofs
+    in ascending global order, and write its payload with the eigenpairs."""
     pencil, payload = args.build(args)
     res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=args.num_eigs, tol=args.tol))
+    order = np.argsort(pencil.dofmap.free)
     if args.dump_matrices:
         out = pathlib.Path(args.dump_matrices)
         out.mkdir(parents=True, exist_ok=True)
         for name, M in (("A", pencil.A), ("B", pencil.B)):
-            scipy.io.mmwrite(out / f"{name}.mtx", M, symmetry="symmetric")
+            scipy.io.mmwrite(out / f"{name}.mtx", M[order][:, order], symmetry="symmetric")
     if getattr(args, "dump_eigvecs", None):
-        scipy.io.mmwrite(args.dump_eigvecs, np.asarray(res.eigenvectors))
+        scipy.io.mmwrite(args.dump_eigvecs, res.eigenvectors[order])
     payload.update(eigenvalues=res.eigenvalues.tolist(), residuals=res.residuals.tolist(), info=res.info)
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -217,17 +217,18 @@ def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int):
 
 def _delta_level(config: SweepConfig, nx: int, ny: int):
     """All measured errors at one mesh level, one point per delta.  The limit
-    pencil sees the profile only through g = f1 + f2, so it is made, its
-    eigenproblem solved and its source problem solved once.  The data is
-    (F0, f0) = (0, sin(pi x)) on the level's own interval mesh."""
+    pencil sees the profile only through g = f1 + f2, so it is made and
+    factored once: the LU serves its source solve, then its eigensolve.  The
+    data is (F0, f0) = (0, sin(pi x)) on the level's own interval mesh."""
     spec = config.spec_at(config.values[0])
     interval = build_interval_mesh(*spec.base_interval, nx)
     limit_pencil = assemble_limit_pencil(interval, spec, config.params)
+    factor = factorize(limit_pencil.A)
+    f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
+    limit_solution = solve_limit_source(limit_pencil, *f0, factor)
     # fine thin meshes sit near the floating-point floor of the residual
     # metric ||Ax - lam Bx||/||Ax||; 1e-8 keeps the solves honest there
-    lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4, tol=1e-8))
-    f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
-    limit_solution = solve_limit_source(limit_pencil, *f0)
+    lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4, tol=1e-8), factor)
     return [
         _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution) for delta in config.values
     ]
@@ -235,8 +236,8 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
 
 def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, limit_solution):
     """All measured errors for one delta against the level's limit pencil,
-    its eigenpairs and its source solution.  The thin A is factored once:
-    the source solve and the Lanczos run share the LU."""
+    its eigenpairs and its source solution, in the global dof order.  The thin
+    A is factored once: the source solve and the Lanczos run share the LU."""
     spec = config.spec_at(delta)
     thin = build_thin_mesh(spec, interval.n_elements, ny)
     system = ConnectingSystem(thin, interval, spec)
@@ -250,7 +251,7 @@ def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0,
 
     # averaged thin eigenvectors, B0-normalized; transverse (y-odd) branches
     # average to nearly zero and are excluded from the matching
-    B0 = limit_pencil.B
+    B0 = limit_pencil.B_full
     averaged = []
     for i in range(len(thin_res.eigenvalues)):
         full = thin_pencil.dofmap.expand(thin_res.eigenvectors[:, i])
@@ -265,7 +266,7 @@ def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0,
         lam0 = float(np.mean(lim.eigenvalues[group]))
         lam0s.append(lam0)
         m = len(group)
-        V = lim.eigenvectors[:, group]
+        V = limit_pencil.dofmap.expand(lim.eigenvectors[:, group])
         # mass of the averaged thin eigenvector inside the limit eigenspace,
         # the computable stand-in for the spectral-projection pairing; the
         # thin vectors are B-orthonormal, so transverse branches score ~1e-11

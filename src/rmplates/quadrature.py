@@ -15,7 +15,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    order: int  # highest polynomial degree integrated exactly
 
     def __post_init__(self):
         self.points.flags.writeable = False
@@ -25,7 +24,7 @@ class QuadratureRule:
 def segment_rule(npts: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1], exact for degree 2*npts - 1."""
     x, w = np.polynomial.legendre.leggauss(npts)
-    return QuadratureRule(((x + 1.0) / 2.0)[:, None], w / 2.0, 2 * npts - 1)
+    return QuadratureRule(((x + 1.0) / 2.0)[:, None], w / 2.0)
 
 
 def quad_rule(nx: int = 2, ny: int = None) -> QuadratureRule:
@@ -35,7 +34,7 @@ def quad_rule(nx: int = 2, ny: int = None) -> QuadratureRule:
     gy, wy = np.polynomial.legendre.leggauss(ny)
     pts = np.array([(xi, yj) for yj in gy for xi in gx])
     wts = np.array([wi * wj for wj in wy for wi in wx])
-    return QuadratureRule(pts, wts, 2 * min(nx, ny) - 1)
+    return QuadratureRule(pts, wts)
 
 
 # Reduced shear rules for the Mindlin quad: the x-shear component is sampled
@@ -46,37 +45,28 @@ _G = 1.0 / np.sqrt(3.0)
 
 
 def shear_rule_x() -> QuadratureRule:
-    return QuadratureRule(np.array([[0.0, -_G], [0.0, _G]]), np.array([2.0, 2.0]), 1)
+    return QuadratureRule(np.array([[0.0, -_G], [0.0, _G]]), np.array([2.0, 2.0]))
 
 
 def shear_rule_y() -> QuadratureRule:
-    return QuadratureRule(np.array([[-_G, 0.0], [_G, 0.0]]), np.array([2.0, 2.0]), 1)
+    return QuadratureRule(np.array([[-_G, 0.0], [_G, 0.0]]), np.array([2.0, 2.0]))
 
 
-def triangle_rule(degree: int = 4) -> QuadratureRule:
-    """Symmetric rule on the reference triangle (area 1/2).
-
-    degree 2: 3 edge-midpoint points; degree 4: 6-point rule.  The degree-4
-    rule integrates products of two quadratics exactly, which the Morley
-    mass matrix needs.
-    """
-    if degree <= 2:
-        pts = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-        wts = np.full(3, 1.0 / 6.0)
-        return QuadratureRule(pts, wts, 2)
-    if degree <= 4:
-        a1, w1 = 0.445948490915965, 0.223381589678011
-        a2, w2 = 0.091576213509771, 0.109951743655322
-        pts = np.array(
-            [
-                [a1, a1],
-                [1.0 - 2.0 * a1, a1],
-                [a1, 1.0 - 2.0 * a1],
-                [a2, a2],
-                [1.0 - 2.0 * a2, a2],
-                [a2, 1.0 - 2.0 * a2],
-            ]
-        )
-        wts = 0.5 * np.array([w1, w1, w1, w2, w2, w2])
-        return QuadratureRule(pts, wts, 4)
-    raise ValueError(f"no triangle rule of degree {degree}")
+def triangle_rule() -> QuadratureRule:
+    """The symmetric 6-point rule of degree 4 on the reference triangle
+    (area 1/2): it integrates products of two quadratics exactly, which the
+    Morley mass matrix needs."""
+    a1, w1 = 0.445948490915965, 0.223381589678011
+    a2, w2 = 0.091576213509771, 0.109951743655322
+    pts = np.array(
+        [
+            [a1, a1],
+            [1.0 - 2.0 * a1, a1],
+            [a1, 1.0 - 2.0 * a1],
+            [a2, a2],
+            [1.0 - 2.0 * a2, a2],
+            [a2, 1.0 - 2.0 * a2],
+        ]
+    )
+    wts = 0.5 * np.array([w1, w1, w1, w2, w2, w2])
+    return QuadratureRule(pts, wts)

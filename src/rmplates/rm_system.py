@@ -210,6 +210,9 @@ def at_one(eigenvalues) -> np.ndarray:
 
 def kernel_count(pencil: Pencil) -> int:
     """Kernel dimension of the shifted pencil: its eigenvalues at 1.  The
-    kernel is at most the three rigid pairs, so six eigenvalues reach past it."""
+    kernel is at most the three rigid pairs, so six eigenvalues reach past
+    it; a pencil with no free dofs has none."""
+    if pencil.A.shape[0] == 0:
+        return 0
     res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=min(6, pencil.A.shape[0])))
     return int(np.sum(at_one(res.eigenvalues)))

@@ -47,8 +47,9 @@ class DofMap:
     `element_to_global` holds the global index of every local dof,
     `constrained` the sorted global dofs fixed to zero, `points` the
     position (n_dofs, dim) of every dof and `free` the free dofs in the
-    order of a pencil's rows: by default the global order.  A dofmap is
-    not changed after construction, so `free` is read-only.
+    order of a pencil's rows: by default the global order.  Vectors cross
+    that order only by `restrict` and `expand`.  A dofmap is not changed
+    after construction, so `free` is read-only.
     """
 
     n_dofs: int
@@ -67,7 +68,8 @@ class DofMap:
         return np.asarray(full)[self.free]
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.n_dofs)
+        """`reduced`, a vector or a block of columns, over all dofs: zero on the constrained ones."""
+        full = np.zeros((self.n_dofs,) + np.shape(reduced)[1:])
         full[self.free] = reduced
         return full
 

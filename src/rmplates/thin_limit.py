@@ -121,11 +121,13 @@ def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: Mat
     return assemble_pencil(interval_mesh, dofmap, bend + shear, mass, params)
 
 
-def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray):
-    """Solve the shifted limit system with data (t^2/12 F, f) (g-weighted)."""
-    load = pencil.B @ np.concatenate([F_coeffs, f_coeffs])
-    x = sparse_solve(pencil.A, load)
-    return pencil.split(x)
+def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray, factor=None):
+    """Solve the shifted limit system with data (t^2/12 F, f) (g-weighted) on
+    `factor` if given (an LU of `pencil.A`, see `sparse_solve`); the data and
+    the pair (Phi, phi) returned are P2 coefficients in the global dof order."""
+    load = pencil.dofmap.restrict(pencil.B_full @ np.concatenate([F_coeffs, f_coeffs]))
+    x = sparse_solve(pencil.A, load, factor)
+    return pencil.split(pencil.dofmap.expand(x))
 
 
 class ConnectingSystem:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from rmplates import BcFamily, MaterialParams, assemble_rm_pencil, build_rect_mesh, load_mesh, save_mesh
+from rmplates import BcFamily, MaterialParams, assemble_rm_pencil, build_rect_mesh, load_mesh, rigid_pair, save_mesh
 from rmplates.cli import SWEEPS, main
 from rmplates.experiments import CONFIG_KEYS, SweepConfig
 
@@ -41,13 +41,32 @@ def test_solve_rm_end_to_end(tmp_path):
     assert info["factor_s"] > 0
     assert info["opinv_applies"] >= 6
 
-    # Matrix Market dump: symmetric storage that reads back as the pencil
+    # Matrix Market dump: symmetric storage that reads back as the pencil,
+    # its rows in ascending global dof order; on a free plate that is the
+    # global order of the mass over all dofs
     assert "symmetric" in (dump / "A.mtx").read_text().splitlines()[0]
-    A = scipy.io.mmread(dump / "A.mtx")
+    A, B = (scipy.io.mmread(dump / f"{name}.mtx") for name in "AB")
     assert A.shape[0] == 3 * 49
     params = MaterialParams(E=1.0, sigma=0.3, k=0.8333333333, t=0.1)
     pencil = assemble_rm_pencil(load_mesh(mesh_path), params, BcFamily.FREE)
-    np.testing.assert_allclose(A.toarray(), pencil.A.toarray(), rtol=1e-15, atol=1e-15)
+    order = np.argsort(pencil.dofmap.free)
+    np.testing.assert_allclose(A.toarray(), pencil.A[order][:, order].toarray(), rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(B.toarray(), pencil.B_full.toarray(), rtol=1e-15, atol=1e-15)
+
+
+def test_solve_rm_dumps_kernel_eigenvectors_in_global_order(tmp_path):
+    # the README's dof layout [beta_x nodes, beta_y nodes, w nodes]: the
+    # three kernel eigenvectors of a free plate span its rigid pairs
+    mesh = build_rect_mesh(1, 1, 6, 6)
+    save_mesh(mesh, tmp_path / "m.json")
+    args = ["solve-rm", "--mesh", str(tmp_path / "m.json"), "--bc", "free", "--num-eigs", "4"]
+    assert main(args + ["--out", str(tmp_path / "eigs.json"), "--dump-eigvecs", str(tmp_path / "v.mtx")]) == 0
+    lam = np.array(json.loads((tmp_path / "eigs.json").read_text())["eigenvalues"])
+    assert np.all(np.abs(lam[:3] - 1.0) <= 1e-8) and lam[3] > 1.1
+    kernel = scipy.io.mmread(tmp_path / "v.mtx")[:, :3]
+    rigid = np.column_stack([rigid_pair(mesh, a, b).concat() for a, b in (((1, 0), 0), ((0, 1), 0), ((0, 0), 1))])
+    coef = np.linalg.lstsq(rigid, kernel, rcond=None)[0]
+    assert np.linalg.norm(rigid @ coef - kernel) <= 1e-8 * np.linalg.norm(kernel)
 
 
 def test_solve_biharmonic_accepts_quad_mesh(tmp_path):

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rmplates import (
@@ -105,6 +107,16 @@ class TestKernelCensus:
         table = kernel_census(PARAMS, build_rect_mesh(1, 1, 8, 8))
         assert table == {bc.value: dim for bc, dim in EXPECTED_KERNELS.items()}
         assert len(calls) == len(EXPECTED_KERNELS)
+
+    @settings(max_examples=16, deadline=None)
+    @given(nx=st.integers(1, 12), ny=st.integers(1, 12))
+    @example(nx=1, ny=5)
+    @example(nx=7, ny=1)
+    def test_every_rectangle(self, nx, ny):
+        # on a mesh one cell wide every node is on the boundary, so the
+        # hard-clamped pencil has no free dofs, and no kernel
+        table = kernel_census(PARAMS, build_rect_mesh(1, 1, nx, ny))
+        assert table == {bc.value: dim for bc, dim in EXPECTED_KERNELS.items()}
 
 
 class TestKorn:
@@ -254,16 +266,23 @@ class TestSweeps:
         with pytest.raises(ValueError, match="mesh_ny = 3"):
             sweep_delta(cfg)
 
-    def test_delta_point_factors_thin_matrix_once(self, monkeypatch):
+    def test_delta_sweep_factors_each_matrix_once(self, monkeypatch):
         # per delta point one LU of the thin A serves the source solve and
-        # the Lanczos run; refinement factors of A - sigma B are not counted
+        # the Lanczos run, and per level one LU of the limit A does the
+        # same; refinement factors of A - sigma B are not counted
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
-        thin_shapes, factored, refining = [], [], []
+        thin_shapes, limit_shapes, factored, refining = [], [], [], []
         assemble, factorize, refine = experiments.assemble_rm_pencil, eigensolve.factorize, eigensolve._refine_clusters
+        assemble_limit = experiments.assemble_limit_pencil
 
         def assembled(*args, **kwargs):
             pencil = assemble(*args, **kwargs)
             thin_shapes.append(pencil.A.shape)
+            return pencil
+
+        def assembled_limit(*args, **kwargs):
+            pencil = assemble_limit(*args, **kwargs)
+            limit_shapes.append(pencil.A.shape)
             return pencil
 
         def counted(M, *args, **kwargs):
@@ -279,18 +298,20 @@ class TestSweeps:
                 refining.pop()
 
         monkeypatch.setattr(experiments, "assemble_rm_pencil", assembled)
+        monkeypatch.setattr(experiments, "assemble_limit_pencil", assembled_limit)
         for name, module in list(sys.modules.items()):
             if name.startswith("rmplates.") and getattr(module, "factorize", None) is factorize:
                 monkeypatch.setattr(module, "factorize", counted)
         monkeypatch.setattr(eigensolve, "_refine_clusters", refined)
         sweep_delta(cfg)
-        assert len(thin_shapes) == 2 * len(cfg.values)
-        for shape in set(thin_shapes):
-            assert factored.count(shape) == thin_shapes.count(shape), shape
+        assert len(thin_shapes) == 2 * len(cfg.values) and len(limit_shapes) == 2
+        for shape in set(thin_shapes + limit_shapes):
+            assert factored.count(shape) == thin_shapes.count(shape) + limit_shapes.count(shape), shape
 
     def test_delta_sweep_eigenpairs_match_separate_solve(self, monkeypatch):
         # the shared LU is the one a separate eigensolve makes, so the thin
-        # eigenpairs keep every bit
+        # eigenpairs of every point and the limit ones of both levels keep
+        # every bit
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
         solved = []
         solve = experiments.solve_gep_smallest
@@ -303,7 +324,7 @@ class TestSweeps:
 
         monkeypatch.setattr(experiments, "solve_gep_smallest", recorded)
         sweep_delta(cfg)
-        assert len(solved) == 2 * len(cfg.values)
+        assert len(solved) == 2 * len(cfg.values) + 2
         for A, B, opts, res in solved:
             ref = solve_gep_smallest(A, B, opts)
             for got, want in ((res.eigenvalues, ref.eigenvalues), (res.eigenvectors, ref.eigenvectors), (res.residuals, ref.residuals)):

@@ -35,7 +35,7 @@ from rmplates import (
     split_quads,
     stiffness_density,
 )
-from rmplates.assemble import assemble_load_from_local, strain_blocks
+from rmplates.assemble import assemble_load_from_local, default_rule, strain_blocks
 from rmplates.errors import UnsupportedConfigurationError
 from rmplates.experiments import SweepConfig, dirichlet_laplace_smallest, sweep_delta
 from rmplates.quadrature import (
@@ -57,8 +57,8 @@ class TestQuadrature:
             (quad_rule(3), 4.0),
             (quad_rule(1), 4.0),
             (shear_rule_x(), 4.0),
-            (triangle_rule(2), 0.5),
-            (triangle_rule(4), 0.5),
+            (triangle_rule(), 0.5),
+            (default_rule(MORLEY), 0.5),
         ],
     )
     def test_weights_sum_to_measure(self, rule, measure):
@@ -69,7 +69,7 @@ class TestQuadrature:
         # exact on x^a y^b up to the stated degree
         from math import factorial
 
-        rule = triangle_rule(4)
+        rule = triangle_rule()
         for a, b in [(0, 0), (1, 0), (2, 1), (2, 2), (4, 0)]:
             exact = factorial(a) * factorial(b) / factorial(a + b + 2)
             got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
@@ -345,7 +345,7 @@ class TestMorley:
     def test_interpolant_reproduces_quadratics(self):
         tri = split_quads(build_rect_mesh(1, 1, 3, 3))
         coeffs = morley_interpolate(tri, quadratic, quadratic_grad)
-        batch = element_batch(tri, MORLEY, triangle_rule(4))
+        batch = element_batch(tri, MORLEY, triangle_rule())
         loc = coeffs[build_dofmap(tri, MORLEY).element_to_global]
         vals = np.einsum("eqi,ei->eq", batch.phi, loc)
         assert_allclose(vals, quadratic(batch.x), atol=1e-11)
@@ -365,7 +365,7 @@ class TestMorley:
         )
         tri = split_quads(build_thin_mesh(spec, 6, 3))
         coeffs = morley_interpolate(tri, quadratic, quadratic_grad)
-        batch = element_batch(tri, MORLEY, triangle_rule(4))
+        batch = element_batch(tri, MORLEY, triangle_rule())
         loc = coeffs[build_dofmap(tri, MORLEY).element_to_global]
         vals = np.einsum("eqi,ei->eq", batch.phi, loc)
         assert_allclose(vals, quadratic(batch.x), atol=1e-10)
@@ -386,7 +386,7 @@ class TestMorley:
             out = (1 - sigma) * np.einsum("eq,eqiab,eqjab->eij", batch.w, batch.hess, batch.hess)
             return out + sigma * np.einsum("eq,eqi,eqj->eij", batch.w, lap, lap)
 
-        A = assemble_from_local(dm, density(element_batch(tri, MORLEY, triangle_rule(4))))
+        A = assemble_from_local(dm, density(element_batch(tri, MORLEY, triangle_rule())))
         got = coeffs @ (A @ coeffs)
         H = np.array([[2.0, 3.0], [3.0, -4.0]])
         exact = (1 - sigma) * np.sum(H * H) + sigma * np.trace(H) ** 2

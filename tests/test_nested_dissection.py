@@ -1,5 +1,7 @@
 """Plates are numbered in nested-dissection order when they are assembled;
-strips and the 1-D limit keep the global order and the default LU."""
+strips and the 1-D limit keep the global order and the default LU.  No
+result depends on that numbering: every vector crosses a pencil through
+its dofmap."""
 
 import numpy as np
 import pytest
@@ -9,23 +11,31 @@ from hypothesis import strategies as st
 
 from rmplates import (
     BcFamily,
+    ConnectingSystem,
     LimitBc,
     MaterialParams,
     assemble_biharmonic_pencil,
+    assemble_limit_pencil,
     assemble_rm_pencil,
+    build_interval_mesh,
     build_rect_mesh,
     build_thin_mesh,
     constant_profile_spec,
+    interpolate_pair,
     kernel_census,
     korn_constant,
+    p2_interpolate,
+    resolvent_gap,
     rigid_pair,
     solve_gep_smallest,
     solve_rm_source,
     split_quads,
+    sweep_delta,
 )
 from rmplates import assemble, eigensolve
 from rmplates.eigensolve import EigOptions
-from rmplates.experiments import dirichlet_laplace_smallest
+from rmplates.experiments import EXPECTED_KERNELS, SweepConfig, dirichlet_laplace_smallest
+from rmplates.thin_limit import solve_limit_source
 from rmplates.spaces import ND_LEAF, nested_dissection
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.05)
@@ -159,3 +169,43 @@ class TestNestedDissection:
         mesh = build_rect_mesh(1.0, 1.0, 3, 2)
         assert mesh.n_nodes <= ND_LEAF
         assert np.array_equal(nested_dissection(mesh.nodes, mesh.nodes), np.arange(mesh.n_nodes))
+
+
+def numbering_dependent_outputs():
+    """The delta-sweep's gaps and angles, a resolvent gap and its limit
+    source solution, a constrained plate's source solution and the kernel
+    census: every output that maps vectors between a pencil and the mesh."""
+    cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+    rep = sweep_delta(cfg)
+    out = {
+        f"{level} {key}": np.array([p[key] for p in rep[level]], dtype=float).ravel()
+        for level in ("points", "points_control")
+        for key in ("resolvent_gap", "eig_gap_sums", "max_angles")
+    }
+    interval, spec = build_interval_mesh(0.0, 1.0, 16), cfg.spec_at(0.2)
+    system = ConnectingSystem(build_thin_mesh(spec, 16, 2), interval, spec)
+    F0, f0 = p2_interpolate(interval, lambda x: x * (1 - x)), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
+    out["resolvent_gap"] = np.array([resolvent_gap(system, cfg.params, F0, f0)])
+    out["limit source"] = np.concatenate(solve_limit_source(assemble_limit_pencil(interval, spec, cfg.params), F0, f0))
+    mesh = build_rect_mesh(1.0, 1.0, 8, 8)
+    data = interpolate_pair(mesh, lambda x: np.cos(3 * x), lambda x: np.sin(np.pi * x[:, 0]) * x[:, 1])
+    pencil = assemble_rm_pencil(mesh, PARAMS, BcFamily.SOFT_SIMPLY_SUPPORTED)
+    out["plate source"] = solve_rm_source(pencil, data.beta, data.w).concat()
+    out["census"] = np.array([kernel_census(PARAMS, mesh)[bc.value] for bc in BcFamily], dtype=float)
+    return out
+
+
+def test_outputs_do_not_depend_on_the_pencil_numbering(monkeypatch):
+    # number every pencil, strips and the 1-D limit too, by a seeded random
+    # permutation through the seam assembly chooses its numbering at
+    expected = numbering_dependent_outputs()
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(assemble, "ordering", lambda A: "nested_dissection")
+    monkeypatch.setattr(assemble, "nested_dissection", lambda points, nodes: rng.permutation(len(points)))
+    got = numbering_dependent_outputs()
+    for name, want in expected.items():
+        if name.endswith("source"):  # coefficient vectors, compared in norm
+            assert np.linalg.norm(got[name] - want) <= 1e-8 * np.linalg.norm(want), name
+        else:
+            np.testing.assert_allclose(got[name], want, rtol=1e-8, atol=0, err_msg=name)
+    assert got["census"].tolist() == [EXPECTED_KERNELS[bc] for bc in BcFamily]

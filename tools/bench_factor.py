@@ -1,4 +1,4 @@
-"""Time the plate LU: `factorize`, its fill and 20 solves per pencil and size.
+"""Time the plate and strip LU: `factorize`, its fill and 20 solves per pencil and size.
 
 The package is imported from the `src/` of the checkout this file sits in:
 
@@ -10,6 +10,12 @@ Pencils, on the unit square with n x n cells:
     morley_clamped   clamped Morley on the split mesh
     rm_free          the free plate at t = 0.1, whose A a free-plate
                      source solve factors
+
+and on the thin strip (0, 1) x (-delta/2, delta/2) with 2n x n/8 cells, so
+that n = 192 is the 384 x 24 strip of the delta-sweep:
+
+    strip_free_0.05  the free strip at t = 0.1 and delta = 0.05
+    strip_free_0.4   the same at delta = 0.4
 
 For every pencil and size the result holds the free dofs, the ordering
 `factorize` reports, `lu_fill` (SuperLU's stored L and U entries), the
@@ -38,6 +44,8 @@ from rmplates import (  # noqa: E402
     assemble_biharmonic_pencil,
     assemble_rm_pencil,
     build_rect_mesh,
+    build_thin_mesh,
+    constant_profile_spec,
     split_quads,
 )
 from rmplates.eigensolve import factorize  # noqa: E402
@@ -59,7 +67,22 @@ def rm_free(n):
     return assemble_rm_pencil(build_rect_mesh(1.0, 1.0, n, n), params, BcFamily.FREE).A
 
 
-PENCILS = {"rm_clamped": rm_clamped, "morley_clamped": morley_clamped, "rm_free": rm_free}
+def strip_free(delta):
+    def build(n):
+        params = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
+        mesh = build_thin_mesh(constant_profile_spec(0.0, 1.0, 0.5, delta), 2 * n, n // 8)
+        return assemble_rm_pencil(mesh, params, BcFamily.FREE).A
+
+    return build
+
+
+PENCILS = {
+    "rm_clamped": rm_clamped,
+    "morley_clamped": morley_clamped,
+    "rm_free": rm_free,
+    "strip_free_0.05": strip_free(0.05),
+    "strip_free_0.4": strip_free(0.4),
+}
 
 
 def measure(M, repeats):
