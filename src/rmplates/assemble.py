@@ -10,7 +10,10 @@ local blocks from that batch, and makes them the shifted `Pencil` on the
 free dofs with `assemble_pencil`: a boundary condition reaches a matrix
 only by that restriction, which also numbers a plate in nested-dissection
 order.  Symmetry is structural: only the lower triangle is accumulated,
-then mirrored.
+then mirrored.  Memory: the scatter's index arrays are broadcast views of
+the element-to-global map cut by one mask, each stack is symmetrized on
+the kept entries only, and assemblers sum their stacks in place, freeing
+the summands before the scatter.
 """
 
 from dataclasses import dataclass, field, replace
@@ -157,18 +160,18 @@ def morley_batch(mesh: Mesh, quad: QuadratureRule) -> ElementBatch:
     u, v = U[..., 0], U[..., 1]
     one, zero = np.ones_like(u), np.zeros_like(u)
     mono = np.stack([one, u, v, u * u, u * v, v * v], axis=-1)  # (ne,nq,6)
-    dmono = np.stack(
-        [
-            np.stack([zero, one, zero, 2 * u, v, zero], axis=-1),
-            np.stack([zero, zero, one, zero, u, 2 * v], axis=-1),
-        ],
-        axis=-1,
-    )  # (ne,nq,6,2) in scaled coords
     phi = np.einsum("eqm,emi->eqi", mono, coeffs)
     hess = np.einsum("mab,emi->eiab", _MONO_HESS, coeffs) / (scales**2)[:, None, None, None]
     hess = np.broadcast_to(hess[:, None, :, :, :], (X.shape[0], len(quad.weights), 6, 2, 2))
 
     def grad():
+        dmono = np.stack(
+            [
+                np.stack([zero, one, zero, 2 * u, v, zero], axis=-1),
+                np.stack([zero, zero, one, zero, u, 2 * v], axis=-1),
+            ],
+            axis=-1,
+        )  # (ne,nq,6,2) in scaled coords, made here so that the batch does not hold it
         return np.einsum("eqmd,emi->eqid", dmono, coeffs) / scales[:, None, None, None]
 
     return ElementBatch(x, w, phi, grad, hess=hess)
@@ -252,18 +255,19 @@ def assemble_from_local(dofmap: DofMap, *stacks: np.ndarray):
     Raises `AssemblyError` naming the first element whose block holds a
     non-finite entry.
     """
-    gi = dofmap.element_to_global  # (ne, nloc)
-    rows = np.repeat(gi[:, :, None], gi.shape[1], axis=2).ravel()
-    cols = np.repeat(gi[:, None, :], gi.shape[1], axis=1).ravel()
-    keep = rows >= cols
-    rows, cols = rows[keep], cols[keep]
     n = dofmap.n_dofs
+    gi = dofmap.element_to_global.astype(np.int32 if n < 2**31 else np.int64)  # scipy's index dtype
+    row, col = gi[:, :, None], gi[:, None, :]  # (ne, nloc, 1) and (ne, 1, nloc)
+    keep = row >= col
+    rows, cols = (np.broadcast_to(index, keep.shape)[keep] for index in (row, col))
     matrices = []
     for local in stacks:
         bad = np.nonzero(~np.all(np.isfinite(local.reshape(len(local), -1)), axis=1))[0]
         if len(bad):
             raise AssemblyError(int(bad[0]), "local matrix has a non-finite entry")
-        vals = (0.5 * (local + np.transpose(local, (0, 2, 1)))).ravel()[keep]
+        vals = local[keep]
+        vals += local.transpose(0, 2, 1)[keep]
+        vals *= 0.5
         lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         lower.sum_duplicates()
         lower.eliminate_zeros()

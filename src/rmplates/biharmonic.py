@@ -80,6 +80,9 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
     # the Hessians are constant per element: one product, times the element's weight sum
     H = batch.hess[:, 0].reshape(len(batch.w), 6, 4)
     lap = H[..., 0] + H[..., 3]
-    bend = (1.0 - sigma) * (H @ H.transpose(0, 2, 1)) + sigma * (lap[:, :, None] * lap[:, None, :])
-    return assemble_pencil(mesh, dofmap, (pref * batch.w.sum(axis=1))[:, None, None] * bend, mass_density(batch))
+    bend = H @ H.transpose(0, 2, 1)
+    bend *= 1.0 - sigma
+    bend += sigma * (lap[:, :, None] * lap[:, None, :])
+    bend *= (pref * batch.w.sum(axis=1))[:, None, None]
+    return assemble_pencil(mesh, dofmap, bend, mass_density(batch))
 

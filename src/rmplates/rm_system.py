@@ -123,8 +123,9 @@ def rm_local_matrices(mesh: Mesh, params: MaterialParams):
     b = element_batch(mesh, Q1_SCALAR, quad_rule(2))
     strain, div = strain_blocks(b)
     sig = params.sigma
-    bend, shear, mass = np.zeros((3, len(strain), 12, 12))
+    bend, shear, mass = (np.zeros((len(strain), 12, 12)) for _ in range(3))  # apart, so each frees alone
     bend[:, :8, :8] = params.bending_factor * ((1.0 - sig) * strain + sig * div)
+    del strain, div
 
     # mass: w v + t^2/12 beta.eta
     mass[:, 8:, 8:] = point_gram(b.w, b.phi)
@@ -157,7 +158,9 @@ def assemble_rm_pencil(mesh: Mesh, params: MaterialParams, bc: BcFamily) -> Penc
     if mesh.element_kind != ElementKind.QUAD4 or mesh.dim != 2:
         raise ValueError("the plate system needs a 2D quad mesh")
     bend, shear, mass = rm_local_matrices(mesh, params)
-    return assemble_pencil(mesh, rm_dofmap(mesh, bc), bend + shear, mass, params)
+    bend += shear
+    del shear
+    return assemble_pencil(mesh, rm_dofmap(mesh, bc), bend, mass, params)
 
 
 def interpolate_pair(mesh: Mesh, beta_fn, w_fn) -> FieldPair:

@@ -1,14 +1,17 @@
-"""Reference Q1 tabulation and Reissner-Mindlin kernels in their padded-einsum form.
+"""Reference Q1 tabulation, Reissner-Mindlin kernels and scatter.
 
 The package computes these blocks from scalar Q1 batches with explicit sums
 in numpy's einsum order.  This module keeps the zero-padded vector-batch
-einsums they replace, so `test_bit_identity.py` can assert that both give
-the same bits.  Nothing in the package imports it.
+einsums they replace, and the scatter that repeats the full index grid of
+every element, so `test_bit_identity.py` can assert that both give the
+same bits.  Nothing in the package imports it.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from rmplates.assemble import q1_ref_basis
+from rmplates.errors import AssemblyError
 from rmplates.quadrature import quad_rule, shear_rule_x, shear_rule_y
 
 
@@ -88,3 +91,26 @@ def korn_blocks(mesh):
         np.einsum("eq,eqicd,eqjcd->eij", w, eps, eps),
         np.einsum("eq,eqic,eqjc->eij", w, vphi, vphi),
     )
+
+
+def assemble_from_local(dofmap, *stacks):
+    """Symmetric CSR matrices of per-element stacks over all dofs, from the
+    lower triangle of the full (ne, nloc, nloc) index grid and of the
+    symmetrized stacks."""
+    gi = dofmap.element_to_global  # (ne, nloc)
+    rows = np.repeat(gi[:, :, None], gi.shape[1], axis=2).ravel()
+    cols = np.repeat(gi[:, None, :], gi.shape[1], axis=1).ravel()
+    keep = rows >= cols
+    rows, cols = rows[keep], cols[keep]
+    n = dofmap.n_dofs
+    matrices = []
+    for local in stacks:
+        bad = np.nonzero(~np.all(np.isfinite(local.reshape(len(local), -1)), axis=1))[0]
+        if len(bad):
+            raise AssemblyError(int(bad[0]), "local matrix has a non-finite entry")
+        vals = (0.5 * (local + np.transpose(local, (0, 2, 1)))).ravel()[keep]
+        lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        lower.sum_duplicates()
+        lower.eliminate_zeros()
+        matrices.append((lower + sp.tril(lower, k=-1).T).tocsr())
+    return matrices[0] if len(matrices) == 1 else tuple(matrices)

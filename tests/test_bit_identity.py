@@ -1,5 +1,5 @@
-"""The scalar Q1 tabulation and Reissner-Mindlin kernels give the same bits
-as the padded-einsum reference in `einsum_reference.py`.
+"""The scalar Q1 tabulation, the Reissner-Mindlin kernels and the scatter
+give the same bits as the references in `einsum_reference.py`.
 
 The kernels sum in numpy's einsum order, so a failure here has to be read
 against the numpy version in the test-session header.
@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 import einsum_reference as ref
 from rmplates import (
     Q1_SCALAR,
+    Q1_VECTOR2,
     BcFamily,
     MaterialParams,
     PiecewiseLinear,
     ThinDomainSpec,
+    assemble_biharmonic_pencil,
     assemble_rm_pencil,
+    build_dofmap,
     build_interval_mesh,
     build_rect_mesh,
     build_thin_mesh,
@@ -25,12 +28,14 @@ from rmplates import (
     element_batch,
     mass_density,
     rm_dofmap,
+    split_quads,
     stiffness_density,
 )
+from rmplates import assemble
 from rmplates.assemble import assemble_load_from_local, assemble_pencil, quad_geometry, strain_blocks
 from rmplates.quadrature import quad_rule, shear_rule_x, shear_rule_y
 from rmplates.rm_system import rm_load_vector, rm_local_matrices
-from rmplates.thin_limit import _extended_data, p2_interpolate
+from rmplates.thin_limit import _extended_data, assemble_limit_pencil, p2_interpolate
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, t=0.05)
 RULES = {
@@ -50,13 +55,18 @@ def cylinder_mesh():
     return build_thin_mesh(constant_profile_spec(0.0, 1.0, 0.5, 0.05), 48, 3)
 
 
+def profile_spec(x_mid, f1, f2, delta=0.1):
+    xs = np.array([0.0, x_mid, 1.0])
+    return ThinDomainSpec((0.0, 1.0), PiecewiseLinear(xs, np.array(f1)), PiecewiseLinear(xs, np.array(f2)), delta)
+
+
 def profile_mesh(x_mid, f1, f2, delta=0.1):
     """Thin mesh over a three-breakpoint profile; its quads are not parallelograms."""
-    xs = np.array([0.0, x_mid, 1.0])
-    return build_thin_mesh(ThinDomainSpec((0.0, 1.0), PiecewiseLinear(xs, np.array(f1)), PiecewiseLinear(xs, np.array(f2)), delta), 12, 3)
+    return build_thin_mesh(profile_spec(x_mid, f1, f2, delta), 12, 3)
 
 
-MESHES = {"rect": rect_mesh, "cylinder": cylinder_mesh, "profile": lambda: profile_mesh(0.3, [0.5, 0.5, 0.5], [0.5, 1.0, 0.7])}
+PROFILE = (0.3, [0.5, 0.5, 0.5], [0.5, 1.0, 0.7])
+MESHES = {"rect": rect_mesh, "cylinder": cylinder_mesh, "profile": lambda: profile_mesh(*PROFILE)}
 
 profiles = st.tuples(
     st.floats(0.1, 0.9),
@@ -75,7 +85,24 @@ def data_f(x):
 
 def assert_same_matrix(got, want):
     for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        got_a, want_a = getattr(got, attr), getattr(want, attr)
+        assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a), attr
+
+
+def assert_same_scatter(dofmap, *stacks):
+    for got, want in zip(assemble.assemble_from_local(dofmap, *stacks), ref.assemble_from_local(dofmap, *stacks)):
+        assert_same_matrix(got, want)
+
+
+def assert_scatter_keeps_pencil(build, *args):
+    """`build(*args)` gives the same A, B and B_full with the package's
+    scatter as with the reference one."""
+    got = build(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assemble, "assemble_from_local", ref.assemble_from_local)
+        want = build(*args)
+    for attr in ("A", "B", "B_full"):
+        assert_same_matrix(getattr(got, attr), getattr(want, attr))
 
 
 def assert_same_kernels(mesh):
@@ -137,3 +164,23 @@ def test_profile_meshes(profile):
     assert_same_kernels(mesh)
     pencil = assert_same_pencil(mesh, BcFamily.FREE)
     assert_same_load(pencil, data_F, data_f)
+
+
+# the families whose rotation trace is all components or none, the only ones skew facets allow
+WHOLE_TRACE = [BcFamily.HARD_CLAMPED, BcFamily.SOFT_SIMPLY_SUPPORTED, BcFamily.FREE, BcFamily.HARD_RIGID]
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_scatter_keeps_pencils_and_stacks(mesh_name):
+    mesh = MESHES[mesh_name]()
+    for bc in WHOLE_TRACE if mesh_name == "profile" else BcFamily:
+        assert_scatter_keeps_pencil(assemble_rm_pencil, mesh, PARAMS, bc)
+    for bc in ("clamped", "navier"):
+        assert_scatter_keeps_pencil(assemble_biharmonic_pencil, split_quads(mesh), PARAMS.E, PARAMS.sigma, bc)
+    assert_same_scatter(rm_dofmap(mesh, BcFamily.FREE), *rm_local_matrices(mesh, PARAMS))
+    assert_same_scatter(build_dofmap(mesh, Q1_VECTOR2), *ref.korn_blocks(mesh))
+
+
+@pytest.mark.parametrize("spec", [constant_profile_spec(0.0, 1.0, 0.5, 0.05), profile_spec(*PROFILE)], ids=["cylinder", "profile"])
+def test_scatter_keeps_limit_pencil(spec):
+    assert_scatter_keeps_pencil(assemble_limit_pencil, build_interval_mesh(0.0, 1.0, 48), spec, PARAMS)

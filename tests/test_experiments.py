@@ -109,13 +109,14 @@ class TestKernelCensus:
         assert len(calls) == len(EXPECTED_KERNELS)
 
     @settings(max_examples=16, deadline=None)
-    @given(nx=st.integers(1, 12), ny=st.integers(1, 12))
-    @example(nx=1, ny=5)
-    @example(nx=7, ny=1)
-    def test_every_rectangle(self, nx, ny):
+    @given(nx=st.integers(1, 16), ny=st.integers(1, 16), length=st.sampled_from([1, 4]))
+    @example(nx=1, ny=5, length=1)
+    @example(nx=7, ny=1, length=1)
+    @example(nx=16, ny=16, length=4)
+    def test_every_rectangle(self, nx, ny, length):
         # on a mesh one cell wide every node is on the boundary, so the
         # hard-clamped pencil has no free dofs, and no kernel
-        table = kernel_census(PARAMS, build_rect_mesh(1, 1, nx, ny))
+        table = kernel_census(PARAMS, build_rect_mesh(length, 1, nx, ny))
         assert table == {bc.value: dim for bc, dim in EXPECTED_KERNELS.items()}
 
 
