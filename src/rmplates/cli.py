@@ -17,7 +17,7 @@ import numpy as np
 import scipy.io
 
 from .biharmonic import LimitBc, assemble_biharmonic_pencil
-from .eigensolve import EigOptions, solve_gep_smallest
+from .eigensolve import BACKWARD_ERROR, EigOptions, solve_gep_smallest
 from .experiments import (
     CONFIG_KEYS,
     EXPECTED_KERNELS,
@@ -188,7 +188,12 @@ def main(argv=None) -> int:
 
     solve = argparse.ArgumentParser(add_help=False)
     solve.add_argument("--num-eigs", type=int, default=10)
-    solve.add_argument("--tol", type=float, default=1e-9, help="relative eigenpair residual bound")
+    solve.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help=f"relative eigenpair residual bound; a pair above it passes when its normwise backward error is at most {BACKWARD_ERROR:.0e}",
+    )
     solve.add_argument("--out", required=True)
     solve.add_argument("--dump-matrices")
     mesh = argparse.ArgumentParser(add_help=False)

@@ -22,7 +22,9 @@ class AssemblyError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative eigensolver ran out of iterations; partial results attached."""
+    """The eigensolver ran out of iterations, or returned a pair whose
+    residual misses its tol and whose backward error exceeds
+    `eigensolve.BACKWARD_ERROR`; the computed pairs are attached as `partial`."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)

@@ -226,9 +226,7 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
     factor = factorize(limit_pencil.A)
     f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
     limit_solution = solve_limit_source(limit_pencil, *f0, factor)
-    # fine thin meshes sit near the floating-point floor of the residual
-    # metric ||Ax - lam Bx||/||Ax||; 1e-8 keeps the solves honest there
-    lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4, tol=1e-8), factor)
+    lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4), factor)
     return [
         _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution) for delta in config.values
     ]
@@ -247,7 +245,7 @@ def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0,
 
     groups = _nonunit_clusters(lim.eigenvalues, DELTA_CLUSTERS)
     need = 3 + sum(len(c) for c in groups) + 6
-    thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need, tol=1e-8), factor)
+    thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need), factor)
 
     # averaged thin eigenvectors, B0-normalized; transverse (y-odd) branches
     # average to nearly zero and are excluded from the matching

@@ -40,6 +40,7 @@ def test_solve_rm_end_to_end(tmp_path):
     assert info["lu_fill"] > 3 * 49
     assert info["factor_s"] > 0
     assert info["opinv_applies"] >= 6
+    assert len(info["backward_errors"]) == 6
 
     # Matrix Market dump: symmetric storage that reads back as the pencil,
     # its rows in ascending global dof order; on a free plate that is the

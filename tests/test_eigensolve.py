@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
@@ -11,7 +12,8 @@ from numpy.testing import assert_allclose
 from rmplates import eigensolve
 from rmplates.eigensolve import EigOptions, principal_angles, solve_gep_smallest
 from rmplates.errors import ConvergenceError, SingularSystemError
-from rmplates.biharmonic import LimitBc, assemble_biharmonic_pencil
+from rmplates.biharmonic import LimitBc, assemble_biharmonic_pencil, map_limit_bc
+from rmplates.experiments import DEFAULT_PARAMS
 from rmplates.geometry import build_interval_mesh, build_rect_mesh, build_thin_mesh, constant_profile_spec, split_quads
 from rmplates.rm_system import BcFamily, MaterialParams, assemble_rm_pencil, solve_rm_source
 from rmplates.thin_limit import assemble_limit_pencil
@@ -86,8 +88,7 @@ class TestSmallest:
             "lu_fill": 0,
             "factor_s": 0.0,
             "opinv_applies": 0,
-            "refine_factors": 0,
-            "refine_rounds": 0,
+            "backward_errors": [0.0, 0.0, 0.0],
         }
 
     def test_info_of_shift_invert_run(self):
@@ -98,7 +99,8 @@ class TestSmallest:
         assert info["lu_fill"] == eigensolve.factorize(pen.A).lu.nnz
         assert info["factor_s"] > 0
         assert info["opinv_applies"] >= 4
-        assert info["refine_factors"] == info["refine_rounds"] == 0
+        errors = info["backward_errors"]
+        assert len(errors) == 4 and all(type(e) is float and e <= eigensolve.BACKWARD_ERROR for e in errors)
 
     def test_ordering_runs_once_per_lanczos_run(self, monkeypatch):
         calls = []
@@ -113,23 +115,6 @@ class TestSmallest:
         res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
         assert calls == [pen.A.shape]
         assert res.info["ordering"] == ordering(pen.A)
-
-    def test_info_counts_refinement(self, monkeypatch):
-        # perturbed Lanczos vectors put every cluster above tol, so each
-        # cluster gets one factor and one to REFINE_ROUNDS rounds
-        lanczos = eigensolve._shift_invert_lanczos
-        rng = np.random.default_rng(12)
-
-        def perturbed(A, B, k, factor, info):
-            lam, vec = lanczos(A, B, k, factor, info)
-            return lam, vec + 1e-4 * rng.standard_normal(vec.shape)
-
-        monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", perturbed)
-        pen = clamped_rm_pencil()
-        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
-        n = len(eigensolve.clusters(res.eigenvalues))
-        assert res.info["refine_factors"] == n
-        assert n <= res.info["refine_rounds"] <= eigensolve.REFINE_ROUNDS * n
 
     def test_iteration_limit_carries_partial_results(self, monkeypatch):
         pen = clamped_rm_pencil()
@@ -210,8 +195,8 @@ def componentwise_backward_error(A, x, b):
 
 class TestSharedFactor:
     """`sparse_solve` factors A itself when no LU is given, as the
-    eigensolver does; `solve_gep_smallest` releases a given LU before
-    refining."""
+    eigensolver does; `solve_gep_smallest` releases a given LU when its
+    Lanczos run returns."""
 
     def test_source_solve_factors_a_itself(self, monkeypatch):
         pen = thin_source_pencil()
@@ -245,34 +230,28 @@ class TestSharedFactor:
         with pytest.raises(SingularSystemError, match="backward error"):
             eigensolve.sparse_solve(pen.A, np.ones(pen.A.shape[0]))
 
-    def test_refinement_after_given_lu_released(self, monkeypatch):
+    def test_given_lu_released_when_lanczos_returns(self, monkeypatch):
         class Lu:
             """A weakly referenceable stand-in holding the only reference to the LU."""
 
             def __init__(self, lu):
                 self.solve = lu.solve
 
-        lanczos, refine = eigensolve._shift_invert_lanczos, eigensolve._refine_clusters
-        rng = np.random.default_rng(12)
-        alive_at_refinement = []
+        lanczos = eigensolve._shift_invert_lanczos
+        alive_after_lanczos = []
 
-        def perturbed(A, B, k, factor, info):
-            lam, vec = lanczos(A, B, k, factor, info)
-            return lam, vec + 1e-4 * rng.standard_normal(vec.shape)
+        def recorded(*args):
+            out = lanczos(*args)
+            alive_after_lanczos.append((factor.lu, lu_ref()))
+            return out
 
-        def refined(*args):
-            alive_at_refinement.append((factor.lu, lu_ref()))
-            return refine(*args)
-
-        monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", perturbed)
-        monkeypatch.setattr(eigensolve, "_refine_clusters", refined)
+        monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", recorded)
         pen = clamped_rm_pencil()
         factor = eigensolve.factorize(pen.A)
         factor.lu = Lu(factor.lu)
         lu_ref = weakref.ref(factor.lu)
         res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4), factor)
-        assert alive_at_refinement == [(None, None)]
-        assert res.info["refine_factors"] >= 1
+        assert alive_after_lanczos == [(None, None)]
         assert res.info["lu_fill"] == factor.lu_fill and res.info["factor_s"] == factor.factor_s
 
 
@@ -322,23 +301,6 @@ class TestOrdering:
                 ref = solve_gep_smallest(pen.A, pen.B, opts)
             assert_allclose(res.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0, err_msg=what)
 
-    def test_refinement_on_indefinite_shift(self):
-        # A - shift B with the shift inside the spectrum is factored
-        # without pivoting; the refinement must still converge
-        pen = plate_pencils()["rm 32^2"]
-        A, B = pen.A, pen.B
-        tol = 1e-9
-        res = solve_gep_smallest(A, B, EigOptions(k=4, tol=tol))
-        rng = np.random.default_rng(12)
-        vec = res.eigenvectors + 1e-4 * rng.standard_normal(res.eigenvectors.shape)
-        before = eigensolve._residuals(A, B, res.eigenvalues, vec)
-        assert np.all(before > tol)
-        info = {"refine_factors": 0, "refine_rounds": 0}
-        lam, vec = eigensolve._refine_clusters(A, B, res.eigenvalues, vec, before, tol, info)
-        assert info["refine_factors"] == len(eigensolve.clusters(res.eigenvalues))
-        assert np.all(eigensolve._residuals(A, B, lam, vec) <= tol)
-        assert_allclose(lam, res.eigenvalues, rtol=1e-10)
-
     def test_disconnected_graph(self):
         d = np.array([1.0, 2.0, 4.0, 8.0, 3.0])
         lu = eigensolve.factorize(sp.diags(d).tocsr()).lu
@@ -351,6 +313,86 @@ class TestOrdering:
         assert eigensolve.ordering(M) == "COLAMD"
         with pytest.raises(SingularSystemError):
             eigensolve.factorize(M)
+
+
+def normwise_backward_errors(A, B, lam, X):
+    """||A x - lam B x||_1 / ((||A||_1 + |lam| ||B||_1) ||x||_1) per column x of X."""
+    R = A @ X - (B @ X) * lam
+    norm1 = lambda M: abs(M).sum(axis=0).max()
+    return np.abs(R).sum(axis=0) / ((norm1(A) + np.abs(lam) * norm1(B)) * np.abs(X).sum(axis=0))
+
+
+def morley_reference_pencil(bc):
+    # the 64^2 level of sweep_thickness's Morley reference at its default parameters
+    tri = split_quads(build_rect_mesh(1.0, 1.0, 64, 64))
+    return assemble_biharmonic_pencil(tri, DEFAULT_PARAMS.E, DEFAULT_PARAMS.sigma, map_limit_bc(bc))
+
+
+class TestBackwardErrorAcceptance:
+    """A pair whose residual misses tol is accepted by its normwise backward error."""
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            pytest.param(
+                lambda: assemble_rm_pencil(
+                    build_thin_mesh(constant_profile_spec(0, 1, 0.5, 0.05), 192, 12), DEFAULT_PARAMS, BcFamily.FREE
+                ),
+                8,
+                id="free strip 192x12",
+            ),
+            pytest.param(lambda: morley_reference_pencil(BcFamily.FREE), 4, id="morley free 64^2"),
+            pytest.param(lambda: morley_reference_pencil(BcFamily.SOFT_RIGID), 4, id="morley soft rigid 64^2"),
+        ],
+    )
+    def test_pairs_above_tol_accepted_by_backward_error(self, make, k):
+        # low pairs, the kernel at 1 among them, have ||A x|| << ||A|| ||x||,
+        # which puts their residual at its rounding floor above the default tol
+        pen = make()
+        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=k))
+        assert np.any(res.residuals > EigOptions().tol)
+        errors = res.info["backward_errors"]
+        assert_allclose(errors, normwise_backward_errors(pen.A, pen.B, res.eigenvalues, res.eigenvectors), rtol=1e-10)
+        assert max(errors) <= 1e-14  # a hundredth of BACKWARD_ERROR
+
+    @pytest.mark.parametrize(
+        "pencils, what",
+        [
+            pytest.param(plate_pencils, "rm 32^2", id="clamped rm 32^2"),
+            pytest.param(strip_pencils, "thin 96x6", id="free strip 96x6"),
+        ],
+    )
+    def test_pair_moved_to_backward_error_above_bound_raises(self, pencils, what, monkeypatch):
+        pen = pencils()[what]
+        A, B = pen.A, pen.B
+        opts = EigOptions(k=4)
+        res = solve_gep_smallest(A, B, opts)  # the unmoved pairs pass
+        lam, X = res.eigenvalues, res.eigenvectors
+        # move the first pair along a seeded direction B-orthogonal to the
+        # others, so B-orthonormalization leaves it where it is; its
+        # eigenvalue is the Rayleigh quotient
+        d = np.random.default_rng(12).standard_normal(A.shape[0])
+        d -= X[:, 1:] @ (X[:, 1:].T @ (B @ d))
+        d /= np.sqrt(d @ (B @ d))
+
+        def moved(log_s):
+            y = X[:, 0] + 10.0**log_s * d
+            return y @ (A @ y) / (y @ (B @ y)), y
+
+        target = 1e-10  # 100x BACKWARD_ERROR
+
+        def log_excess(log_s):
+            mu, y = moved(log_s)
+            return np.log(normwise_backward_errors(A, B, np.array([mu]), y[:, None])[0] / target)
+
+        mu, y = moved(scipy.optimize.brentq(log_excess, -16, 0))
+        monkeypatch.setattr(
+            eigensolve, "_shift_invert_lanczos", lambda *args: (np.r_[mu, lam[1:]], np.column_stack([y, X[:, 1:]]))
+        )
+        with pytest.raises(ConvergenceError, match="backward errors") as exc:
+            solve_gep_smallest(A, B, opts)
+        got = normwise_backward_errors(A, B, *exc.value.partial)
+        assert got.max() == pytest.approx(target, rel=1e-3)
 
 
 class TestPrincipalAngles:

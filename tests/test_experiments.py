@@ -270,10 +270,10 @@ class TestSweeps:
     def test_delta_sweep_factors_each_matrix_once(self, monkeypatch):
         # per delta point one LU of the thin A serves the source solve and
         # the Lanczos run, and per level one LU of the limit A does the
-        # same; refinement factors of A - sigma B are not counted
+        # same; every factorize call is counted
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
-        thin_shapes, limit_shapes, factored, refining = [], [], [], []
-        assemble, factorize, refine = experiments.assemble_rm_pencil, eigensolve.factorize, eigensolve._refine_clusters
+        thin_shapes, limit_shapes, factored = [], [], []
+        assemble, factorize = experiments.assemble_rm_pencil, eigensolve.factorize
         assemble_limit = experiments.assemble_limit_pencil
 
         def assembled(*args, **kwargs):
@@ -287,27 +287,17 @@ class TestSweeps:
             return pencil
 
         def counted(M, *args, **kwargs):
-            if not refining:
-                factored.append(M.shape)
+            factored.append(M.shape)
             return factorize(M, *args, **kwargs)
-
-        def refined(*args, **kwargs):
-            refining.append(True)
-            try:
-                return refine(*args, **kwargs)
-            finally:
-                refining.pop()
 
         monkeypatch.setattr(experiments, "assemble_rm_pencil", assembled)
         monkeypatch.setattr(experiments, "assemble_limit_pencil", assembled_limit)
         for name, module in list(sys.modules.items()):
             if name.startswith("rmplates.") and getattr(module, "factorize", None) is factorize:
                 monkeypatch.setattr(module, "factorize", counted)
-        monkeypatch.setattr(eigensolve, "_refine_clusters", refined)
         sweep_delta(cfg)
         assert len(thin_shapes) == 2 * len(cfg.values) and len(limit_shapes) == 2
-        for shape in set(thin_shapes + limit_shapes):
-            assert factored.count(shape) == thin_shapes.count(shape) + limit_shapes.count(shape), shape
+        assert sorted(factored) == sorted(thin_shapes + limit_shapes)
 
     def test_delta_sweep_eigenpairs_match_separate_solve(self, monkeypatch):
         # the shared LU is the one a separate eigensolve makes, so the thin
