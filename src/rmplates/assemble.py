@@ -1,19 +1,21 @@
 """Sparse symmetric Galerkin assembly over batched element bases.
 
 `element_batch` tabulates basis values, gradients (and Hessians for Morley)
-of one scalar space at the quadrature points of every element at once;
-densities (`point_gram`) turn a batch into per-element matrices, those of a
-vector field from the batch of its components, and `assemble_from_local`
-scatters them into symmetric CSR matrices over all dofs of a dofmap.  Every
-assembler tabulates a mesh once per quadrature rule, computes all of its
-local blocks from that batch, and makes them the shifted `Pencil` on the
-free dofs with `assemble_pencil`: a boundary condition reaches a matrix
-only by that restriction, which also numbers a plate in nested-dissection
-order.  Symmetry is structural: only the lower triangle is accumulated,
-then mirrored.  Memory: the scatter's index arrays are broadcast views of
-the element-to-global map cut by one mask, each stack is symmetrized on
-the kept entries only, and assemblers sum their stacks in place, freeing
-the summands before the scatter.
+of one scalar space at the quadrature points of a range of elements at
+once; densities (`point_gram`) turn a batch into per-element matrices,
+those of a vector field from the batch of its components, and
+`assemble_from_local` scatters them into symmetric CSR matrices over all
+dofs of a dofmap.  Every assembler hands `assemble_pencil` a function of
+an element range that tabulates the range once and returns its local
+blocks, and gets the shifted `Pencil` on the free dofs: a
+boundary condition reaches a matrix only by that restriction, which also
+numbers a plate in nested-dissection order.  Symmetry is structural: only
+the lower triangle is accumulated, then mirrored.  Memory: local blocks
+exist one chunk (`chunk_elements`) at a time, the lower triangle's
+values go straight to their CSR rows, the mirror writes each summed entry
+into its two places, and the cut to the free dofs gathers the rows it
+keeps and sorts their renamed columns in place.  So an assembly peaks at
+a small multiple of its pencil: under three stacks of local blocks for RM.
 """
 
 from dataclasses import dataclass, field, replace
@@ -49,6 +51,10 @@ class ElementBatch:
     def grad(self) -> np.ndarray:
         return self.compute_grad()
 
+    def points(self, picked: slice) -> "ElementBatch":
+        """The batch at the quadrature points `picked` of a Q1 batch."""
+        return ElementBatch(self.x[:, picked], self.w[:, picked], self.phi[:, picked], lambda: self.grad[:, picked])
+
 
 def default_rule(space: SpaceKind) -> QuadratureRule:
     kind = space.element_kind
@@ -71,25 +77,28 @@ def q1_ref_basis(points: np.ndarray):
     return phi, dphi
 
 
-def quad_geometry(mesh: Mesh, quad: QuadratureRule):
-    """Isoparametric geometry at quadrature points of all quad elements: x,
-    w, phi and a function computing the physical gradients, which cost as
-    much as the rest; every sum runs from zero in index order."""
+_COFACTOR_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def quad_geometry(mesh: Mesh, quad: QuadratureRule, cells: slice = slice(None)):
+    """Isoparametric geometry at quadrature points of the quad elements
+    `cells`: x, w, phi and a function computing the physical gradients,
+    which cost as much as the rest; every sum runs from zero in index order."""
     phi, dphi = q1_ref_basis(quad.points)
-    X = mesh.nodes[mesh.elements]  # (ne, 4, 2)
-    node = [(X[:, i, 0, None], X[:, i, 1, None]) for i in range(4)]  # (ne, 1) per node and axis
-    x = np.stack([sum(phi[:, i] * node[i][a] for i in range(4)) for a in range(2)], axis=-1)
-    J = [[sum(node[i][a] * dphi[:, i, b] for i in range(4)) for b in range(2)] for a in range(2)]  # (ne, nq) each
-    detJ = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    X = mesh.nodes[mesh.elements[cells]]  # (ne, 4, 2)
+    x = sum(phi[:, i, None] * X[:, i, None, :] for i in range(4))  # (ne, nq, 2)
+    J = sum(X[:, i, None, :, None] * dphi[:, i, None, :] for i in range(4))  # J[e, q, a, b] = dx_a / dxi_b
+    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     bad = np.nonzero(~np.all(detJ > 0, axis=1))[0]
     if len(bad):
-        raise AssemblyError(int(bad[0]), "non-positive Jacobian")
+        raise AssemblyError((cells.start or 0) + int(bad[0]), "non-positive Jacobian")
     w = quad.weights[None, :] * detJ
 
     def grad():
-        invJ = [[J[1][1] / detJ, -J[0][1] / detJ], [-J[1][0] / detJ, J[0][0] / detJ]]
+        # invJ[e, q, b, a] = (J^{-1})_ba: the cofactors J_11, -J_01, -J_10, J_00 over detJ
+        invJ = J[..., ::-1, ::-1].swapaxes(2, 3) * _COFACTOR_SIGN / detJ[..., None, None]
         # physical gradient: (J^{-T} grad_ref)_a = invJ[b,a] dphi[b]
-        return np.stack([sum(invJ[b][a][:, :, None] * dphi[:, :, b] for b in range(2)) for a in range(2)], axis=-1)
+        return sum(invJ[:, :, None, b, :] * dphi[:, :, b, None] for b in range(2))
 
     return x, w, phi, grad
 
@@ -101,14 +110,15 @@ def p2_ref_basis(xi: np.ndarray):
     return phi, dphi
 
 
-def morley_element_basis(mesh: Mesh):
-    """Per-element Morley coefficients in centroid-centred scaled monomials.
+def morley_element_basis(mesh: Mesh, cells: slice):
+    """Morley coefficients of the elements `cells` in centroid-centred scaled monomials.
 
     Dofs: values at the three vertices, then normal derivatives (with the
     global edge-normal convention) at the midpoints of the edges opposite
     vertices 0, 1, 2.  Returns (coeffs (ne,6,6), centres, scales).
     """
-    X = mesh.nodes[mesh.elements]  # (ne, 3, 2)
+    elements = mesh.elements[cells]
+    X = mesh.nodes[elements]  # (ne, 3, 2)
     ne = X.shape[0]
     centres = X.mean(axis=1)
     e1 = X[:, 1] - X[:, 0]
@@ -123,7 +133,7 @@ def morley_element_basis(mesh: Mesh):
         D[:, k, :] = np.stack([np.ones(ne), u, v, u * u, u * v, v * v], axis=1)
     local_edges = [(1, 2), (2, 0), (0, 1)]
     ends = np.array(local_edges).T
-    normals = edge_normal(mesh, mesh.elements[:, ends[0]], mesh.elements[:, ends[1]])  # (ne, 3, 2)
+    normals = edge_normal(mesh, elements[:, ends[0]], elements[:, ends[1]])  # (ne, 3, 2)
     for k, (a, b) in enumerate(local_edges):
         mid = 0.5 * (X[:, a] + X[:, b])
         m = (mid - centres) / scales[:, None]
@@ -146,9 +156,9 @@ _MONO_HESS[4] = [[0.0, 1.0], [1.0, 0.0]]
 _MONO_HESS[5] = [[0.0, 0.0], [0.0, 2.0]]
 
 
-def morley_batch(mesh: Mesh, quad: QuadratureRule) -> ElementBatch:
-    coeffs, centres, scales = morley_element_basis(mesh)
-    X = mesh.nodes[mesh.elements]
+def morley_batch(mesh: Mesh, quad: QuadratureRule, cells: slice) -> ElementBatch:
+    coeffs, centres, scales = morley_element_basis(mesh, cells)
+    X = mesh.nodes[mesh.elements[cells]]
     lam = np.column_stack([1.0 - quad.points.sum(axis=1), quad.points])  # barycentric
     x = np.einsum("qk,eka->eqa", lam, X)
     e1 = X[:, 1] - X[:, 0]
@@ -177,14 +187,15 @@ def morley_batch(mesh: Mesh, quad: QuadratureRule) -> ElementBatch:
     return ElementBatch(x, w, phi, grad, hess=hess)
 
 
-def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None) -> ElementBatch:
+def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None, cells: slice = slice(None)) -> ElementBatch:
+    """The batch of the elements `cells` of `mesh`, by default all of them."""
     if quad is None:
         quad = default_rule(space)
     if space == SpaceKind.Q1_SCALAR:
-        x, w, phi, grad = quad_geometry(mesh, quad)
+        x, w, phi, grad = quad_geometry(mesh, quad, cells)
         return ElementBatch(x, w, np.broadcast_to(phi[None, :, :], w.shape + (4,)), grad)
     if space == SpaceKind.P2_1D:
-        X = mesh.nodes[mesh.elements][..., 0]  # (ne, 2)
+        X = mesh.nodes[mesh.elements[cells]][..., 0]  # (ne, 2)
         h = X[:, 1] - X[:, 0]
         xi = quad.points[:, 0]
         x = X[:, 0][:, None] + h[:, None] * xi[None, :]
@@ -193,7 +204,7 @@ def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None) -> 
         grad = dphi[None, :, :, None] / h[:, None, None, None]
         return ElementBatch(x[..., None], w, np.broadcast_to(phi[None], w.shape + (3,)), lambda: grad)
     if space == SpaceKind.MORLEY:
-        return morley_batch(mesh, quad)
+        return morley_batch(mesh, quad, cells)
     raise ValueError(space)
 
 
@@ -246,34 +257,113 @@ def strain_blocks(batch):
     return strain, div
 
 
-def assemble_from_local(dofmap: DofMap, *stacks: np.ndarray):
-    """Scatter each stack of symmetric per-element matrices into a
-    canonical, exactly symmetric CSR matrix over all `dofmap.n_dofs` dofs,
-    constrained or not: one matrix for one stack, else a tuple.  The index
-    arrays of the lower triangle are built once for all stacks.
+#: local-matrix entries a stack of one chunk holds at least: 128 elements
+#: of 12x12 blocks, 147 kB
+CHUNK = 128 * 12 * 12
 
-    Raises `AssemblyError` naming the first element whose block holds a
-    non-finite entry.
+
+def chunk_elements(n_elements: int, nloc: int) -> int:
+    """Elements per chunk of nloc x nloc local blocks: an eighth of the mesh,
+    so that a chunk's blocks stay small next to its pencil, but at least
+    CHUNK entries a stack, so that the calls a chunk costs stay small next
+    to its arithmetic (a 128^2 plate's chunk stack is 2.4 MB)."""
+    return max(CHUNK // nloc**2, n_elements // 8, 1)
+
+
+def assemble_from_local(dofmap: DofMap, blocks: Callable[[slice], tuple]):
+    """Scatter symmetric per-element matrices into canonical, exactly
+    symmetric CSR matrices over all `dofmap.n_dofs` dofs, constrained or
+    not.  `blocks(cells)` returns one stack of local matrices per matrix
+    for the elements `cells`, and is called on chunks of `chunk_elements`,
+    in element order; one matrix for one stack, else a tuple.
+
+    The symmetrized lower triangle of each chunk goes straight to its slots
+    in the rows of a CSR layout, each row in element order as scipy's COO
+    conversion would fill it, so that scipy's duplicate summation gives its
+    bits; the summed lower triangle is then mirrored, which only moves
+    entries.  Raises `AssemblyError` naming the first element whose block
+    holds a non-finite entry.
     """
-    n = dofmap.n_dofs
+    n, (ne, nloc) = dofmap.n_dofs, dofmap.element_to_global.shape
     gi = dofmap.element_to_global.astype(np.int32 if n < 2**31 else np.int64)  # scipy's index dtype
-    row, col = gi[:, :, None], gi[:, None, :]  # (ne, nloc, 1) and (ne, 1, nloc)
-    keep = row >= col
-    rows, cols = (np.broadcast_to(index, keep.shape)[keep] for index in (row, col))
-    matrices = []
-    for local in stacks:
-        bad = np.nonzero(~np.all(np.isfinite(local.reshape(len(local), -1)), axis=1))[0]
-        if len(bad):
-            raise AssemblyError(int(bad[0]), "local matrix has a non-finite entry")
-        vals = local[keep]
-        vals += local.transpose(0, 2, 1)[keep]
-        vals *= 0.5
-        lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        lower.sum_duplicates()
-        lower.eliminate_zeros()
-        # sum duplicates in one triangle, then mirror: summing both rounds differently per side
-        matrices.append((lower + sp.tril(lower, k=-1).T).tocsr())
+    # local row i of an element keeps the columns j with gi[j] <= gi[i]; the
+    # (element, local row) pairs fill the rows in element order
+    kept = (gi[:, :, None] >= gi[:, None, :]).sum(axis=2, dtype=np.int16).ravel()
+    indptr = np.zeros(n + 1, gi.dtype)
+    np.cumsum(np.bincount(gi.ravel(), kept, minlength=n).astype(gi.dtype), out=indptr[1:])
+    order = np.argsort(gi, axis=None, kind="stable")
+    shift = np.empty(gi.size, gi.dtype)  # a pair's first slot, less its first entry's index in element order
+    shift[order] = np.cumsum(kept[order], dtype=gi.dtype) - kept[order]
+    start = np.cumsum(kept, dtype=np.int64) - kept
+    shift -= start.astype(gi.dtype)
+    start = start[::nloc].copy()  # of each element's first entry
+    del order
+    step = chunk_elements(ne, nloc)
+    chunks = [slice(lo, lo + step) for lo in range(0, ne, step)]
+
+    def lower_slots(cells):
+        """The lower-triangle mask of the elements `cells`, and the slots of its entries."""
+        keep = gi[cells, :, None] >= gi[cells, None, :]
+        pairs = slice(cells.start * nloc, cells.stop * nloc)
+        slot = np.repeat(shift[pairs], kept[pairs])
+        slot += np.arange(start[cells.start], start[cells.start] + len(slot), dtype=gi.dtype)
+        return keep, slot
+
+    data = None
+    for cells in chunks:
+        stacks = blocks(cells)
+        keep, slot = lower_slots(cells)
+        if data is None:
+            data = [np.empty(indptr[-1]) for _ in stacks]
+        for k, local in enumerate(stacks):
+            bad = np.nonzero(~np.all(np.isfinite(local.reshape(len(local), -1)), axis=1))[0]
+            if len(bad):
+                raise AssemblyError(cells.start + int(bad[0]), "local matrix has a non-finite entry")
+            vals = local[keep]
+            vals += local.transpose(0, 2, 1)[keep]
+            vals *= 0.5
+            data[k][slot] = vals
+        del stacks, local, vals
+    indices = np.empty(indptr[-1], gi.dtype)  # made once the blocks are done, which need the memory more
+    for cells in chunks:
+        keep, slot = lower_slots(cells)
+        indices[slot] = np.broadcast_to(gi[cells, None, :], keep.shape)[keep]
+    del gi, kept, shift, start
+    # sum duplicates in one triangle, then mirror: summing both rounds
+    # differently per side.  The last matrix (a pencil's mass) is the
+    # sparsest, so its sum runs while all value arrays live
+    lower = [None] * len(data)
+    for k in reversed(range(len(data))):
+        lower[k] = sp.csr_matrix((data[k], indices if k == 0 else indices.copy(), indptr.copy()), shape=(n, n))
+        data[k] = None
+        lower[k].sum_duplicates()
+        lower[k].eliminate_zeros()
+        if lower[k].data.base is not None:  # scipy keeps views when half the entries remain: free the rest
+            lower[k].data, lower[k].indices = lower[k].data.copy(), lower[k].indices.copy()
+    del indices
+    matrices = [_mirror(lower.pop(0)) for _ in range(len(lower))]
     return matrices[0] if len(matrices) == 1 else tuple(matrices)
+
+
+def _mirror(lower) -> sp.csr_matrix:
+    """The symmetric matrix of the canonical lower triangle `lower`, in
+    canonical CSR: row r is row r of `lower`, then column r below the
+    diagonal, entries moved and never added."""
+    n = lower.shape[0]
+    upper = lower.tocsc()  # column r holds the rows >= r in order: row r of the upper triangle
+    length = np.diff(lower.indptr)
+    diagonal = np.zeros(n, lower.indptr.dtype)
+    nonempty = np.flatnonzero(length)
+    diagonal[nonempty] = lower.indices[lower.indptr[nonempty + 1] - 1] == nonempty  # a row's last entry
+    indptr = np.zeros(n + 1, lower.indptr.dtype)
+    np.cumsum(length + np.diff(upper.indptr) - diagonal, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], lower.indices.dtype), np.empty(indptr[-1])
+    # the upper row starts on the diagonal slot, which it writes with the lower row's own entry
+    for part, start in ((upper, indptr[:-1] + length - diagonal), (lower, indptr[:-1])):
+        slot = np.arange(part.nnz, dtype=indptr.dtype)
+        slot += np.repeat(start - part.indptr[:-1], np.diff(part.indptr))
+        indices[slot], data[slot] = part.indices, part.data
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 @dataclass
@@ -300,31 +390,52 @@ class Pencil:
         """The pencil on the free dofs of `dofmap`, a constrained version of
         this pencil's dof layout, in this pencil's order."""
         keep = np.flatnonzero(~np.isin(self.dofmap.free, dofmap.constrained))
-        return _cut(self.A, self.B, keep, self.mesh, replace(dofmap, free=self.dofmap.free[keep]), self.params, self.B_full)
+        layout = replace(dofmap, free=self.dofmap.free[keep])
+        return Pencil(_cut(self.A, keep), _cut(self.B, keep), self.mesh, layout, self.params, self.B_full)
 
 
-def _cut(A, B, rows, *pencil) -> Pencil:
-    """The pencil of A[rows][:, rows] and B[rows][:, rows] in canonical
-    CSR; all rows in order share A and B.  Both are exactly symmetric, so
-    M[rows][:, rows] is the transpose of M[rows] cut at `rows`, which comes
-    out with sorted indices and costs less than sorting a column cut."""
-    if not np.array_equal(rows, np.arange(A.shape[0])):
-        A, B = (M[rows].T.tocsr()[rows] for M in (A, B))
-    return Pencil(A, B, *pencil)
+def _cut(M, rows) -> sp.csr_matrix:
+    """M[rows][:, rows] in canonical CSR, for an exactly symmetric canonical
+    M: its rows in order, their columns renamed to positions in `rows`
+    (those of no position dropped), then sorted in place.  All rows in
+    order give M itself."""
+    n = M.shape[0]
+    if len(rows) == n and np.array_equal(rows, np.arange(n)):
+        return M
+    position = np.full(n, -1, M.indices.dtype)
+    position[rows] = np.arange(len(rows))
+    gathered = M[rows]
+    data, indices, indptr = gathered.data, position[gathered.indices], gathered.indptr
+    del gathered
+    if len(rows) < n:
+        kept = indices >= 0
+        indptr = np.r_[0, np.cumsum(kept, dtype=indptr.dtype)][indptr]
+        data = data[kept]  # one array at a time, each freeing its uncut one
+        indices = indices[kept]
+    cut = sp.csr_matrix((data, indices, indptr), shape=(len(rows), len(rows)))
+    cut.sort_indices()
+    return cut
 
 
-def assemble_pencil(mesh: Mesh, dofmap: DofMap, form: np.ndarray, mass: np.ndarray, params=None) -> Pencil:
-    """The shifted pencil A = form + mass, B = mass of per-element blocks,
-    scattered over all dofs and cut to the free dofs of `dofmap`, with the
-    unrestricted B as `B_full`: a plate's (`eigensolve.ordering` of A) in
-    `nested_dissection` order, a strip's or chain's in the global order.
-    The mass is added to `form` in place, so pass a temporary.
+def assemble_pencil(mesh: Mesh, dofmap: DofMap, blocks: Callable[[slice], tuple], params=None) -> Pencil:
+    """The shifted pencil A = form + mass, B = mass of the per-element
+    blocks `form, mass = blocks(cells)` of the elements `cells`, scattered
+    chunk by chunk over all dofs and cut to the free dofs of `dofmap`, with
+    the unrestricted B as `B_full`: a plate's (`eigensolve.ordering` of A)
+    in `nested_dissection` order, a strip's or chain's in the global order.
+    The mass is added to `form` in place, so return a temporary.
     """
-    form += mass
-    A, B = assemble_from_local(dofmap, form, mass)
+
+    def shifted(cells):
+        form, mass = blocks(cells)
+        form += mass
+        return form, mass
+
+    A, B = assemble_from_local(dofmap, shifted)
     order = np.arange(dofmap.n_dofs) if ordering(A) == "COLAMD" else nested_dissection(dofmap.points, mesh.nodes)
     free = order[~np.isin(order, dofmap.constrained)]
-    return _cut(A, B, free, mesh, replace(dofmap, free=free), params, B)
+    A = _cut(A, free)  # the full A goes once its cut is made
+    return Pencil(A, _cut(B, free), mesh, replace(dofmap, free=free), params, B)
 
 
 def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:

@@ -76,13 +76,18 @@ def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) 
     dofmap = build_dofmap(mesh, MORLEY, np.array(_ESSENTIAL[LimitBc(bc)]))
     pref = E / (12.0 * (1.0 - sigma**2))
 
-    batch = element_batch(mesh, MORLEY, triangle_rule())
-    # the Hessians are constant per element: one product, times the element's weight sum
-    H = batch.hess[:, 0].reshape(len(batch.w), 6, 4)
-    lap = H[..., 0] + H[..., 3]
-    bend = H @ H.transpose(0, 2, 1)
-    bend *= 1.0 - sigma
-    bend += sigma * (lap[:, :, None] * lap[:, None, :])
-    bend *= (pref * batch.w.sum(axis=1))[:, None, None]
-    return assemble_pencil(mesh, dofmap, bend, mass_density(batch))
+    rule = triangle_rule()
+
+    def blocks(cells):
+        batch = element_batch(mesh, MORLEY, rule, cells)
+        # the Hessians are constant per element: one product, times the element's weight sum
+        H = batch.hess[:, 0].reshape(len(batch.w), 6, 4)
+        lap = H[..., 0] + H[..., 3]
+        bend = H @ H.transpose(0, 2, 1)
+        bend *= 1.0 - sigma
+        bend += sigma * (lap[:, :, None] * lap[:, None, :])
+        bend *= (pref * batch.w.sum(axis=1))[:, None, None]
+        return bend, mass_density(batch)
+
+    return assemble_pencil(mesh, dofmap, blocks)
 

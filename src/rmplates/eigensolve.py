@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
@@ -102,11 +103,13 @@ def ordering(M) -> str:
         M = M.T  # the same graph as CSR, without a copy
     order = breadth_first_order(M, 0, directed=True, return_predecessors=False)
     order, pred = breadth_first_order(M, order[-1], directed=True)
-    pos = np.empty(M.shape[0], dtype=np.intp)
-    pos[order] = np.arange(len(order))
+    pos = np.empty(M.shape[0], dtype=order.dtype)
+    pos[order] = np.arange(len(order), dtype=order.dtype)
     # the parents' positions never decrease along a breadth-first order, so
     # each level starts after the last child of the level before it
-    parent = pos[pred[order[1:]]]
+    parent = pred[order[1:]]
+    del pred  # these n-vectors are all that factorize allocates, so each goes when done
+    parent = pos[parent]
     starts = [0, 1]
     while starts[-1] < len(order):
         starts.append(1 + int(np.searchsorted(parent, starts[-1])))
@@ -128,9 +131,10 @@ class Factor:
 
 
 def factorize(M) -> Factor:
-    """Sparse LU of the structurally symmetric M, the one LU recipe of the
+    """Sparse LU of the exactly symmetric M, the one LU recipe of the
     package: the eigensolver and `sparse_solve` factor a pencil's A as it
-    is.  A singular M raises SingularSystemError.
+    is.  A singular M raises SingularSystemError.  SuperLU reads a CSR M's
+    own arrays as the CSC of its transpose, which is M: no copy is made.
 
     A plate (see `ordering`), numbered by `assemble.assemble_pencil`, is
     factored as numbered in SuperLU's symmetric mode with diagonal pivots.
@@ -139,7 +143,7 @@ def factorize(M) -> Factor:
     that sit at round-off level on the 384x24 strip are re-recorded.
     """
     t0 = time.perf_counter()
-    M = M.tocsc()
+    M = sp.csc_matrix((M.data, M.indices, M.indptr), shape=M.shape) if M.format == "csr" else M.tocsc()
     order = ordering(M)
     symmetric = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
     try:
@@ -157,7 +161,7 @@ def sparse_solve(A, load: np.ndarray, factor: Factor = None) -> np.ndarray:
     corrections do not get there.
     """
     solve = (factorize(A) if factor is None else factor).lu.solve
-    absA = abs(A)
+    absA = type(A)((np.abs(A.data), A.indices, A.indptr), shape=A.shape)  # on A's own index arrays
 
     def backward_error(v):
         r = load - A @ v

@@ -382,13 +382,16 @@ def korn_constant(mesh: Mesh) -> float:
     eigenvalue mu of the definite pencil (B, A) that `assemble_pencil` makes
     of that pair's shift A = |D eta|^2 + B, B = |eps(eta)|^2 + |eta|^2.
     """
-    dofmap = build_dofmap(mesh, Q1_VECTOR2)
-    batch = element_batch(mesh, Q1_SCALAR)
-    strain, _ = strain_blocks(batch)
-    grad, mass = np.zeros((2,) + strain.shape)  # |D eta|^2 and |eta|^2: the scalar blocks per component
-    grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
-    mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
-    pen = assemble_pencil(mesh, dofmap, grad, strain + mass)
+
+    def blocks(cells):
+        batch = element_batch(mesh, Q1_SCALAR, cells=cells)
+        strain, _ = strain_blocks(batch)
+        grad, mass = np.zeros((2,) + strain.shape)  # |D eta|^2 and |eta|^2: the scalar blocks per component
+        grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
+        mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
+        return grad, strain + mass
+
+    pen = assemble_pencil(mesh, build_dofmap(mesh, Q1_VECTOR2), blocks)
     mu = solve_gep_smallest(pen.B, pen.A, EigOptions(k=1)).eigenvalues[0]
     return float(1.0 / mu - 1.0)
 
@@ -421,9 +424,12 @@ def korn_sweep(config: SweepConfig) -> dict:
 def dirichlet_laplace_smallest(mesh: Mesh) -> float:
     """Smallest eigenvalue of the Dirichlet Laplacian (Q1) on the interior
     dofs of the mesh: that of its shifted pencil (K + M, M), minus 1."""
-    dofmap = build_dofmap(mesh, Q1_SCALAR, True)
-    batch = element_batch(mesh, Q1_SCALAR)
-    pen = assemble_pencil(mesh, dofmap, stiffness_density(batch), mass_density(batch))
+
+    def blocks(cells):
+        batch = element_batch(mesh, Q1_SCALAR, cells=cells)
+        return stiffness_density(batch), mass_density(batch)
+
+    pen = assemble_pencil(mesh, build_dofmap(mesh, Q1_SCALAR, True), blocks)
     return float(solve_gep_smallest(pen.A, pen.B, EigOptions(k=1)).eigenvalues[0] - 1.0)
 
 

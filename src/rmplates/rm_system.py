@@ -29,7 +29,7 @@ import numpy as np
 from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch, point_gram, strain_blocks
 from .errors import UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
-from .quadrature import quad_rule, shear_rule_x, shear_rule_y
+from .quadrature import QuadratureRule, quad_rule, shear_rule_x, shear_rule_y
 from .spaces import Q1_SCALAR, Q1_VECTOR2, DofMap, build_dofmap, stack_dofmaps
 from .eigensolve import EigOptions, solve_gep_smallest, sparse_solve
 
@@ -116,25 +116,44 @@ class FieldPair:
         return np.concatenate([self.beta, self.w])
 
 
-def rm_local_matrices(mesh: Mesh, params: MaterialParams):
-    """Per-element 12x12 blocks (bending, shear, mass) over the local dofs [beta_x(4),
-    beta_y(4), w(4)], from one scalar Q1 batch per quadrature rule; the rotation
-    blocks are `strain_blocks` of the 2x2 Gauss batch."""
-    b = element_batch(mesh, Q1_SCALAR, quad_rule(2))
+# the 2x2 Gauss points, then the x-shear and the y-shear midline points: one
+# tabulation serves the three rules, and gives each point the bits a
+# tabulation of its own rule gives it, as every value at a point is
+# computed from that point alone
+_RULES = (quad_rule(2), shear_rule_x(), shear_rule_y())
+_POINTS = QuadratureRule(np.concatenate([r.points for r in _RULES]), np.concatenate([r.weights for r in _RULES]))
+_GAUSS, _SHEAR_X, _SHEAR_Y = slice(0, 4), slice(4, 6), slice(6, 8)
+
+
+def rm_local_matrices(mesh: Mesh, params: MaterialParams, cells: slice = slice(None)):
+    """12x12 blocks (bending, shear, mass) of the elements `cells` over the local dofs
+    [beta_x(4), beta_y(4), w(4)], from one scalar Q1 batch at the points of the 2x2
+    Gauss and the two shear rules; the rotation blocks are `strain_blocks` of the
+    Gauss points."""
+    batch = element_batch(mesh, Q1_SCALAR, _POINTS, cells)
+    b = batch.points(_GAUSS)
     strain, div = strain_blocks(b)
     sig = params.sigma
-    bend, shear, mass = (np.zeros((len(strain), 12, 12)) for _ in range(3))  # apart, so each frees alone
-    bend[:, :8, :8] = params.bending_factor * ((1.0 - sig) * strain + sig * div)
-    del strain, div
+    # bend = c ((1 - sig) strain + sig div), in place; each block is made when the one before is done
+    strain *= 1.0 - sig
+    div *= sig
+    strain += div
+    del div
+    strain *= params.bending_factor
+    bend = np.zeros((len(strain), 12, 12))
+    bend[:, :8, :8] = strain
+    del strain
 
     # mass: w v + t^2/12 beta.eta
+    mass = np.zeros_like(bend)
     mass[:, 8:, 8:] = point_gram(b.w, b.phi)
     mass[:, :4, :4] = mass[:, 4:8, 4:8] = params.t**2 / 12.0 * mass[:, 8:, 8:]
 
     # reduced-integration shear gamma_c = d_c w - beta_c on its own midline, in the (beta_c, w) 4x4 blocks
+    shear = np.zeros_like(bend)
     blocks = shear.reshape(len(shear), 3, 4, 3, 4)
-    for rule, comp, pick in ((shear_rule_x(), 0, slice(0, 3, 2)), (shear_rule_y(), 1, slice(1, 3))):
-        b = element_batch(mesh, Q1_SCALAR, rule)
+    for points, comp, pick in ((_SHEAR_X, 0, slice(0, 3, 2)), (_SHEAR_Y, 1, slice(1, 3))):
+        b = batch.points(points)
         blocks[:, pick, :, pick] += point_gram(b.w, np.concatenate([-b.phi, b.grad[..., comp]], 2)).reshape(-1, 2, 4, 2, 4)
     shear *= params.shear_factor
     return bend, shear, mass
@@ -157,10 +176,13 @@ def assemble_rm_pencil(mesh: Mesh, params: MaterialParams, bc: BcFamily) -> Penc
     """
     if mesh.element_kind != ElementKind.QUAD4 or mesh.dim != 2:
         raise ValueError("the plate system needs a 2D quad mesh")
-    bend, shear, mass = rm_local_matrices(mesh, params)
-    bend += shear
-    del shear
-    return assemble_pencil(mesh, rm_dofmap(mesh, bc), bend, mass, params)
+
+    def blocks(cells):
+        bend, shear, mass = rm_local_matrices(mesh, params, cells)
+        bend += shear
+        return bend, mass
+
+    return assemble_pencil(mesh, rm_dofmap(mesh, bc), blocks, params)
 
 
 def interpolate_pair(mesh: Mesh, beta_fn, w_fn) -> FieldPair:

@@ -143,7 +143,7 @@ def stack_dofmaps(dofmaps) -> DofMap:
     offsets = np.cumsum([0] + [dm.n_dofs for dm in dofmaps])
     e2g = np.concatenate([dm.element_to_global + off for dm, off in zip(dofmaps, offsets)], axis=1)
     constrained = np.concatenate([dm.constrained + off for dm, off in zip(dofmaps, offsets)])
-    aux = {"offsets": offsets, "blocks": list(dofmaps)}
+    aux = {"offsets": offsets}
     points = np.concatenate([dm.points for dm in dofmaps])
     return DofMap(int(offsets[-1]), e2g, np.sort(constrained).astype(np.int64), points, aux)
 

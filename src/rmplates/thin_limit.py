@@ -99,26 +99,26 @@ def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: Mat
     if interval_mesh.element_kind != ElementKind.SEGMENT:
         raise ValueError("the limit pencil lives on an interval mesh")
     quad = segment_rule(3)
-    batch = element_batch(interval_mesh, P2_1D, quad)
-    gq = spec.g(batch.x[..., 0])
-    if np.min(gq) <= 0:
-        raise ValueError("section weight g must be strictly positive")
-
-    phi = batch.phi  # (ne, nq, 3)
-    dphi = batch.grad[..., 0]  # (ne, nq, 3)
-    wg = batch.w * gq
-    ne = phi.shape[0]
     sig = params.sigma
     c_bend = params.bending_factor * ((1.0 - sig) + limit_div_coefficient(sig, spec.d))
 
-    bend, mass = np.zeros((2, ne, 6, 6))
-    bend[:, :3, :3] = c_bend * point_gram(wg, dphi)
-    shear = params.shear_factor * point_gram(wg, np.concatenate([-phi, dphi], axis=2))
-    mass[:, 3:, 3:] = point_gram(wg, phi)
-    mass[:, :3, :3] = params.t**2 / 12.0 * mass[:, 3:, 3:]
+    def blocks(cells):
+        batch = element_batch(interval_mesh, P2_1D, quad, cells)
+        gq = spec.g(batch.x[..., 0])
+        if np.min(gq) <= 0:
+            raise ValueError("section weight g must be strictly positive")
+        phi = batch.phi  # (ne, nq, 3)
+        dphi = batch.grad[..., 0]  # (ne, nq, 3)
+        wg = batch.w * gq
+        bend, mass = np.zeros((2, phi.shape[0], 6, 6))
+        bend[:, :3, :3] = c_bend * point_gram(wg, dphi)
+        shear = params.shear_factor * point_gram(wg, np.concatenate([-phi, dphi], axis=2))
+        mass[:, 3:, 3:] = point_gram(wg, phi)
+        mass[:, :3, :3] = params.t**2 / 12.0 * mass[:, 3:, 3:]
+        return bend + shear, mass
 
     dofmap = stack_dofmaps([build_dofmap(interval_mesh, P2_1D), build_dofmap(interval_mesh, P2_1D)])
-    return assemble_pencil(interval_mesh, dofmap, bend + shear, mass, params)
+    return assemble_pencil(interval_mesh, dofmap, blocks, params)
 
 
 def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray, factor=None):

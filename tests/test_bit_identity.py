@@ -1,5 +1,7 @@
 """The scalar Q1 tabulation, the Reissner-Mindlin kernels and the scatter
-give the same bits as the references in `einsum_reference.py`.
+give the same bits as the references in `einsum_reference.py`, and a
+pencil's bits do not depend on how many elements a chunk of local blocks
+holds.
 
 The kernels sum in numpy's einsum order, so a failure here has to be read
 against the numpy version in the test-session header.
@@ -31,10 +33,11 @@ from rmplates import (
     split_quads,
     stiffness_density,
 )
-from rmplates import assemble
+from rmplates import assemble, experiments
 from rmplates.assemble import assemble_load_from_local, assemble_pencil, quad_geometry, strain_blocks
 from rmplates.quadrature import quad_rule, shear_rule_x, shear_rule_y
 from rmplates.rm_system import rm_load_vector, rm_local_matrices
+from rmplates.errors import AssemblyError
 from rmplates.thin_limit import _extended_data, assemble_limit_pencil, p2_interpolate
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, t=0.05)
@@ -90,7 +93,8 @@ def assert_same_matrix(got, want):
 
 
 def assert_same_scatter(dofmap, *stacks):
-    for got, want in zip(assemble.assemble_from_local(dofmap, *stacks), ref.assemble_from_local(dofmap, *stacks)):
+    got = assemble.assemble_from_local(dofmap, lambda cells: tuple(local[cells] for local in stacks))
+    for got, want in zip(got, ref.assemble_from_local(dofmap, *stacks)):
         assert_same_matrix(got, want)
 
 
@@ -99,7 +103,7 @@ def assert_scatter_keeps_pencil(build, *args):
     scatter as with the reference one."""
     got = build(*args)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(assemble, "assemble_from_local", ref.assemble_from_local)
+        patch.setattr(assemble, "assemble_from_local", lambda dofmap, blocks: ref.assemble_from_local(dofmap, *blocks(slice(None))))
         want = build(*args)
     for attr in ("A", "B", "B_full"):
         assert_same_matrix(getattr(got, attr), getattr(want, attr))
@@ -124,7 +128,7 @@ def assert_same_kernels(mesh):
 def assert_same_pencil(mesh, bc):
     pencil = assemble_rm_pencil(mesh, PARAMS, bc)
     bend, shear, mass = ref.rm_local_matrices(mesh, PARAMS)
-    want = assemble_pencil(mesh, rm_dofmap(mesh, bc), bend + shear, mass, PARAMS)
+    want = assemble_pencil(mesh, rm_dofmap(mesh, bc), lambda cells: ((bend + shear)[cells], mass[cells]), PARAMS)
     for got_m, want_m in ((pencil.A, want.A), (pencil.B, want.B), (pencil.B_full, want.B_full)):
         assert_same_matrix(got_m, want_m)
     return pencil
@@ -184,3 +188,52 @@ def test_scatter_keeps_pencils_and_stacks(mesh_name):
 @pytest.mark.parametrize("spec", [constant_profile_spec(0.0, 1.0, 0.5, 0.05), profile_spec(*PROFILE)], ids=["cylinder", "profile"])
 def test_scatter_keeps_limit_pencil(spec):
     assert_scatter_keeps_pencil(assemble_limit_pencil, build_interval_mesh(0.0, 1.0, 48), spec, PARAMS)
+
+
+def experiment_pencil(run, mesh):
+    """The pencil that `run(mesh)`, an experiment returning a number, assembles."""
+    pencils = []
+
+    def recorded(*args):
+        pencils.append(assemble_pencil(*args))
+        return pencils[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "assemble_pencil", recorded)
+        run(mesh)
+    (pencil,) = pencils
+    return pencil
+
+
+# (builder of the pencil, number of elements, elements of a ragged chunk)
+CHUNKED = {
+    "rm_plate": (lambda: assemble_rm_pencil(rect_mesh(), PARAMS, BcFamily.HARD_CLAMPED), 35, 8),
+    "rm_strip": (lambda: assemble_rm_pencil(cylinder_mesh(), PARAMS, BcFamily.FREE), 144, 7),
+    "morley": (lambda: assemble_biharmonic_pencil(split_quads(build_rect_mesh(1.0, 1.0, 5, 4)), 1.0, 0.3, "navier"), 40, 7),
+    "limit": (lambda: assemble_limit_pencil(build_interval_mesh(0.0, 1.0, 48), profile_spec(*PROFILE), PARAMS), 48, 7),
+    "korn": (lambda: experiment_pencil(experiments.korn_constant, rect_mesh()), 35, 8),
+    "dirichlet": (lambda: experiment_pencil(experiments.dirichlet_laplace_smallest, cylinder_mesh()), 144, 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED))
+def test_pencil_bits_do_not_depend_on_the_chunk(case, monkeypatch):
+    build, n_elements, ragged = CHUNKED[case]
+    assert n_elements % ragged
+    pencils = {}
+    for elements in (n_elements, 1, ragged):  # one chunk, one element per chunk, a ragged last chunk
+        monkeypatch.setattr(assemble, "chunk_elements", lambda ne, nloc: elements)
+        pencils[elements] = build()
+    for elements in (1, ragged):
+        for attr in ("A", "B", "B_full"):
+            assert_same_matrix(getattr(pencils[elements], attr), getattr(pencils[n_elements], attr))
+
+
+def test_non_finite_block_in_last_chunk_names_its_element(monkeypatch):
+    monkeypatch.setattr(assemble, "chunk_elements", lambda ne, nloc: 8)  # 35 elements: the last chunk holds 32, 33 and 34
+    mesh = rect_mesh()
+    bend, shear, mass = rm_local_matrices(mesh, PARAMS)
+    mass[33, 2, 5] = np.inf
+    with pytest.raises(AssemblyError) as err:
+        assemble_pencil(mesh, rm_dofmap(mesh, BcFamily.FREE), lambda cells: ((bend + shear)[cells], mass[cells]), PARAMS)
+    assert err.value.element == 33

@@ -133,8 +133,7 @@ class TestKorn:
         grad, mass = np.zeros((2,) + strain.shape)
         grad[:, :4, :4] = grad[:, 4:, 4:] = stiffness_density(batch)
         mass[:, :4, :4] = mass[:, 4:, 4:] = mass_density(batch)
-        A = assemble_from_local(dm, grad)
-        B = assemble_from_local(dm, strain + mass)
+        A, B = assemble_from_local(dm, lambda cells: (grad[cells], (strain + mass)[cells]))
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         eta = np.concatenate([y, -x])
         q = (eta @ (A @ eta)) / (eta @ (B @ eta))
@@ -151,9 +150,9 @@ class TestKorn:
         strain, _ = strain_blocks(batch)
         # |D eta|^2 and |eta|^2 are the scalar stiffness and mass of each component
         scalar = build_dofmap(mesh, Q1_SCALAR)
-        K, M = (assemble_from_local(scalar, density(batch)).toarray() for density in (stiffness_density, mass_density))
+        K, M = (m.toarray() for m in assemble_from_local(scalar, lambda cells: (stiffness_density(batch)[cells], mass_density(batch)[cells])))
         A = scipy.linalg.block_diag(K, K)
-        B = assemble_from_local(build_dofmap(mesh, Q1_VECTOR2), strain).toarray() + scipy.linalg.block_diag(M, M)
+        B = assemble_from_local(build_dofmap(mesh, Q1_VECTOR2), lambda cells: (strain[cells],)).toarray() + scipy.linalg.block_diag(M, M)
         oracle = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
         assert_allclose(korn_constant(mesh), oracle, rtol=1e-12)
 

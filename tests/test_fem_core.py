@@ -38,6 +38,11 @@ from rmplates import (
 from rmplates.assemble import assemble_load_from_local, default_rule, strain_blocks
 from rmplates.errors import UnsupportedConfigurationError
 from rmplates.experiments import SweepConfig, dirichlet_laplace_smallest, sweep_delta
+
+
+def scatter(dofmap, local):
+    """`assemble_from_local` of one whole stack of local matrices."""
+    return assemble_from_local(dofmap, lambda cells: (local[cells],))
 from rmplates.quadrature import (
     quad_rule,
     segment_rule,
@@ -109,14 +114,14 @@ class TestDofMaps:
         loc[5] = np.nan
 
         with pytest.raises(AssemblyError) as err:
-            assemble_from_local(dm, loc)
+            scatter(dm, loc)
         assert err.value.element == 5
 
     def test_assembly_deterministic(self):
         mesh = build_rect_mesh(1.1, 0.9, 6, 5)
         dm = build_dofmap(mesh, Q1_SCALAR)
-        a = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_SCALAR))).toarray()
-        b = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_SCALAR))).toarray()
+        a = scatter(dm, stiffness_density(element_batch(mesh, Q1_SCALAR))).toarray()
+        b = scatter(dm, stiffness_density(element_batch(mesh, Q1_SCALAR))).toarray()
         assert np.array_equal(a, b)
 
     def test_no_essential_means_empty(self):
@@ -254,7 +259,7 @@ class TestAssembly:
         mesh = build_rect_mesh(1, 1, 3, 3)
         dm = build_dofmap(mesh, Q1_SCALAR)
         batch = element_batch(mesh, Q1_SCALAR)
-        M = assemble_from_local(dm, mass_density(batch))
+        M = scatter(dm, mass_density(batch))
         row_sums = np.asarray(M.sum(axis=1)).ravel()
         load = assemble_load_from_local(dm, np.einsum("eq,eqi->ei", batch.w, batch.phi))
         assert_allclose(row_sums, load, atol=1e-14)
@@ -263,7 +268,7 @@ class TestAssembly:
     def test_stiffness_kills_constants(self):
         mesh = build_rect_mesh(1, 1, 4, 3)
         dm = build_dofmap(mesh, Q1_SCALAR)
-        K = assemble_from_local(dm, stiffness_density(element_batch(mesh, Q1_SCALAR)))
+        K = scatter(dm, stiffness_density(element_batch(mesh, Q1_SCALAR)))
         assert np.abs(K @ np.ones(dm.n_dofs)).max() < 1e-12
 
     def test_scatters_ignore_constraints(self):
@@ -274,18 +279,18 @@ class TestAssembly:
         clamped, unconstrained = build_dofmap(mesh, Q1_SCALAR, True), build_dofmap(mesh, Q1_SCALAR)
         batch = element_batch(mesh, Q1_SCALAR)
         local_load = np.einsum("eq,eqi->ei", batch.w, batch.phi)
-        M = assemble_from_local(clamped, mass_density(batch))
+        M = scatter(clamped, mass_density(batch))
         load = assemble_load_from_local(clamped, local_load)
         assert len(clamped.free) < clamped.n_dofs
         assert M.shape == (clamped.n_dofs, clamped.n_dofs) and load.shape == (clamped.n_dofs,)
-        assert (M != assemble_from_local(unconstrained, mass_density(batch))).nnz == 0
+        assert (M != scatter(unconstrained, mass_density(batch))).nnz == 0
         assert np.array_equal(load, assemble_load_from_local(unconstrained, local_load))
 
     def test_exact_symmetry(self):
         mesh = build_rect_mesh(1.3, 0.7, 5, 4)
         dm = build_dofmap(mesh, Q1_VECTOR2)
         for block in strain_blocks(element_batch(mesh, Q1_SCALAR)):
-            K = assemble_from_local(dm, block)
+            K = scatter(dm, block)
             diff = K - K.T
             assert diff.nnz == 0
 
@@ -309,15 +314,15 @@ class TestAssembly:
         M_exact[np.ix_(perm, perm)] = M_ccw
         K_exact[np.ix_(perm, perm)] = K_ccw
         batch = element_batch(mesh, Q1_SCALAR)
-        M = assemble_from_local(dm, mass_density(batch)).toarray()
-        K = assemble_from_local(dm, stiffness_density(batch)).toarray()
+        M = scatter(dm, mass_density(batch)).toarray()
+        K = scatter(dm, stiffness_density(batch)).toarray()
         assert_allclose(M, M_exact, atol=1e-13)
         assert_allclose(K, K_exact, atol=1e-13)
 
     def test_p2_mass_total(self):
         mesh = build_interval_mesh(0, 2, 3)
         dm = build_dofmap(mesh, P2_1D)
-        M = assemble_from_local(dm, mass_density(element_batch(mesh, P2_1D)))
+        M = scatter(dm, mass_density(element_batch(mesh, P2_1D)))
         assert_allclose(M.sum(), 2.0, atol=1e-13)
 
 
@@ -386,7 +391,7 @@ class TestMorley:
             out = (1 - sigma) * np.einsum("eq,eqiab,eqjab->eij", batch.w, batch.hess, batch.hess)
             return out + sigma * np.einsum("eq,eqi,eqj->eij", batch.w, lap, lap)
 
-        A = assemble_from_local(dm, density(element_batch(tri, MORLEY, triangle_rule())))
+        A = scatter(dm, density(element_batch(tri, MORLEY, triangle_rule())))
         got = coeffs @ (A @ coeffs)
         H = np.array([[2.0, 3.0], [3.0, -4.0]])
         exact = (1 - sigma) * np.sum(H * H) + sigma * np.trace(H) ** 2
@@ -401,7 +406,7 @@ class TestMatrixMarket:
 
         mesh = build_rect_mesh(1, 1, 3, 2)
         dm = build_dofmap(mesh, Q1_SCALAR)
-        M = assemble_from_local(dm, mass_density(element_batch(mesh, Q1_SCALAR)))
+        M = scatter(dm, mass_density(element_batch(mesh, Q1_SCALAR)))
         path = tmp_path / "mass.mtx"
         scipy.io.mmwrite(path, M, symmetry="symmetric")
         header = path.read_text().splitlines()[0]
@@ -460,33 +465,34 @@ class TestAssembledMatrices:
         scalar = build_dofmap(mesh, Q1_SCALAR, True)
         batch = element_batch(mesh, Q1_SCALAR)
         for block in strain_blocks(batch):
-            assert_canonical_symmetric(assemble_from_local(vector, block))
+            assert_canonical_symmetric(scatter(vector, block))
         for density in (stiffness_density, mass_density):
-            assert_canonical_symmetric(assemble_from_local(scalar, density(batch)))
+            assert_canonical_symmetric(scatter(scalar, density(batch)))
 
 
 class TestOneBatchPerRule:
-    """Every assembler tabulates its mesh once per quadrature rule and
-    derives all of its local blocks from that batch; it scatters all of its
-    matrices in one `assemble_from_local` call, which builds the index
-    arrays once."""
+    """Every assembler tabulates each chunk of its mesh (here the whole
+    mesh) once, at the points of all of its quadrature rules, and derives
+    all of its local blocks from that batch; it scatters all of its
+    matrices in one `assemble_from_local` call, which lays out their rows
+    once."""
 
     @pytest.mark.parametrize(
         "build,tabulations,scatters,scatter_calls",
         [
             (lambda: assemble_biharmonic_pencil(split_quads(build_rect_mesh(1, 1, 3, 3)), 1.0, 0.3, LimitBc.CLAMPED), 1, 2, 1),
-            # full 2x2 Gauss plus the two midline shear rules
-            (lambda: assemble_rm_pencil(build_rect_mesh(1, 1, 3, 3), MaterialParams(E=1.0, sigma=0.3), BcFamily.HARD_CLAMPED), 3, 2, 1),
+            # full 2x2 Gauss plus the two midline shear rules, in one batch
+            (lambda: assemble_rm_pencil(build_rect_mesh(1, 1, 3, 3), MaterialParams(E=1.0, sigma=0.3), BcFamily.HARD_CLAMPED), 1, 2, 1),
             (lambda: korn_constant(build_rect_mesh(1, 1, 4, 4)), 1, 2, 1),
             (lambda: dirichlet_laplace_smallest(build_rect_mesh(1, 1, 4, 4)), 1, 2, 1),
             # one free pencil for all eight families, each a restriction of it
-            (lambda: kernel_census(MaterialParams(E=1.0, sigma=0.3), build_rect_mesh(1, 1, 4, 4)), 3, 2, 1),
+            (lambda: kernel_census(MaterialParams(E=1.0, sigma=0.3), build_rect_mesh(1, 1, 4, 4)), 1, 2, 1),
             # per level, one limit pencil (1 tabulation, 2 scatters) and per
-            # delta a thin pencil (3, 2), the connecting system's two rules
-            # and the resolvent load's rule: 2 levels x (1 + 3 x 6), 2 x (2 + 3 x 2)
+            # delta a thin pencil (1, 2), the connecting system's two rules
+            # and the resolvent load's rule: 2 levels x (1 + 3 x 4), 2 x (2 + 3 x 2)
             (
                 lambda: sweep_delta(SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)),
-                38,
+                26,
                 16,
                 8,
             ),
@@ -498,8 +504,9 @@ class TestOneBatchPerRule:
 
         def counting(fn):
             def wrapped(*args, **kwargs):
-                calls[fn.__name__].append(args)
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                calls[fn.__name__].append(out)
+                return out
 
             return wrapped
 
@@ -511,4 +518,4 @@ class TestOneBatchPerRule:
         build()
         assert len(calls["element_batch"]) == tabulations
         assert len(calls["assemble_from_local"]) == scatter_calls
-        assert sum(len(args) - 1 for args in calls["assemble_from_local"]) == scatters
+        assert sum(len(out) if isinstance(out, tuple) else 1 for out in calls["assemble_from_local"]) == scatters

@@ -50,8 +50,8 @@ def assembled_with_full_matrices(build):
     full = []
     scatter = assemble.assemble_from_local
 
-    def recorded(dofmap, *stacks):
-        full.append(scatter(dofmap, *stacks))
+    def recorded(dofmap, blocks):
+        full.append(scatter(dofmap, blocks))
         return full[-1]
 
     with pytest.MonkeyPatch.context() as m:

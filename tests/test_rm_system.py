@@ -128,7 +128,7 @@ class TestPencil:
         # free pencil gives the family's pencil
         mesh = build_rect_mesh(1, 1, 6, 5)
         bend, shear, mass = rm_local_matrices(mesh, PARAMS)
-        A_full = assemble_from_local(rm_dofmap(mesh, BcFamily.FREE), bend + shear + mass)
+        A_full = _scatter(rm_dofmap(mesh, BcFamily.FREE), bend + shear + mass)
         free_pencil = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE)
         for bc in BcFamily:
             pen = assemble_rm_pencil(mesh, PARAMS, bc)
@@ -150,9 +150,10 @@ class TestPencil:
         # an unconstrained dofmap, and restrict
         blocks, pencils = [], []
 
-        def scatter(dofmap, *stacks):
+        def scatter(dofmap, chunk_blocks):
+            stacks = chunk_blocks(slice(None))
             blocks.extend(local.copy() for local in stacks)
-            return assemble_from_local(dofmap, *stacks)
+            return assemble_from_local(dofmap, lambda cells: tuple(local[cells] for local in stacks))
 
         def recorded(*args):
             pencils.append(assemble_pencil(*args))
@@ -177,7 +178,7 @@ class TestPencil:
             blocks.clear()
             pen = build()
             free = pen.dofmap.free
-            A_full, B_full = (assemble_from_local(unconstrained, local) for local in blocks)
+            A_full, B_full = (_scatter(unconstrained, local) for local in blocks)
             for M, R in ((pen.A, _restricted(A_full, free)), (pen.B, _restricted(B_full, free)), (pen.B_full, B_full)):
                 assert _same_csr(M, R), what
 
@@ -188,7 +189,7 @@ class TestPencil:
         assert len(free) < mesh.n_nodes
         assert np.array_equal(np.sort(free), build_dofmap(mesh, Q1_SCALAR, True).free)
         for M, local in zip((pen.A, pen.B), blocks):
-            assert _same_csr(M, _restricted(assemble_from_local(build_dofmap(mesh, Q1_SCALAR), local), free)), "dirichlet"
+            assert _same_csr(M, _restricted(_scatter(build_dofmap(mesh, Q1_SCALAR), local), free)), "dirichlet"
 
     def test_unconstrained_pencil_holds_its_mass_once(self):
         # with every dof free, a strip or chain keeps the global order and
@@ -357,6 +358,11 @@ def _restricted(M, free):
     return M
 
 
+def _scatter(dofmap, local):
+    """`assemble_from_local` of one whole stack of local matrices."""
+    return assemble_from_local(dofmap, lambda cells: (local[cells],))
+
+
 def _same_csr(M, R):
     """Equal entry for entry, with the same sparsity."""
     return all(np.array_equal(getattr(M, attr), getattr(R, attr)) for attr in ("indptr", "indices", "data"))
@@ -370,4 +376,4 @@ def _pencil_mats(mesh, bc):
 def _unconstrained_parts(mesh):
     """Assembled (bending, shear, mass) over the unconstrained product space."""
     dofmap = rm_dofmap(mesh, BcFamily.FREE)
-    return tuple(assemble_from_local(dofmap, block) for block in rm_local_matrices(mesh, PARAMS))
+    return tuple(_scatter(dofmap, block) for block in rm_local_matrices(mesh, PARAMS))

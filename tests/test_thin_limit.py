@@ -318,7 +318,7 @@ class TestScaledGapFloor:
         Phi0, phi0 = solve_limit_source(lp, F0, f0)
 
         batch = element_batch(cs.interval_mesh, P2_1D)
-        e2g = lp.dofmap.aux["blocks"][0].element_to_global
+        e2g = lp.dofmap.element_to_global[:, :3]  # the Phi block
         dPhi = np.einsum("eqi,ei->eq", batch.grad[..., 0], Phi0[e2g])
         q_norm = np.sqrt(np.sum(batch.w * (PARAMS.sigma * dPhi) ** 2))
         floor = q_norm / np.sqrt(12.0) / cs.h0_norm(F0, f0)
