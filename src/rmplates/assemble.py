@@ -1,8 +1,8 @@
 """Sparse symmetric Galerkin assembly over batched element bases.
 
-`element_batch` tabulates basis values, gradients (and Hessians for Morley)
-of one scalar space at the quadrature points of a range of elements at
-once; densities (`point_gram`) turn a batch into per-element matrices,
+`element_batch` tabulates basis values, gradients (and Hessians for Morley,
+whose basis is in closed barycentric form) of one scalar space at the
+quadrature points of a range of elements at once; densities (`point_gram`) turn a batch into per-element matrices,
 those of a vector field from the batch of its components, and
 `assemble_from_local` scatters them into symmetric CSR matrices over all
 dofs of a dofmap.  Every assembler hands `assemble_pencil` a function of
@@ -110,81 +110,41 @@ def p2_ref_basis(xi: np.ndarray):
     return phi, dphi
 
 
-def morley_element_basis(mesh: Mesh, cells: slice):
-    """Morley coefficients of the elements `cells` in centroid-centred scaled monomials.
-
-    Dofs: values at the three vertices, then normal derivatives (with the
-    global edge-normal convention) at the midpoints of the edges opposite
-    vertices 0, 1, 2.  Returns (coeffs (ne,6,6), centres, scales).
-    """
+def morley_batch(mesh: Mesh, quad: QuadratureRule, cells: slice) -> ElementBatch:
+    """The Morley basis of the elements `cells` in closed form (Wang & Xu,
+    Numer. Math. 103, 2006).  Dofs: vertex values, then normal derivatives
+    along the global normals n_j at the midpoints of the edges opposite
+    vertices 0, 1, 2.  With barycentric l_i and G_ij = grad l_i . n_j, the
+    edge shapes are psi_j = c_j l_j (l_j - 1), c_j = -1 / G_jj, and the
+    vertex shapes phi_i = l_i - sum_j G_ij psi_j.  A triangle whose area is
+    zero up to round-off, or not finite, raises `AssemblyError`."""
     elements = mesh.elements[cells]
     X = mesh.nodes[elements]  # (ne, 3, 2)
-    ne = X.shape[0]
-    centres = X.mean(axis=1)
-    e1 = X[:, 1] - X[:, 0]
-    e2 = X[:, 2] - X[:, 0]
-    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    scales = np.sqrt(2.0 * area)
-
-    D = np.zeros((ne, 6, 6))
-    U = (X - centres[:, None, :]) / scales[:, None, None]
-    for k in range(3):
-        u, v = U[:, k, 0], U[:, k, 1]
-        D[:, k, :] = np.stack([np.ones(ne), u, v, u * u, u * v, v * v], axis=1)
-    local_edges = [(1, 2), (2, 0), (0, 1)]
-    ends = np.array(local_edges).T
-    normals = edge_normal(mesh, elements[:, ends[0]], elements[:, ends[1]])  # (ne, 3, 2)
-    for k, (a, b) in enumerate(local_edges):
-        mid = 0.5 * (X[:, a] + X[:, b])
-        m = (mid - centres) / scales[:, None]
-        u, v = m[:, 0], m[:, 1]
-        zeros = np.zeros(ne)
-        dmono_du = np.stack([zeros, np.ones(ne), zeros, 2 * u, v, zeros], axis=1)
-        dmono_dv = np.stack([zeros, zeros, np.ones(ne), zeros, u, 2 * v], axis=1)
-        # physical gradient carries 1/scale
-        D[:, 3 + k, :] = (normals[:, k, 0:1] * dmono_du + normals[:, k, 1:2] * dmono_dv) / scales[:, None]
-    try:
-        coeffs = np.linalg.inv(D)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise AssemblyError(-1, f"Morley dof matrix singular: {exc}")
-    return coeffs, centres, scales
-
-
-_MONO_HESS = np.zeros((6, 2, 2))
-_MONO_HESS[3] = [[2.0, 0.0], [0.0, 0.0]]
-_MONO_HESS[4] = [[0.0, 1.0], [1.0, 0.0]]
-_MONO_HESS[5] = [[0.0, 0.0], [0.0, 2.0]]
-
-
-def morley_batch(mesh: Mesh, quad: QuadratureRule, cells: slice) -> ElementBatch:
-    coeffs, centres, scales = morley_element_basis(mesh, cells)
-    X = mesh.nodes[mesh.elements[cells]]
-    lam = np.column_stack([1.0 - quad.points.sum(axis=1), quad.points])  # barycentric
+    e1, e2 = X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]
+    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]  # twice the signed area
+    # a non-finite coordinate makes the bound inf or NaN, which fails the comparison too
+    bad = np.flatnonzero(~(np.abs(area2) > 8 * np.finfo(float).eps * np.hypot(*e1.T) * np.hypot(*e2.T)))
+    if len(bad):
+        raise AssemblyError((cells.start or 0) + int(bad[0]), "zero or non-finite triangle area")
+    lam = np.column_stack([1.0 - quad.points.sum(axis=1), quad.points])  # barycentric, (nq, 3)
     x = np.einsum("qk,eka->eqa", lam, X)
-    e1 = X[:, 1] - X[:, 0]
-    e2 = X[:, 2] - X[:, 0]
-    area2 = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    w = quad.weights[None, :] * area2[:, None]
+    w = quad.weights[None, :] * np.abs(area2)[:, None]
+    edge = X[:, [2, 0, 1]] - X[:, [1, 2, 0]]  # opposite vertex i, from vertex i+1 to i+2
+    dlam = np.stack([-edge[..., 1], edge[..., 0]], axis=-1) / area2[:, None, None]  # edge turned by +90 degrees
+    G = np.einsum("eia,eja->eij", dlam, edge_normal(mesh, elements[:, [1, 2, 0]], elements[:, [2, 0, 1]]))
+    c = -1.0 / np.einsum("eii->ei", G)
 
-    U = (x - centres[:, None, :]) / scales[:, None, None]
-    u, v = U[..., 0], U[..., 1]
-    one, zero = np.ones_like(u), np.zeros_like(u)
-    mono = np.stack([one, u, v, u * u, u * v, v * v], axis=-1)  # (ne,nq,6)
-    phi = np.einsum("eqm,emi->eqi", mono, coeffs)
-    hess = np.einsum("mab,emi->eiab", _MONO_HESS, coeffs) / (scales**2)[:, None, None, None]
-    hess = np.broadcast_to(hess[:, None, :, :, :], (X.shape[0], len(quad.weights), 6, 2, 2))
+    def shapes(linear, psi):
+        # the six shapes on axis 2 from l and psi, summing over j in index order, the same for any chunk
+        Gj = G.reshape(G.shape + (1,) * (psi.ndim - 3))
+        return np.concatenate([linear - sum(Gj[:, None, :, j] * psi[:, :, j, None] for j in range(3)), psi], axis=2)
 
     def grad():
-        dmono = np.stack(
-            [
-                np.stack([zero, one, zero, 2 * u, v, zero], axis=-1),
-                np.stack([zero, zero, one, zero, u, 2 * v], axis=-1),
-            ],
-            axis=-1,
-        )  # (ne,nq,6,2) in scaled coords, made here so that the batch does not hold it
-        return np.einsum("eqmd,emi->eqid", dmono, coeffs) / scales[:, None, None, None]
+        return shapes(dlam[:, None], (c[:, None] * (2.0 * lam - 1.0))[..., None] * dlam[:, None])
 
-    return ElementBatch(x, w, phi, grad, hess=hess)
+    phi = shapes(lam, c[:, None] * lam * (lam - 1.0))
+    hess = shapes(0.0, 2.0 * c[:, None, :, None, None] * dlam[:, None, :, :, None] * dlam[:, None, :, None, :])
+    return ElementBatch(x, w, phi, grad, hess=np.broadcast_to(hess, phi.shape + (2, 2)))
 
 
 def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None, cells: slice = slice(None)) -> ElementBatch:

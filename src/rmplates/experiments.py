@@ -20,6 +20,7 @@ import numpy as np
 from .assemble import assemble_pencil, element_batch, mass_density, stiffness_density, strain_blocks
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
 from .eigensolve import EigOptions, _b_orthonormalize, clusters, factorize, principal_angles, solve_gep_smallest
+from .errors import ConvergenceError
 from .geometry import (
     Mesh,
     ThinDomainSpec,
@@ -145,29 +146,46 @@ def _morley_eigenvalues(level: int, params: MaterialParams, limit_bc, k: int) ->
     return solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=k)).eigenvalues
 
 
+def _above_kernel(eigenvalues: np.ndarray, kernel: int) -> np.ndarray:
+    """The eigenvalues after the `kernel` smallest, which must be the kernel
+    at 1 (`at_one`) with no further eigenvalue there; else ConvergenceError."""
+    at = at_one(eigenvalues)
+    if not np.all(at[:kernel]) or np.any(at[kernel:]):
+        raise ConvergenceError(f"expected a kernel of {kernel} eigenvalues at 1, got {eigenvalues.tolist()}")
+    return eigenvalues[kernel:]
+
+
 def _thickness_gaps(n: int, config: SweepConfig, reference: np.ndarray):
-    """RM eigenvalue gaps to the biharmonic reference on an n x n mesh."""
+    """Gaps of the RM eigenvalues above the kernel to the biharmonic
+    reference on an n x n mesh."""
     mesh = build_rect_mesh(1.0, 1.0, n, n)
+    kernel = EXPECTED_KERNELS[config.bc]
     gaps, eigs = [], []
     for t in config.values:
         params = MaterialParams(config.params.E, config.params.sigma, config.params.k, t)
         pencil = assemble_rm_pencil(mesh, params, config.bc)
-        res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=config.num_eigs))
-        eigs.append(res.eigenvalues.tolist())
-        gaps.append(np.abs(res.eigenvalues - reference[: config.num_eigs]).tolist())
+        res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=config.num_eigs + kernel))
+        eigenvalues = _above_kernel(res.eigenvalues, kernel)
+        eigs.append(eigenvalues.tolist())
+        gaps.append(np.abs(eigenvalues - reference).tolist())
     return np.array(gaps), eigs
 
 
 def sweep_thickness(config: SweepConfig) -> dict:
-    """Gaps between RM eigenvalues and the biharmonic limit as t decreases."""
+    """Gaps between RM eigenvalues and the biharmonic limit as t decreases,
+    for the `num_eigs` eigenvalues above the family's kernel at 1, which
+    the limit shares (`EXPECTED_KERNELS`)."""
     t0 = time.perf_counter()
     limit_bc = map_limit_bc(config.bc)  # raises for unsupported families
     n = config.mesh_n
     if n % 4:
         raise ValueError(f"mesh_n = {n}: the thickness sweep halves it twice, so it must be a multiple of 4")
-    k = config.num_eigs
+    k, kernel = config.num_eigs, EXPECTED_KERNELS[config.bc]
     # the references at n and n/2 share the n/2 level; each level is solved once
-    lam = {level: _morley_eigenvalues(level, config.params, limit_bc, k) for level in (n // 4, n // 2, n)}
+    lam = {
+        level: _above_kernel(_morley_eigenvalues(level, config.params, limit_bc, k + kernel), kernel)
+        for level in (n // 4, n // 2, n)
+    }
     reference = _richardson(lam[n // 2], lam[n])
     reference_c = _richardson(lam[n // 4], lam[n // 2])
     gaps, eigs = _thickness_gaps(n, config, reference)
@@ -179,13 +197,13 @@ def sweep_thickness(config: SweepConfig) -> dict:
     control_ok = _control_ok(gaps[:, 0], gaps_c[:, 0])
     fit = fit_rate(list(zip(config.values, gaps[:, 0]))) if control_ok else None
     monotone = [bool(np.all(np.diff(gaps[:, j]) < 0)) for j in range(k)]
-    rel_final = (gaps[-1] / np.abs(reference[:k])).tolist()
+    rel_final = (gaps[-1] / np.abs(reference)).tolist()
     checks = {"gaps_strictly_decreasing": all(monotone)}
     return {
         "kind": "thickness",
         "bc": config.bc.value,
         "parameter_values": list(config.values),
-        "reference_eigenvalues": reference[:k].tolist(),
+        "reference_eigenvalues": reference.tolist(),
         "rm_eigenvalues": eigs,
         "gaps": gaps.tolist(),
         "gaps_control": gaps_c.tolist(),

@@ -30,7 +30,9 @@ from rmplates import (
     sweep_thickness,
 )
 from rmplates import eigensolve, experiments
+from rmplates.errors import ConvergenceError
 from rmplates.experiments import CONTROL_RTOL, EXPECTED_KERNELS, SweepConfig, korn_sweep
+from rmplates.rm_system import at_one
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -203,6 +205,23 @@ class TestSweeps:
         lam = [experiments._morley_eigenvalues(level, cfg.params, LimitBc.CLAMPED, 2) for level in (4, 8)]
         reference = experiments._richardson(*lam)
         assert rep["reference_eigenvalues"] == reference.tolist()
+
+    @pytest.mark.parametrize("bc", [BcFamily.FREE, BcFamily.SOFT_RIGID])
+    def test_thickness_sweep_reports_eigenvalues_above_the_kernel(self, bc):
+        # the kernel at 1 is common to every t and to the limit: reporting it
+        # would give references of 1 and gaps of round-off
+        cfg = SweepConfig(kind="thickness", values=(0.2, 0.1, 0.05), mesh_n=16, num_eigs=2, bc=bc)
+        rep = sweep_thickness(cfg)
+        reported = np.concatenate([rep["reference_eigenvalues"], np.ravel(rep["rm_eigenvalues"])])
+        assert len(rep["reference_eigenvalues"]) == 2 and np.shape(rep["rm_eigenvalues"]) == (3, 2)
+        assert not np.any(at_one(reported))
+        assert np.min(rep["gaps"]) > 1e-3 and np.min(rep["gaps_control"]) > 1e-3
+
+    def test_thickness_sweep_refuses_a_kernel_it_does_not_find(self, monkeypatch):
+        monkeypatch.setitem(EXPECTED_KERNELS, BcFamily.FREE, 2)
+        cfg = SweepConfig(kind="thickness", values=(0.2, 0.1, 0.05), mesh_n=8, num_eigs=2, bc=BcFamily.FREE)
+        with pytest.raises(ConvergenceError, match="kernel of 2"):
+            sweep_thickness(cfg)
 
     def test_thickness_sweep_rejects_mesh_it_cannot_halve_twice(self):
         # mesh_n = 10 would solve Morley levels 2, 5 and 10, and the control

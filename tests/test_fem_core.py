@@ -14,8 +14,10 @@ from rmplates import (
     Q1_SCALAR,
     Q1_VECTOR2,
     BcFamily,
+    ElementKind,
     LimitBc,
     MaterialParams,
+    Mesh,
     PiecewiseLinear,
     ThinDomainSpec,
     assemble_biharmonic_pencil,
@@ -31,6 +33,8 @@ from rmplates import (
     kernel_census,
     korn_constant,
     mass_density,
+    mesh_from_dict,
+    mesh_to_dict,
     rm_dofmap,
     split_quads,
     stiffness_density,
@@ -38,12 +42,14 @@ from rmplates import (
 from rmplates.assemble import assemble_load_from_local, default_rule, strain_blocks
 from rmplates.errors import UnsupportedConfigurationError
 from rmplates.experiments import SweepConfig, dirichlet_laplace_smallest, sweep_delta
+from rmplates.geometry import Facets
 
 
 def scatter(dofmap, local):
     """`assemble_from_local` of one whole stack of local matrices."""
     return assemble_from_local(dofmap, lambda cells: (local[cells],))
 from rmplates.quadrature import (
+    QuadratureRule,
     quad_rule,
     segment_rule,
     shear_rule_x,
@@ -396,6 +402,53 @@ class TestMorley:
         H = np.array([[2.0, 3.0], [3.0, -4.0]])
         exact = (1 - sigma) * np.sum(H * H) + sigma * np.trace(H) ** 2
         assert_allclose(got, exact, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        angle=st.floats(1e-3, np.pi - 1e-3),
+        lengths=st.tuples(st.floats(1e-2, 10.0), st.floats(1e-2, 10.0)),
+        turn=st.floats(0.0, 2 * np.pi),
+        shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        mirror=st.booleans(),
+        numbering=st.permutations([0, 1, 2]),
+    )
+    def test_basis_is_dual_to_the_dofs(self, angle, lengths, turn, shift, mirror, numbering):
+        # one triangle, from needles and slivers to obtuse ones, either
+        # orientation; the node numbering sets the global edge normals
+        local = np.array([[0.0, 0.0], [lengths[0], 0.0], [lengths[1] * np.cos(angle), lengths[1] * np.sin(angle)]])
+        if mirror:
+            local[:, 1] *= -1
+        rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        nodes = np.empty((3, 2))
+        nodes[numbering] = local @ rotation.T + shift
+        facets = Facets(np.zeros((0, 2), np.int64), np.zeros(0, np.int64), np.zeros(0, str), np.zeros((0, 2)))
+        tri = Mesh(2, ElementKind.TRI3, nodes, np.array([numbering]), facets)
+        # points: the vertices, then the midpoints of the edges opposite vertices 0, 1, 2
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
+        batch = element_batch(tri, MORLEY, QuadratureRule(points, np.full(6, 1.0 / 12.0)))
+        values = batch.phi[0, :3]  # [vertex j, shape i]
+        ends = np.array([[1, 2], [2, 0], [0, 1]])
+        normals = edge_normal(tri, np.array(numbering)[ends[:, 0]], np.array(numbering)[ends[:, 1]])
+        slopes = np.einsum("jid,jd->ji", batch.grad[0, 3:], normals)  # [edge j, shape i]
+        dual = np.hstack([np.eye(3), np.zeros((3, 3))])
+        assert_allclose(values, dual, rtol=0, atol=1e-10 * np.abs(values).max())
+        assert_allclose(slopes, np.roll(dual, 3, axis=1), rtol=0, atol=1e-10 * np.abs(slopes).max())
+
+    @pytest.mark.parametrize("moved", ["midpoint", "infinite"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_degenerate_triangle_names_its_element(self, moved):
+        # triangle 7 of the split 3x3 square loses its area: its third
+        # vertex goes to the midpoint of the other two, or to infinity
+        from rmplates.errors import AssemblyError
+
+        data = mesh_to_dict(split_quads(build_rect_mesh(1, 1, 3, 3)))
+        nodes = np.array(data["nodes"])
+        a, b, c = data["elements"][7]
+        nodes[c] = 0.5 * (nodes[a] + nodes[b]) if moved == "midpoint" else np.inf
+        tri = mesh_from_dict(dict(data, nodes=nodes.tolist()))
+        with pytest.raises(AssemblyError) as err:
+            assemble_biharmonic_pencil(tri, 1.0, 0.3, "clamped")
+        assert err.value.element == 7
 
 
 class TestMatrixMarket:
