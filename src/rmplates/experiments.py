@@ -237,7 +237,9 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
     """All measured errors at one mesh level, one point per delta.  The limit
     pencil sees the profile only through g = f1 + f2, so it is made and
     factored once: the LU serves its source solve, then its eigensolve.  The
-    data is (F0, f0) = (0, sin(pi x)) on the level's own interval mesh."""
+    data is (F0, f0) = (0, sin(pi x)) on the level's own interval mesh.
+    The thin pencils of a level share one sparsity pattern, so the first
+    point's COLAMD column order serves the LU of every later one."""
     spec = config.spec_at(config.values[0])
     interval = build_interval_mesh(*spec.base_interval, nx)
     limit_pencil = assemble_limit_pencil(interval, spec, config.params)
@@ -245,20 +247,25 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
     f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
     limit_solution = solve_limit_source(limit_pencil, *f0, factor)
     lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4), factor)
-    return [
-        _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution) for delta in config.values
-    ]
+    points, columns = [], None
+    for delta in config.values:
+        point, columns = _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution, columns)
+        points.append(point)
+    return points
 
 
-def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, limit_solution):
+def _delta_point(
+    config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, limit_solution, columns
+):
     """All measured errors for one delta against the level's limit pencil,
-    its eigenpairs and its source solution, in the global dof order.  The thin
-    A is factored once: the source solve and the Lanczos run share the LU."""
+    its eigenpairs and its source solution, in the global dof order, and
+    the column order of the thin LU.  The thin A is factored once, on
+    `columns` if given: the source solve and the Lanczos run share the LU."""
     spec = config.spec_at(delta)
     thin = build_thin_mesh(spec, interval.n_elements, ny)
     system = ConnectingSystem(thin, interval, spec)
     thin_pencil = assemble_rm_pencil(thin, config.params, BcFamily.FREE)
-    factor = factorize(thin_pencil.A)
+    factor = factorize(thin_pencil.A, columns)
     res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_solution, factor=factor)
 
     groups = _nonunit_clusters(lim.eigenvalues, DELTA_CLUSTERS)
@@ -294,7 +301,10 @@ def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0,
             scores[i] = np.linalg.norm(V.T @ (B0 @ averaged[:, i]))
         picked = list(np.argsort(scores)[::-1][:m])
         if np.min(scores[picked]) <= 1e-9:
-            raise RuntimeError(f"could not match {m} thin eigenpairs to limit cluster at {lam0}")
+            raise ConvergenceError(
+                f"delta = {delta}, {interval.n_elements}x{ny} mesh: could not match {m} thin eigenpairs to the"
+                f" limit cluster at {lam0}; best projection scores {scores[picked].tolist()}"
+            )
         taken[picked] = True
         eig_gaps.append(float(np.sum(np.abs(thin_res.eigenvalues[picked] - lam0))))
         signed_gaps.append(float(np.sum(thin_res.eigenvalues[picked] - lam0)))
@@ -307,7 +317,7 @@ def _delta_point(config: SweepConfig, delta: float, interval: Mesh, ny: int, f0,
         "eig_gap_signed": signed_gaps,
         "limit_eigenvalues": lam0s,
         "max_angles": angles,
-    }
+    }, factor.columns
 
 
 def sweep_delta(config: SweepConfig) -> dict:

@@ -161,8 +161,10 @@ class ConnectingSystem:
         self.xs = xs
         self.Y = Y
         # quadrature used for all thin-side norms: exact for products of Q1
-        # fields and extensions of P2 interval fields
-        self._batch = element_batch(thin_mesh, Q1_SCALAR, quad_rule(3, 2))
+        # fields and extensions of P2 interval fields; of its batch only the
+        # points' x, the weights and the basis values are read
+        batch = element_batch(thin_mesh, Q1_SCALAR, quad_rule(3, 2))
+        self._xq, self._w, self._phi = batch.x[..., 0].copy(), batch.w, batch.phi
         self._ivl_rule = segment_rule(3)
         self._ivl_batch = element_batch(interval_mesh, P2_1D, self._ivl_rule)
 
@@ -207,15 +209,14 @@ class ConnectingSystem:
     def q1_at_rule(self, nodal: np.ndarray) -> np.ndarray:
         """Q1 field values at the thin-side norm quadrature points, (ne, nq)."""
         vals = np.asarray(nodal)[self.thin_mesh.elements]
-        return np.einsum("eqi,ei->eq", self._batch.phi, vals)
+        return np.einsum("eqi,ei->eq", self._phi, vals)
 
     def p2x_at_rule(self, coeffs: np.ndarray) -> np.ndarray:
         """Extension of a P2 interval field, evaluated exactly at the same points."""
-        xq = self._batch.x[..., 0]
-        return p2_evaluate(self.interval_mesh, coeffs, xq.ravel()).reshape(xq.shape)
+        return p2_evaluate(self.interval_mesh, coeffs, self._xq.ravel()).reshape(self._xq.shape)
 
     def integrate_thin(self, vals: np.ndarray) -> float:
-        return float(np.sum(self._batch.w * vals))
+        return float(np.sum(self._w * vals))
 
     def integrate_interval(self, vals: np.ndarray) -> float:
         return float(np.sum(self._ivl_batch.w * vals))

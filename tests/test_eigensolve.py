@@ -1,4 +1,10 @@
 import importlib
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
@@ -9,11 +15,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from rmplates import eigensolve
+from rmplates import eigensolve, experiments
 from rmplates.eigensolve import EigOptions, principal_angles, solve_gep_smallest
 from rmplates.errors import ConvergenceError, SingularSystemError
 from rmplates.biharmonic import LimitBc, assemble_biharmonic_pencil, map_limit_bc
-from rmplates.experiments import DEFAULT_PARAMS
+from rmplates.experiments import DEFAULT_PARAMS, SweepConfig
 from rmplates.geometry import build_interval_mesh, build_rect_mesh, build_thin_mesh, constant_profile_spec, split_quads
 from rmplates.rm_system import BcFamily, MaterialParams, assemble_rm_pencil, solve_rm_source
 from rmplates.thin_limit import assemble_limit_pencil
@@ -313,6 +319,143 @@ class TestOrdering:
         assert eigensolve.ordering(M) == "COLAMD"
         with pytest.raises(SingularSystemError):
             eigensolve.factorize(M)
+
+
+def strip_level(deltas=(0.4, 0.2, 0.1, 0.05), nx=96, ny=6):
+    params = MaterialParams(E=1.0, sigma=0.3, t=0.1)
+    return [
+        assemble_rm_pencil(build_thin_mesh(constant_profile_spec(0, 1, 0.5, d), nx, ny), params, BcFamily.FREE)
+        for d in deltas
+    ]
+
+
+class TestColumnOrder:
+    """One COLAMD column order serves every strip of one sparsity pattern."""
+
+    def test_reused_order_is_colamd_bit_for_bit(self):
+        pencils = strip_level()
+        columns = eigensolve.factorize(pencils[0].A).columns
+        rhs = np.random.default_rng(5).standard_normal(pencils[0].A.shape[0])
+        for pen in pencils:
+            ref, got = colamd(pen.A), eigensolve.factorize(pen.A, columns)
+            assert (got.ordering, got.lu_fill) == ("COLAMD", ref.lu_fill)
+            assert got.columns is columns
+            assert np.array_equal(got.lu.solve(rhs), ref.lu.solve(rhs))
+            assert np.array_equal(got.lu.lu.perm_r, ref.lu.perm_r)
+            for attr in ("L", "U"):
+                assert np.array_equal(getattr(got.lu.lu, attr).data, getattr(ref.lu, attr).data), attr
+            assert np.array_equal(eigensolve.sparse_solve(pen.A, rhs, got), eigensolve.sparse_solve(pen.A, rhs, ref))
+
+    def test_order_is_a_copy(self):
+        # a view of SuperLU's perm_c would keep the whole LU alive
+        factor = eigensolve.factorize(strip_level((0.1,))[0].A)
+        assert factor.columns.base is None
+        assert eigensolve.factorize(clamped_rm_pencil().A).columns is None
+
+    def test_delta_level_passes_order_and_releases_each_lu(self, monkeypatch):
+        class Lu:
+            """A weakly referenceable SuperLU stand-in."""
+
+            def __init__(self, lu):
+                self._lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+        splu, lanczos, factorize = spla.splu, eigensolve._shift_invert_lanczos, eigensolve.factorize
+        made, alive_after_lanczos, given = [], [], []
+
+        def traced_splu(*args, **kwargs):
+            lu = Lu(splu(*args, **kwargs))
+            made.append(weakref.ref(lu))
+            return lu
+
+        def recorded_lanczos(*args):
+            out = lanczos(*args)
+            alive_after_lanczos.append(sum(ref() is not None for ref in made))
+            return out
+
+        def recorded_factorize(M, columns=None):
+            factor = factorize(M, columns)
+            given.append((columns, factor.columns))
+            return factor
+
+        monkeypatch.setattr(spla, "splu", traced_splu)
+        monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", recorded_lanczos)
+        monkeypatch.setattr(experiments, "factorize", recorded_factorize)
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1, 0.05), mesh_n=96, mesh_ny=6)
+        experiments._delta_level(cfg, 96, 6)
+        # the limit LU, then one per delta point, each dead once its Lanczos run returns
+        assert len(made) == 5 and alive_after_lanczos == [0] * 5
+        (limit, _), (first, order), *later = given
+        assert limit is None and first is None and order is not None
+        assert all(columns is order and out is order for columns, out in later) and len(later) == 3
+
+
+class TestHeapRelease:
+    """`factorize` hands the C heap's free pages back just before each LU."""
+
+    def test_released_once_before_splu(self, monkeypatch):
+        events = []
+        splu = spla.splu
+
+        def traced_splu(*args, **kwargs):
+            events.append("splu")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
+        monkeypatch.setattr(spla, "splu", traced_splu)
+        strip = strip_level((0.1,), 16, 2)[0].A
+        for M, columns in ((clamped_rm_pencil().A, None), (strip, None), (strip, np.arange(strip.shape[0]))):
+            events.clear()
+            eigensolve.factorize(M, columns)
+            assert events == [("trim", 0), "splu"]
+
+    def test_absent_symbol_is_a_no_op(self, monkeypatch):
+        class NoTrim:
+            """A C library without malloc_trim."""
+
+        monkeypatch.setattr(eigensolve.ctypes, "CDLL", lambda name: NoTrim())
+        assert eigensolve._malloc_trim() is None
+        for M in (clamped_rm_pencil().A, strip_level((0.1,), 16, 2)[0].A):
+            ref = eigensolve.factorize(M).lu
+            with monkeypatch.context() as m:
+                m.setattr(eigensolve, "MALLOC_TRIM", None)
+                got = eigensolve.factorize(M).lu
+            for attr in ("perm_c", "perm_r"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+            for attr in ("L", "U"):
+                assert np.array_equal(getattr(got, attr).data, getattr(ref, attr).data), attr
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc and /proc")
+    def test_freed_heap_leaves_the_resident_set(self):
+        # a freed 24 MB mapping raises glibc's mmap threshold (it follows freed
+        # mappings of up to 32 MB), so the 1 MB arrays below come from the heap;
+        # `keep` sits above them, so free() cannot give them back by trimming the top
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            import scipy.sparse as sp
+            from rmplates import eigensolve, experiments
+
+            def rss_mb():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
+            mapped = np.ones(24 << 20, dtype=np.uint8)
+            del mapped
+            before = rss_mb()
+            held = [np.ones(1 << 17) for _ in range(200)]
+            keep = np.ones(1 << 17)
+            del held
+            eigensolve.factorize(sp.diags([np.full(50, 4.0), np.full(49, -1.0), np.full(49, -1.0)], [0, -1, 1]).tocsr())
+            print(rss_mb() - before)
+            """
+        )
+        src = str(pathlib.Path(eigensolve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout.split()[-1]) < 20.0, out.stdout
 
 
 def normwise_backward_errors(A, B, lam, X):

@@ -22,6 +22,7 @@ from rmplates import (
     fit_rate,
     kernel_census,
     korn_constant,
+    p2_dof_points,
     p2_interpolate,
     poincare_check,
     resolvent_gap,
@@ -339,6 +340,19 @@ class TestSweeps:
             for got, want in ((res.eigenvalues, ref.eigenvalues), (res.eigenvectors, ref.eigenvectors), (res.residuals, ref.residuals)):
                 assert np.array_equal(got, want)
             assert {k: v for k, v in res.info.items() if k != "factor_s"} == {k: v for k, v in ref.info.items() if k != "factor_s"}
+
+    def test_unmatched_cluster_raises_convergence_error(self, monkeypatch):
+        # averaged thin eigenvectors of zero score nothing against any limit
+        # cluster: the first point of the fine level says where it failed
+        def zero_averages(self, pair):
+            zeros = np.zeros(len(p2_dof_points(self.interval_mesh)))
+            return zeros, zeros, zeros
+
+        monkeypatch.setattr(experiments.ConnectingSystem, "average_pair", zero_averages)
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+        with pytest.raises(ConvergenceError, match=r"delta = 0\.4, 16x2 mesh: could not match .* scores \[0\.0") as err:
+            sweep_delta(cfg)
+        assert isinstance(err.value, RuntimeError)
 
     def test_delta_sweep_trapezoid_convergence_only(self):
         # general profiles are outside the cylinder rate theorem: assert

@@ -22,9 +22,12 @@ from rmplates import (
     resolvent_gap,
     solve_rm_source,
 )
+from rmplates.assemble import ElementBatch, element_batch
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.geometry import PiecewiseLinear, ThinDomainSpec
+from rmplates.quadrature import quad_rule
 from rmplates.rm_system import FieldPair, rm_load_vector, solve_rm_source
+from rmplates.spaces import Q1_SCALAR
 from rmplates.thin_limit import _extended_data, solve_limit_source
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
@@ -207,6 +210,22 @@ class TestConnectingSystem:
         assert_allclose(Phi_bar[:nv], Phi[:nv], atol=1e-12)
         assert_allclose(phi_bar[:nv], phi[:nv], atol=1e-12)
         assert np.abs(bII_bar).max() < 1e-13
+
+    def test_keeps_only_the_rule_data_it_reads(self):
+        # of the thin-side batch the system reads the points' x, the weights
+        # and the basis values; the points' y and the Jacobians, which the
+        # batch's lazy gradient holds, are not kept
+        cs = make_system(trapezoid_spec(0.2))
+        batch = element_batch(cs.thin_mesh, Q1_SCALAR, quad_rule(3, 2))
+        assert not any(isinstance(v, ElementBatch) and v.w.shape == batch.w.shape for v in vars(cs).values())
+        rng = np.random.default_rng(3)
+        nodal = rng.standard_normal(cs.thin_mesh.n_nodes)
+        coeffs = rng.standard_normal(len(p2_dof_points(cs.interval_mesh)))
+        vals = rng.standard_normal(batch.w.shape)
+        xq = batch.x[..., 0]
+        assert np.array_equal(cs.q1_at_rule(nodal), np.einsum("eqi,ei->eq", batch.phi, nodal[cs.thin_mesh.elements]))
+        assert np.array_equal(cs.p2x_at_rule(coeffs), p2_evaluate(cs.interval_mesh, coeffs, xq.ravel()).reshape(xq.shape))
+        assert cs.integrate_thin(vals) == float(np.sum(batch.w * vals))
 
     def test_misaligned_interval_rejected(self):
         spec = constant_profile_spec(0, 1, 0.5, 0.2)

@@ -19,8 +19,9 @@ that n = 192 is the 384 x 24 strip of the delta-sweep:
 
 For every pencil and size the result holds the free dofs, the ordering
 `factorize` reports, `lu_fill` (SuperLU's stored L and U entries), the
-median `factor_s` over the repeats and the median seconds of 20 solves with
-seeded right-hand sides.  `growth_exp` is the least-squares slope of
+median `factor_s` over the repeats, the median seconds of 20 solves with
+seeded right-hand sides, and `rss_mb`, the largest resident set size read
+right after a factor (`VmRSS` in /proc/self/status; null off Linux).  `growth_exp` is the least-squares slope of
 log(factor_s), log(lu_fill) and log(solve_s) against log(dofs).  The last
 line of standard output is the JSON result.
 """
@@ -85,13 +86,23 @@ PENCILS = {
 }
 
 
+def rss_mb():
+    """The resident set size of this process in MB, or None without /proc."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) / 1024 for line in fh if line.startswith("VmRSS:"))
+    except (OSError, StopIteration):
+        return None
+
+
 def measure(M, repeats):
-    factor_s, solve_s = [], []
+    factor_s, solve_s, rss = [], [], []
     rhs = np.random.default_rng(0).standard_normal((SOLVES, M.shape[0]))
     for _ in range(repeats):
         t0 = time.perf_counter()
         factor = factorize(M)
         factor_s.append(time.perf_counter() - t0)
+        rss.append(rss_mb())
         t0 = time.perf_counter()
         for b in rhs:
             factor.lu.solve(b)
@@ -103,6 +114,7 @@ def measure(M, repeats):
         "lu_fill": factor.lu_fill,
         "factor_s": statistics.median(factor_s),
         "solve_s": statistics.median(solve_s),
+        "rss_mb": None if None in rss else max(rss),
     }
 
 
