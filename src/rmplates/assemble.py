@@ -344,7 +344,7 @@ class Pencil:
 
     def split(self, full_vector: np.ndarray):
         """Cut a full coefficient vector into the blocks of a stacked dofmap."""
-        return tuple(np.split(full_vector, self.dofmap.aux["offsets"][1:-1]))
+        return tuple(np.split(full_vector, self.dofmap.offsets[1:-1]))
 
     def restrict(self, dofmap: DofMap) -> "Pencil":
         """The pencil on the free dofs of `dofmap`, a constrained version of

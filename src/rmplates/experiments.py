@@ -132,11 +132,22 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return fine + (fine - coarse) / 3.0
 
 
-def _control_ok(fine_errors, coarse_errors) -> bool:
-    fine = np.asarray(fine_errors, dtype=float)
-    coarse = np.asarray(coarse_errors, dtype=float)
+def _rate_values(values) -> tuple:
+    """`values` as floats; a sweep that fits a rate needs at least 3."""
+    values = tuple(float(v) for v in values)
+    if len(values) < 3:
+        raise ValueError(f"a rate fit needs at least 3 values, got {len(values)}")
+    return values
+
+
+def _controlled_fit(values, fine, coarse):
+    """(control_ok, fit): whether the coarse level reproduces every `fine`
+    error within CONTROL_RTOL, and the rate fit of `fine` against `values`,
+    claimed only when it does and every error is positive, else None."""
+    fine, coarse = np.asarray(fine, dtype=float), np.asarray(coarse, dtype=float)
     scale = np.maximum(np.abs(fine), 1e-300)
-    return bool(np.all(np.abs(fine - coarse) / scale <= CONTROL_RTOL))
+    control_ok = bool(np.all(np.abs(fine - coarse) / scale <= CONTROL_RTOL))
+    return control_ok, (fit_rate(list(zip(values, fine))) if control_ok and np.all(fine > 0) else None)
 
 
 def _morley_eigenvalues(level: int, params: MaterialParams, limit_bc, k: int) -> np.ndarray:
@@ -176,6 +187,7 @@ def sweep_thickness(config: SweepConfig) -> dict:
     for the `num_eigs` eigenvalues above the family's kernel at 1, which
     the limit shares (`EXPECTED_KERNELS`)."""
     t0 = time.perf_counter()
+    _rate_values(config.values)
     limit_bc = map_limit_bc(config.bc)  # raises for unsupported families
     n = config.mesh_n
     if n % 4:
@@ -194,8 +206,7 @@ def sweep_thickness(config: SweepConfig) -> dict:
     # the rate is only claimed when the coarser level reproduces the fitted
     # error family within 20%; otherwise the fit is withheld, which is the
     # guard working rather than a failed run
-    control_ok = _control_ok(gaps[:, 0], gaps_c[:, 0])
-    fit = fit_rate(list(zip(config.values, gaps[:, 0]))) if control_ok else None
+    control_ok, fit = _controlled_fit(config.values, gaps[:, 0], gaps_c[:, 0])
     monotone = [bool(np.all(np.diff(gaps[:, j]) < 0)) for j in range(k)]
     rel_final = (gaps[-1] / np.abs(reference)).tolist()
     checks = {"gaps_strictly_decreasing": all(monotone)}
@@ -220,26 +231,18 @@ def sweep_thickness(config: SweepConfig) -> dict:
     }
 
 
-def _nonunit_clusters(eigenvalues: np.ndarray, how_many: int):
-    """First clusters of eigenvalues beyond the shifted kernel at 1."""
-    kernel = at_one(eigenvalues)
-    groups = []
-    for group in clusters(np.asarray(eigenvalues)):
-        if kernel[group[0]]:
-            continue
-        groups.append(group)
-        if len(groups) == how_many:
-            break
-    return groups
-
-
 def _delta_level(config: SweepConfig, nx: int, ny: int):
-    """All measured errors at one mesh level, one point per delta.  The limit
-    pencil sees the profile only through g = f1 + f2, so it is made and
-    factored once: the LU serves its source solve, then its eigensolve.  The
-    data is (F0, f0) = (0, sin(pi x)) on the level's own interval mesh.
-    The thin pencils of a level share one sparsity pattern, so the first
-    point's COLAMD column order serves the LU of every later one."""
+    """All measured errors at one mesh level, one point per delta, in the
+    global dof order.  The limit pencil sees the profile only through
+    g = f1 + f2, so it is made and factored once: the LU serves its source
+    solve, then its eigensolve.  The data is (F0, f0) = (0, sin(pi x)) on
+    the level's own interval mesh.  Each thin A is factored once, and the
+    source solve and the Lanczos run share the LU; the thin pencils of a
+    level share one sparsity pattern, so the first point's COLAMD column
+    order serves the LU of every later one.  Each point deletes its thin
+    pencil, connecting system, eigenpairs and factor record at its end:
+    the loop would otherwise keep them alive while the next point
+    assembles and factors, and raise the level's peak memory."""
     spec = config.spec_at(config.values[0])
     interval = build_interval_mesh(*spec.base_interval, nx)
     limit_pencil = assemble_limit_pencil(interval, spec, config.params)
@@ -247,77 +250,61 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
     f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
     limit_solution = solve_limit_source(limit_pencil, *f0, factor)
     lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4), factor)
+    # the first limit clusters beyond the shifted kernel at 1: their mean
+    # eigenvalue and their eigenvectors over all dofs
+    kernel = at_one(lim.eigenvalues)
+    groups = [group for group in clusters(lim.eigenvalues) if not kernel[group[0]]][:DELTA_CLUSTERS]
+    lam0s = [float(np.mean(lim.eigenvalues[group])) for group in groups]
+    Vs = [limit_pencil.dofmap.expand(lim.eigenvectors[:, group]) for group in groups]
+    B0 = limit_pencil.B_full
+    need = 3 + sum(len(group) for group in groups) + 6
     points, columns = [], None
     for delta in config.values:
-        point, columns = _delta_point(config, delta, interval, ny, f0, limit_pencil, lim, limit_solution, columns)
-        points.append(point)
+        spec = config.spec_at(delta)
+        system = ConnectingSystem(build_thin_mesh(spec, nx, ny), interval, spec)
+        thin_pencil = assemble_rm_pencil(system.thin_mesh, config.params, BcFamily.FREE)
+        factor = factorize(thin_pencil.A, columns)
+        columns = factor.columns
+        res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_solution, factor=factor)
+        thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need), factor)
+
+        # averaged thin eigenvectors (Phi_bar, phi_bar), B0-normalized; transverse
+        # (y-odd) branches average to nearly zero and are excluded from the matching
+        pairs = (FieldPair(*thin_pencil.split(thin_pencil.dofmap.expand(v))) for v in thin_res.eigenvectors.T)
+        averaged = np.column_stack([np.concatenate(system.average_pair(pair)[::2]) for pair in pairs])
+
+        eig_gaps, signed_gaps, angles, match_scores = [], [], [], []
+        taken = at_one(thin_res.eigenvalues)
+        for lam0, V in zip(lam0s, Vs):
+            m = V.shape[1]
+            # mass of the averaged thin eigenvector inside the limit eigenspace,
+            # the computable stand-in for the spectral-projection pairing; the
+            # thin vectors are B-orthonormal, so transverse branches score ~1e-11
+            # while the converging branch scores O(1)
+            scores = np.full(len(thin_res.eigenvalues), -1.0)
+            for i in range(len(thin_res.eigenvalues)):
+                if taken[i] or abs(thin_res.eigenvalues[i] - lam0) > 0.6 * max(lam0, 1.0):
+                    continue
+                scores[i] = np.linalg.norm(V.T @ (B0 @ averaged[:, i]))
+            picked = list(np.argsort(scores)[::-1][:m])
+            if np.min(scores[picked]) <= 1e-9:
+                raise ConvergenceError(
+                    f"delta = {delta}, {nx}x{ny} mesh: could not match {m} thin eigenpairs to the"
+                    f" limit cluster at {lam0}; best projection scores {scores[picked].tolist()}"
+                )
+            # the margin of the match: its weakest pick and the best eligible
+            # eigenpair left out (None when every eligible one was picked)
+            left = np.delete(scores, picked)
+            match_scores.append([float(np.min(scores[picked])), float(np.max(left)) if np.any(left >= 0) else None])
+            taken[picked] = True
+            eig_gaps.append(float(np.sum(np.abs(thin_res.eigenvalues[picked] - lam0))))
+            signed_gaps.append(float(np.sum(thin_res.eigenvalues[picked] - lam0)))
+            U = _b_orthonormalize(averaged[:, picked], B0)
+            angles.append(float(np.max(principal_angles(U, V, B0))))
+        points.append(dict(delta=delta, resolvent_gap=res_gap, eig_gap_sums=eig_gaps, eig_gap_signed=signed_gaps,
+                           limit_eigenvalues=list(lam0s), max_angles=angles, match_scores=match_scores))
+        del system, thin_pencil, factor, thin_res, averaged
     return points
-
-
-def _delta_point(
-    config: SweepConfig, delta: float, interval: Mesh, ny: int, f0, limit_pencil, lim, limit_solution, columns
-):
-    """All measured errors for one delta against the level's limit pencil,
-    its eigenpairs and its source solution, in the global dof order, and
-    the column order of the thin LU.  The thin A is factored once, on
-    `columns` if given: the source solve and the Lanczos run share the LU."""
-    spec = config.spec_at(delta)
-    thin = build_thin_mesh(spec, interval.n_elements, ny)
-    system = ConnectingSystem(thin, interval, spec)
-    thin_pencil = assemble_rm_pencil(thin, config.params, BcFamily.FREE)
-    factor = factorize(thin_pencil.A, columns)
-    res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_solution, factor=factor)
-
-    groups = _nonunit_clusters(lim.eigenvalues, DELTA_CLUSTERS)
-    need = 3 + sum(len(c) for c in groups) + 6
-    thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need), factor)
-
-    # averaged thin eigenvectors, B0-normalized; transverse (y-odd) branches
-    # average to nearly zero and are excluded from the matching
-    B0 = limit_pencil.B_full
-    averaged = []
-    for i in range(len(thin_res.eigenvalues)):
-        full = thin_pencil.dofmap.expand(thin_res.eigenvectors[:, i])
-        beta, w = thin_pencil.split(full)
-        Phi_bar, _, phi_bar = system.average_pair(FieldPair(beta, w))
-        averaged.append(np.concatenate([Phi_bar, phi_bar]))
-    averaged = np.column_stack(averaged)
-
-    eig_gaps, signed_gaps, angles, lam0s = [], [], [], []
-    taken = at_one(thin_res.eigenvalues)
-    for group in groups:
-        lam0 = float(np.mean(lim.eigenvalues[group]))
-        lam0s.append(lam0)
-        m = len(group)
-        V = limit_pencil.dofmap.expand(lim.eigenvectors[:, group])
-        # mass of the averaged thin eigenvector inside the limit eigenspace,
-        # the computable stand-in for the spectral-projection pairing; the
-        # thin vectors are B-orthonormal, so transverse branches score ~1e-11
-        # while the converging branch scores O(1)
-        scores = np.full(len(thin_res.eigenvalues), -1.0)
-        for i in range(len(thin_res.eigenvalues)):
-            if taken[i] or abs(thin_res.eigenvalues[i] - lam0) > 0.6 * max(lam0, 1.0):
-                continue
-            scores[i] = np.linalg.norm(V.T @ (B0 @ averaged[:, i]))
-        picked = list(np.argsort(scores)[::-1][:m])
-        if np.min(scores[picked]) <= 1e-9:
-            raise ConvergenceError(
-                f"delta = {delta}, {interval.n_elements}x{ny} mesh: could not match {m} thin eigenpairs to the"
-                f" limit cluster at {lam0}; best projection scores {scores[picked].tolist()}"
-            )
-        taken[picked] = True
-        eig_gaps.append(float(np.sum(np.abs(thin_res.eigenvalues[picked] - lam0))))
-        signed_gaps.append(float(np.sum(thin_res.eigenvalues[picked] - lam0)))
-        U = _b_orthonormalize(averaged[:, picked], B0)
-        angles.append(float(np.max(principal_angles(U, V, B0))))
-    return {
-        "delta": delta,
-        "resolvent_gap": res_gap,
-        "eig_gap_sums": eig_gaps,
-        "eig_gap_signed": signed_gaps,
-        "limit_eigenvalues": lam0s,
-        "max_angles": angles,
-    }, factor.columns
 
 
 def sweep_delta(config: SweepConfig) -> dict:
@@ -329,8 +316,10 @@ def sweep_delta(config: SweepConfig) -> dict:
     `points_control` (half the mesh in each direction, so `mesh_n` and
     `mesh_ny` must be even) holds, per tracked limit cluster
     (`DELTA_CLUSTERS`), `eig_gap_signed`, the sum of
-    `lam_i - lam_0` over the matched thin eigenvalues, and `eig_gap_sums`,
-    the sum of `|lam_i - lam_0|`.  The signed gaps of the two
+    `lam_i - lam_0` over the matched thin eigenvalues, `eig_gap_sums`,
+    the sum of `|lam_i - lam_0|`, and `match_scores`, the lowest projection
+    score of the matched thin eigenpairs and the highest of an eligible one
+    left unmatched (None if there was none).  The signed gaps of the two
     levels admit a Richardson step in h (`_richardson`).  `eig_gap_fits[j]`
     is the rate fit of cluster j's `eig_gap_sums` over `points`, claimed
     only when `points_control` reproduces them within `CONTROL_RTOL` and
@@ -338,6 +327,7 @@ def sweep_delta(config: SweepConfig) -> dict:
     sums and is not discretization-controlled.
     """
     t0 = time.perf_counter()
+    _rate_values(config.values)
     nx, ny = config.mesh_n, config.mesh_ny
     for name, n in (("mesh_n", nx), ("mesh_ny", ny)):
         if n % 2:
@@ -347,18 +337,13 @@ def sweep_delta(config: SweepConfig) -> dict:
 
     res_gaps = [p["resolvent_gap"] for p in fine]
     res_gaps_c = [p["resolvent_gap"] for p in coarse]
-    control_ok = _control_ok(res_gaps, res_gaps_c)
-    fit = fit_rate(list(zip(config.values, res_gaps))) if control_ok else None
+    control_ok, fit = _controlled_fit(config.values, res_gaps, res_gaps_c)
 
     eig_tables = np.array([p["eig_gap_sums"] for p in fine])
     eig_tables_c = np.array([p["eig_gap_sums"] for p in coarse])
     rel_eig = eig_tables / np.abs(np.array([p["limit_eigenvalues"] for p in fine]))
     checks = {"resolvent_monotone": bool(np.all(np.diff(res_gaps) < 0))}
-    eig_fits = []
-    for j in range(eig_tables.shape[1]):
-        col = eig_tables[:, j]
-        claimed = np.all(col > 0) and _control_ok(col, eig_tables_c[:, j])
-        eig_fits.append(fit_rate(list(zip(config.values, col))) if claimed else None)
+    eig_fits = [_controlled_fit(config.values, col, col_c)[1] for col, col_c in zip(eig_tables.T, eig_tables_c.T)]
     return {
         "kind": "delta",
         "parameter_values": list(config.values),
@@ -469,7 +454,7 @@ def poincare_check(delta_values, mesh_n: int = 32, mesh_ny: int = 8) -> dict:
     2 pi^2 after one Richardson step, and the mesh it ran on.
     """
     t0 = time.perf_counter()
-    delta_values = tuple(float(v) for v in delta_values)
+    delta_values = _rate_values(delta_values)
     eigs = []
     for d in delta_values:
         spec = constant_profile_spec(0.0, 1.0, 0.5, d)

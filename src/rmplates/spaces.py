@@ -8,7 +8,7 @@ the free ones, so all reduced matrices stay symmetric definite.  Every dof
 has a point, from which `nested_dissection` numbers the dofs of a plate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,17 +46,18 @@ class DofMap:
 
     `element_to_global` holds the global index of every local dof,
     `constrained` the sorted global dofs fixed to zero, `points` the
-    position (n_dofs, dim) of every dof and `free` the free dofs in the
-    order of a pencil's rows: by default the global order.  Vectors cross
-    that order only by `restrict` and `expand`.  A dofmap is not changed
-    after construction, so `free` is read-only.
+    position (n_dofs, dim) of every dof, `offsets` the first dof of every
+    block of a stacked dofmap and then n_dofs (None unstacked), and `free`
+    the free dofs in the order of a pencil's rows: by default the global
+    order.  Vectors cross that order only by `restrict` and `expand`.  A
+    dofmap is not changed after construction, so `free` is read-only.
     """
 
     n_dofs: int
     element_to_global: np.ndarray
     constrained: np.ndarray
     points: np.ndarray
-    aux: dict = field(default_factory=dict)
+    offsets: np.ndarray = None
     free: np.ndarray = None
 
     def __post_init__(self):
@@ -143,9 +144,8 @@ def stack_dofmaps(dofmaps) -> DofMap:
     offsets = np.cumsum([0] + [dm.n_dofs for dm in dofmaps])
     e2g = np.concatenate([dm.element_to_global + off for dm, off in zip(dofmaps, offsets)], axis=1)
     constrained = np.concatenate([dm.constrained + off for dm, off in zip(dofmaps, offsets)])
-    aux = {"offsets": offsets}
     points = np.concatenate([dm.points for dm in dofmaps])
-    return DofMap(int(offsets[-1]), e2g, np.sort(constrained).astype(np.int64), points, aux)
+    return DofMap(int(offsets[-1]), e2g, np.sort(constrained).astype(np.int64), points, offsets)
 
 
 def nested_dissection(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -299,6 +299,9 @@ def resolvent_gap(
     `factor` is an LU of `thin_pencil.A` for the thin solve (see
     `sparse_solve`).  The distance is `hdelta_gap_norm`.
     """
+    denom = system.h0_norm(F0_coeffs, f0_coeffs)
+    if denom == 0:
+        raise ValueError("data must be nonzero")
     if thin_pencil is None:
         thin_pencil = assemble_rm_pencil(system.thin_mesh, params, BcFamily.FREE)
     if limit_solution is None:
@@ -306,9 +309,5 @@ def resolvent_gap(
         limit_solution = solve_limit_source(limit_pencil, F0_coeffs, f0_coeffs)
 
     pair = solve_rm_source(thin_pencil, *_extended_data(system.interval_mesh, F0_coeffs, f0_coeffs), factor)
-    gap = system.hdelta_gap_norm(pair, *limit_solution)
-    denom = system.h0_norm(F0_coeffs, f0_coeffs)
-    if denom == 0:
-        raise ValueError("data must be nonzero")
-    return gap / denom
+    return system.hdelta_gap_norm(pair, *limit_solution) / denom
 

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -353,6 +354,52 @@ class TestSweeps:
         with pytest.raises(ConvergenceError, match=r"delta = 0\.4, 16x2 mesh: could not match .* scores \[0\.0") as err:
             sweep_delta(cfg)
         assert isinstance(err.value, RuntimeError)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: sweep_delta(SweepConfig(kind="delta", values=(0.4, 0.2), mesh_n=16, mesh_ny=2)),
+            lambda: sweep_thickness(SweepConfig(kind="thickness", values=(), mesh_n=8, num_eigs=2)),
+            lambda: poincare_check((0.4, 0.2), mesh_n=8, mesh_ny=4),
+        ],
+        ids=["delta", "thickness", "poincare"],
+    )
+    def test_rate_sweeps_reject_fewer_than_three_values_before_any_mesh(self, run, monkeypatch):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        for name in ("build_rect_mesh", "build_thin_mesh", "build_interval_mesh"):
+            monkeypatch.setattr(experiments, name, no_mesh)
+        with pytest.raises(ValueError, match="at least 3 values"):
+            run()
+
+    def test_delta_points_record_match_scores(self):
+        # per cluster the weakest picked score is O(1) and the best eligible
+        # one left out is round-off: transverse branches average to ~0
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+        unpicked = []
+        for point in experiments._delta_level(cfg, 16, 2):
+            assert len(point["match_scores"]) == len(point["eig_gap_sums"]) == experiments.DELTA_CLUSTERS
+            for low, high in point["match_scores"]:
+                assert low > 1.0
+                unpicked += [high] if high is not None else []
+        assert unpicked and max(unpicked) < 1e-10
+
+    def test_delta_level_releases_each_point_before_the_next(self, monkeypatch):
+        # a point's thin pencil, and with it its matrices, is gone before the
+        # next point assembles its own
+        assemble, made, alive = experiments.assemble_rm_pencil, [], []
+
+        def traced(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            pencil = assemble(*args, **kwargs)
+            made.append(weakref.ref(pencil))
+            return pencil
+
+        monkeypatch.setattr(experiments, "assemble_rm_pencil", traced)
+        cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+        experiments._delta_level(cfg, 16, 2)
+        assert alive == [0, 0, 0]
 
     def test_delta_sweep_trapezoid_convergence_only(self):
         # general profiles are outside the cylinder rate theorem: assert

@@ -173,6 +173,17 @@ class TestDofMaps:
         # Euler: 9 vertices, 8 triangles, edges = 9 + 8 - 1 = 16
         assert n_edges == 16
 
+    def test_stacked_offsets_split_a_full_vector(self):
+        # the RM layout stacks the rotations (two per node) on the deflection
+        mesh = build_rect_mesh(1, 1, 2, 3)
+        pencil = assemble_rm_pencil(mesh, MaterialParams(E=1.0, sigma=0.3), BcFamily.FREE)
+        nv = mesh.n_nodes
+        assert pencil.dofmap.offsets.tolist() == [0, 2 * nv, 3 * nv]
+        assert build_dofmap(mesh, Q1_SCALAR).offsets is None
+        full = np.arange(3.0 * nv)
+        beta, w = pencil.split(full)
+        assert np.array_equal(beta, full[: 2 * nv]) and np.array_equal(w, full[2 * nv :])
+
 
 # the essential traces of each family, as the paper lists them: rotation
 # trace, and whether w is pinned; Morley vertex values and edge normal derivatives

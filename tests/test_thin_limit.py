@@ -22,6 +22,7 @@ from rmplates import (
     resolvent_gap,
     solve_rm_source,
 )
+from rmplates import eigensolve
 from rmplates.assemble import ElementBatch, element_batch
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.geometry import PiecewiseLinear, ThinDomainSpec
@@ -285,6 +286,17 @@ class TestResolventGap:
         cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
         n = len(p2_dof_points(cs.interval_mesh))
         with pytest.raises(ValueError):
+            resolvent_gap(cs, PARAMS, np.zeros(n), np.zeros(n))
+
+    def test_zero_data_rejected_before_any_solve(self, monkeypatch):
+        # the data norm needs only the connecting system, so no LU is made
+        def no_lu(*args, **kwargs):
+            raise AssertionError("factorize called for zero data")
+
+        monkeypatch.setattr(eigensolve, "factorize", no_lu)
+        cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
+        n = len(p2_dof_points(cs.interval_mesh))
+        with pytest.raises(ValueError, match="nonzero"):
             resolvent_gap(cs, PARAMS, np.zeros(n), np.zeros(n))
 
 

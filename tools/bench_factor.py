@@ -21,18 +21,23 @@ For every pencil and size the result holds the free dofs, the ordering
 `factorize` reports, `lu_fill` (SuperLU's stored L and U entries), the
 median `factor_s` over the repeats, the median seconds of 20 solves with
 seeded right-hand sides, and `rss_mb`, the largest resident set size read
-right after a factor (`VmRSS` in /proc/self/status; null off Linux).  `growth_exp` is the least-squares slope of
-log(factor_s), log(lu_fill) and log(solve_s) against log(dofs).  The last
-line of standard output is the JSON result.
+right after a factor (`VmRSS` in /proc/self/status; null off Linux).  Each
+pencil and size is built and measured in a fresh process of its own, one
+after another, so `rss_mb` holds nothing that an earlier pencil left.
+`growth_exp` is the least-squares slope of log(factor_s), log(lu_fill) and
+log(solve_s) against log(dofs).  The last line of standard output is the
+JSON result.
 """
 
 import argparse
 import json
+import multiprocessing
 import pathlib
 import platform
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import scipy
@@ -118,6 +123,11 @@ def measure(M, repeats):
     }
 
 
+def measure_pencil(name, n, repeats):
+    """`measure` of pencil `name` at size n; runs in a process of its own."""
+    return measure(PENCILS[name](n), repeats)
+
+
 def slope(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0]) if len(xs) >= 2 else None
 
@@ -133,15 +143,17 @@ def main():
         "pencils": {},
         "growth_exp": {},
     }
-    for name, build in PENCILS.items():
-        rows = {}
-        for n in args.sizes:
-            rows[n] = measure(build(n), args.repeats if n < 128 else 1)
-            print(name, n, rows[n], file=sys.stderr, flush=True)
-        out["pencils"][name] = rows
-        dofs = [r["dofs"] for r in rows.values()]
-        metrics = ("factor_s", "lu_fill", "solve_s")
-        out["growth_exp"][name] = {key: slope(dofs, [r[key] for r in rows.values()]) for key in metrics}
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn, max_tasks_per_child=1) as pool:
+        for name in PENCILS:
+            rows = {}
+            for n in args.sizes:
+                rows[n] = pool.submit(measure_pencil, name, n, args.repeats if n < 128 else 1).result()
+                print(name, n, rows[n], file=sys.stderr, flush=True)
+            out["pencils"][name] = rows
+            dofs = [r["dofs"] for r in rows.values()]
+            metrics = ("factor_s", "lu_fill", "solve_s")
+            out["growth_exp"][name] = {key: slope(dofs, [r[key] for r in rows.values()]) for key in metrics}
     print(json.dumps(out))
 
 
