@@ -13,8 +13,8 @@ by selecting which Morley dofs are constrained on the boundary:
     intermediate  edge normal derivatives only (Kuttler-Sigillito)
     free          none
 
-The plate families with w free at the boundary (hard rigid, weak Neumann)
-have no standard biharmonic limit and are rejected.
+Each plate family names its limit in `rm_system.FAMILIES`; hard rigid and
+weak Neumann have no standard biharmonic limit and are rejected.
 """
 
 from enum import Enum
@@ -25,7 +25,7 @@ from .assemble import Pencil, assemble_pencil, element_batch, mass_density
 from .errors import UnsupportedLimitError
 from .geometry import ElementKind, Mesh
 from .quadrature import triangle_rule
-from .rm_system import BcFamily
+from .rm_system import FAMILIES, BcFamily
 from .spaces import MORLEY, build_dofmap
 
 
@@ -44,25 +44,16 @@ _ESSENTIAL = {
     LimitBc.FREE: (False, False),
 }
 
-_LIMIT_MAP = {
-    BcFamily.HARD_CLAMPED: LimitBc.CLAMPED,
-    BcFamily.SOFT_CLAMPED: LimitBc.CLAMPED,
-    BcFamily.HARD_SIMPLY_SUPPORTED: LimitBc.NAVIER,
-    BcFamily.SOFT_SIMPLY_SUPPORTED: LimitBc.NAVIER,
-    BcFamily.SOFT_RIGID: LimitBc.INTERMEDIATE,
-    BcFamily.FREE: LimitBc.FREE,
-}
-
 
 def map_limit_bc(bc: BcFamily) -> LimitBc:
-    """Thin-plate limit family of a Reissner-Mindlin BC family."""
+    """Thin-plate limit family of a Reissner-Mindlin BC family (`FAMILIES`)."""
     bc = BcFamily(bc)
-    if bc not in _LIMIT_MAP:
+    if FAMILIES[bc].limit is None:
         raise UnsupportedLimitError(
             f"{bc.value} leads to a non-standard limit problem (u constant per "
             "boundary component); not discretized"
         )
-    return _LIMIT_MAP[bc]
+    return LimitBc(FAMILIES[bc].limit)
 
 
 def assemble_biharmonic_pencil(mesh: Mesh, E: float, sigma: float, bc: LimitBc) -> Pencil:

@@ -33,16 +33,8 @@ from .geometry import build_interval_mesh, build_rect_mesh, load_mesh, profile_s
 from .rm_system import BcFamily, MaterialParams, assemble_rm_pencil
 from .thin_limit import assemble_limit_pencil
 
-_BC_ALIASES = {
-    "free": BcFamily.FREE,
-    "hard-clamped": BcFamily.HARD_CLAMPED,
-    "soft-clamped": BcFamily.SOFT_CLAMPED,
-    "hard-ss": BcFamily.HARD_SIMPLY_SUPPORTED,
-    "soft-ss": BcFamily.SOFT_SIMPLY_SUPPORTED,
-    "hard-rigid": BcFamily.HARD_RIGID,
-    "soft-rigid": BcFamily.SOFT_RIGID,
-    "weak-neumann": BcFamily.WEAK_NEUMANN,
-}
+# the short name of a family: its value with "-" for "_" and "ss" for "simply-supported"
+_BC_ALIASES = {bc.value.replace("_", "-").replace("simply-supported", "ss"): bc for bc in BcFamily}
 
 
 def _parse_bc(name: str) -> BcFamily:

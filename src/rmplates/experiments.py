@@ -31,7 +31,7 @@ from .geometry import (
     profile_spec,
     split_quads,
 )
-from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, at_one, kernel_count, rm_dofmap
+from .rm_system import FAMILIES, BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, at_one, kernel_count, rm_dofmap
 from .spaces import Q1_SCALAR, Q1_VECTOR2, build_dofmap
 from .thin_limit import (
     ConnectingSystem,
@@ -46,6 +46,9 @@ from .thin_limit import (
 CONTROL_RTOL = 0.20
 
 DEFAULT_PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
+
+#: the dimension of each family's kernel at 1 (`rm_system.FAMILIES`)
+EXPECTED_KERNELS = {bc: family.kernel for bc, family in FAMILIES.items()}
 
 #: limit eigenvalue clusters (beyond the kernel) that the delta-sweep tracks
 DELTA_CLUSTERS = 3
@@ -188,6 +191,8 @@ def sweep_thickness(config: SweepConfig) -> dict:
     the limit shares (`EXPECTED_KERNELS`)."""
     t0 = time.perf_counter()
     _rate_values(config.values)
+    if config.num_eigs < 1:
+        raise ValueError(f"num_eigs = {config.num_eigs}: the thickness sweep compares at least 1 eigenvalue")
     limit_bc = map_limit_bc(config.bc)  # raises for unsupported families
     n = config.mesh_n
     if n % 4:
@@ -365,18 +370,6 @@ def sweep_delta(config: SweepConfig) -> dict:
     }
 
 
-EXPECTED_KERNELS = {
-    BcFamily.FREE: 3,
-    BcFamily.HARD_RIGID: 1,
-    BcFamily.SOFT_RIGID: 1,
-    BcFamily.WEAK_NEUMANN: 1,
-    BcFamily.HARD_CLAMPED: 0,
-    BcFamily.SOFT_CLAMPED: 0,
-    BcFamily.HARD_SIMPLY_SUPPORTED: 0,
-    BcFamily.SOFT_SIMPLY_SUPPORTED: 0,
-}
-
-
 def kernel_census(params: MaterialParams, mesh: Mesh) -> dict:
     """Kernel dimension (eigenvalue cluster at 1) for every BC family.
 
@@ -412,6 +405,8 @@ def korn_constant(mesh: Mesh) -> float:
 def korn_sweep(config: SweepConfig) -> dict:
     """Second-Korn constant on thin rectangles; documents its blow-up."""
     t0 = time.perf_counter()
+    if len(config.values) < 2:
+        raise ValueError(f"the Korn sweep compares at least 2 values, got {len(config.values)}")
     consts = []
     for d in config.values:
         mesh = build_thin_mesh(config.spec_at(d), config.mesh_n, config.mesh_ny)

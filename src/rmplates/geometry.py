@@ -82,6 +82,8 @@ class PiecewiseLinear:
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValueError("need matching xs/ys with at least two points")
+        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
+            raise ValueError("breakpoints xs and values ys must be finite")
         if np.any(np.diff(self.xs) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
 
@@ -111,10 +113,10 @@ class ThinDomainSpec:
 
     def __post_init__(self):
         a, b = self.base_interval
-        if not a < b:
-            raise ValueError("base interval must have a < b")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (np.all(np.isfinite(self.base_interval)) and a < b):
+            raise ValueError(f"base interval must be finite with a < b, got {self.base_interval}")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         # piecewise-linear profiles take their minima at a, b or a breakpoint in between
@@ -147,8 +149,8 @@ def profile_spec(profile: dict, delta: float, interval=None, d: int = 1) -> Thin
 
 def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     """Quad4 mesh of (0, lx) x (0, ly) with nx*ny cells, boundary tagged whole."""
-    if lx <= 0 or ly <= 0:
-        raise ValueError("side lengths must be positive")
+    if not (0 < lx < np.inf and 0 < ly < np.inf):
+        raise ValueError(f"side lengths must be positive and finite, got lx = {lx}, ly = {ly}")
     if nx < 1 or ny < 1:
         raise ValueError("need at least one subdivision per direction")
     xs = np.linspace(0.0, lx, nx + 1)
@@ -162,8 +164,8 @@ def build_rect_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
 
 def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
     """Segment mesh of (a, b) with n elements; endpoint facets carry +-1 normals."""
-    if a >= b:
-        raise ValueError("need a < b")
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ValueError(f"need finite a < b, got a = {a}, b = {b}")
     if n < 1:
         raise ValueError("need at least one element")
     nodes = np.linspace(a, b, n + 1)[:, None]

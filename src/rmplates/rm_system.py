@@ -23,6 +23,7 @@ eta = 0; the bending and mass terms use full 2x2 Gauss.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,16 +78,27 @@ class BcFamily(str, Enum):
     WEAK_NEUMANN = "weak_neumann"
 
 
-# per family: the essential trace of the rotation field, and whether w is pinned
-_ESSENTIAL = {
-    BcFamily.HARD_CLAMPED: ("full", True),
-    BcFamily.SOFT_CLAMPED: ("normal", True),
-    BcFamily.HARD_SIMPLY_SUPPORTED: ("tangential", True),
-    BcFamily.SOFT_SIMPLY_SUPPORTED: (None, True),
-    BcFamily.FREE: (None, False),
-    BcFamily.HARD_RIGID: ("full", False),
-    BcFamily.SOFT_RIGID: ("normal", False),
-    BcFamily.WEAK_NEUMANN: ("tangential", False),
+class Family(NamedTuple):
+    """One boundary family: the essential trace of the rotation field
+    ("full", "normal", "tangential" or None), whether w is pinned, the
+    dimension of the kernel at 1, and the `biharmonic.LimitBc` value of its
+    Morley limit (None: no standard limit is discretized)."""
+
+    trace: str | None
+    w_pinned: bool
+    kernel: int
+    limit: str | None
+
+
+FAMILIES = {
+    BcFamily.HARD_CLAMPED: Family("full", True, 0, "clamped"),
+    BcFamily.SOFT_CLAMPED: Family("normal", True, 0, "clamped"),
+    BcFamily.HARD_SIMPLY_SUPPORTED: Family("tangential", True, 0, "navier"),
+    BcFamily.SOFT_SIMPLY_SUPPORTED: Family(None, True, 0, "navier"),
+    BcFamily.FREE: Family(None, False, 3, "free"),
+    BcFamily.HARD_RIGID: Family("full", False, 1, None),
+    BcFamily.SOFT_RIGID: Family("normal", False, 1, "intermediate"),
+    BcFamily.WEAK_NEUMANN: Family("tangential", False, 1, None),
 }
 
 
@@ -162,10 +174,9 @@ def rm_local_matrices(mesh: Mesh, params: MaterialParams, cells: slice = slice(N
 def rm_dofmap(mesh: Mesh, bc: BcFamily) -> DofMap:
     """Stacked dofmap of one family: the rotation block ([beta_x nodes,
     beta_y nodes]) first, then the displacement block."""
-    trace, w_pinned = _ESSENTIAL[BcFamily(bc)]
-    return stack_dofmaps(
-        [build_dofmap(mesh, Q1_VECTOR2, _trace_mask(mesh.facets.normal, trace)), build_dofmap(mesh, Q1_SCALAR, w_pinned)]
-    )
+    family = FAMILIES[BcFamily(bc)]
+    rotation = build_dofmap(mesh, Q1_VECTOR2, _trace_mask(mesh.facets.normal, family.trace))
+    return stack_dofmaps([rotation, build_dofmap(mesh, Q1_SCALAR, family.w_pinned)])
 
 
 def assemble_rm_pencil(mesh: Mesh, params: MaterialParams, bc: BcFamily) -> Pencil:

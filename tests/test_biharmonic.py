@@ -12,7 +12,8 @@ from rmplates import (
 )
 from rmplates.eigensolve import EigOptions, solve_gep_smallest, sparse_solve
 from rmplates.errors import UnsupportedLimitError
-from rmplates.experiments import _morley_eigenvalues, _richardson
+from rmplates.experiments import EXPECTED_KERNELS, _morley_eigenvalues, _richardson
+from rmplates.rm_system import FAMILIES, at_one
 from test_fem_core import morley_interpolate
 
 #: clamped-plate reference; the Richardson oracle below reproduces it
@@ -38,6 +39,15 @@ class TestLimitMap:
     def test_nonstandard_families_rejected(self, bc):
         with pytest.raises(UnsupportedLimitError):
             map_limit_bc(bc)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("bc", [bc for bc in BcFamily if FAMILIES[bc].limit is not None], ids=lambda bc: bc.value)
+    def test_limit_shares_the_family_kernel(self, bc, n):
+        # a family's row pairs its kernel with its limit: the Morley pencil of
+        # the limit has exactly that many eigenvalues at 1
+        pen = assemble_biharmonic_pencil(split_quads(build_rect_mesh(1, 1, n, n)), 1.0, 0.3, map_limit_bc(bc))
+        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=6))
+        assert np.sum(at_one(res.eigenvalues)) == EXPECTED_KERNELS[bc]
 
 
 class TestInput:

@@ -6,7 +6,7 @@ import pytest
 import scipy.io
 
 from rmplates import BcFamily, MaterialParams, assemble_rm_pencil, build_rect_mesh, load_mesh, rigid_pair, save_mesh
-from rmplates.cli import SWEEPS, main
+from rmplates.cli import SWEEPS, _parse_bc, main
 from rmplates.experiments import CONFIG_KEYS, SweepConfig
 
 PROFILE = {"x": [0.0, 1.0], "f1": [0.5, 0.5], "f2": [0.5, 1.0]}
@@ -102,6 +102,32 @@ def test_solve_limit_with_profile(tmp_path):
     assert np.sum(np.abs(lam - 1.0) <= 1e-8) == 2
     # the limit pencil is a chain: its LU keeps SuperLU's default ordering
     assert data["info"]["ordering"] == "COLAMD"
+
+
+SHORT_NAMES = {
+    "free": BcFamily.FREE,
+    "hard-clamped": BcFamily.HARD_CLAMPED,
+    "soft-clamped": BcFamily.SOFT_CLAMPED,
+    "hard-ss": BcFamily.HARD_SIMPLY_SUPPORTED,
+    "soft-ss": BcFamily.SOFT_SIMPLY_SUPPORTED,
+    "hard-rigid": BcFamily.HARD_RIGID,
+    "soft-rigid": BcFamily.SOFT_RIGID,
+    "weak-neumann": BcFamily.WEAK_NEUMANN,
+}
+
+
+@pytest.mark.parametrize("short,bc", SHORT_NAMES.items(), ids=list(SHORT_NAMES))
+def test_bc_spellings(short, bc):
+    # the short name, folded in case, "_" for "-" and surrounding blanks,
+    # and the exact value name a family
+    for name in (short, short.upper(), short.replace("-", "_"), f" {short.title()} ", bc.value):
+        assert _parse_bc(name) is bc
+
+
+@pytest.mark.parametrize("name", ["hard-simply-supported", "HARD_SIMPLY_SUPPORTED", "Soft_Rigid_", "ss", "clamped", ""])
+def test_bc_spellings_outside_the_set_are_rejected(name):
+    with pytest.raises(ValueError):
+        _parse_bc(name)
 
 
 def test_kernel_check_exit_code(tmp_path):

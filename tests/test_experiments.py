@@ -373,6 +373,43 @@ class TestSweeps:
         with pytest.raises(ValueError, match="at least 3 values"):
             run()
 
+    @pytest.mark.parametrize(
+        "bc,num_eigs", [(BcFamily.FREE, 0), (BcFamily.SOFT_RIGID, 0), (BcFamily.FREE, -1), (BcFamily.HARD_CLAMPED, 0)]
+    )
+    def test_thickness_sweep_rejects_num_eigs_below_one_before_any_mesh(self, bc, num_eigs, monkeypatch):
+        # with no eigenvalue above the kernel to compare, the sweep would solve
+        # every level and fail on an empty gap table, or inside EigOptions
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(experiments, "build_rect_mesh", no_mesh)
+        cfg = SweepConfig(kind="thickness", values=(0.2, 0.1, 0.05), mesh_n=8, num_eigs=num_eigs, bc=bc)
+        with pytest.raises(ValueError, match=f"num_eigs = {num_eigs}"):
+            sweep_thickness(cfg)
+
+    @pytest.mark.parametrize("values", [(), (0.4,)], ids=["none", "one"])
+    def test_korn_sweep_rejects_fewer_than_two_values_before_any_mesh(self, values, monkeypatch):
+        # one constant cannot be increasing or not: the check would hold vacuously
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        for name in ("build_rect_mesh", "build_thin_mesh"):
+            monkeypatch.setattr(experiments, name, no_mesh)
+        with pytest.raises(ValueError, match=f"at least 2 values, got {len(values)}"):
+            korn_sweep(SweepConfig(kind="korn", values=values, mesh_n=8, mesh_ny=2))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: poincare_check((np.nan, 0.2, 0.1), mesh_n=8, mesh_ny=2),
+            lambda: sweep_delta(SweepConfig(kind="delta", values=(np.inf, 0.2, 0.1), mesh_n=8, mesh_ny=2)),
+        ],
+        ids=["poincare", "delta"],
+    )
+    def test_non_finite_delta_is_named_not_blamed_on_the_mesh(self, run):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            run()
+
     def test_delta_points_record_match_scores(self):
         # per cluster the weakest picked score is O(1) and the best eligible
         # one left out is round-off: transverse branches average to ~0

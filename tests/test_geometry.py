@@ -51,6 +51,28 @@ class TestRectMesh:
             build_rect_mesh(*args)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda v: build_rect_mesh(v, 1, 2, 2), "lx"),
+        (lambda v: build_rect_mesh(1, v, 2, 2), "ly"),
+        (lambda v: build_interval_mesh(v, 1, 4), "a"),
+        (lambda v: build_interval_mesh(0, v, 4), "b"),
+        (lambda v: PiecewiseLinear(np.array([0.0, v]), np.array([0.5, 0.5])), "xs"),
+        (lambda v: PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.5, v])), "ys"),
+        (lambda v: constant_profile_spec(0.0, 1.0, 0.5, v), "delta"),
+        (lambda v: ThinDomainSpec((0.0, v), *2 * [PiecewiseLinear.constant(0.5, 0.0, 1.0)], 0.1), "base interval"),
+    ],
+    ids=["rect_lx", "rect_ly", "interval_a", "interval_b", "profile_xs", "profile_ys", "spec_delta", "spec_interval"],
+)
+def test_non_finite_input_is_rejected_where_it_enters(build, name, bad):
+    # a NaN passes every <= and >= check, and an infinite length gives NaN
+    # nodes; either would surface later as a non-positive Jacobian
+    with pytest.raises(ValueError, match=f"{name}.*finite|finite.*{name}"):
+        build(bad)
+
+
 class TestIntervalMesh:
     def test_single_element_nodes(self):
         m = build_interval_mesh(0, 1, 1)

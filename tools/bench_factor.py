@@ -20,10 +20,12 @@ that n = 192 is the 384 x 24 strip of the delta-sweep:
 For every pencil and size the result holds the free dofs, the ordering
 `factorize` reports, `lu_fill` (SuperLU's stored L and U entries), the
 median `factor_s` over the repeats, the median seconds of 20 solves with
-seeded right-hand sides, and `rss_mb`, the largest resident set size read
-right after a factor (`VmRSS` in /proc/self/status; null off Linux).  Each
-pencil and size is built and measured in a fresh process of its own, one
-after another, so `rss_mb` holds nothing that an earlier pencil left.
+seeded right-hand sides, and `rss_mb`, the pencil's own memory: the largest
+resident set size read right after a factor, less the one read just before
+the pencil is built (`VmRSS` in /proc/self/status; null off Linux), so the
+imports of the process are not counted.  Each pencil and size is built and
+measured in a fresh process of its own, one after another, so `rss_mb`
+holds nothing that an earlier pencil left.
 `growth_exp` is the least-squares slope of log(factor_s), log(lu_fill) and
 log(solve_s) against log(dofs).  The last line of standard output is the
 JSON result.
@@ -100,7 +102,7 @@ def rss_mb():
         return None
 
 
-def measure(M, repeats):
+def measure(M, repeats, base_rss):
     factor_s, solve_s, rss = [], [], []
     rhs = np.random.default_rng(0).standard_normal((SOLVES, M.shape[0]))
     for _ in range(repeats):
@@ -119,13 +121,15 @@ def measure(M, repeats):
         "lu_fill": factor.lu_fill,
         "factor_s": statistics.median(factor_s),
         "solve_s": statistics.median(solve_s),
-        "rss_mb": None if None in rss else max(rss),
+        "rss_mb": None if None in rss else max(rss) - base_rss,
     }
 
 
 def measure_pencil(name, n, repeats):
-    """`measure` of pencil `name` at size n; runs in a process of its own."""
-    return measure(PENCILS[name](n), repeats)
+    """`measure` of pencil `name` at size n, its memory counted from before
+    the build; runs in a process of its own."""
+    base_rss = rss_mb()
+    return measure(PENCILS[name](n), repeats, base_rss)
 
 
 def slope(xs, ys):
