@@ -77,9 +77,13 @@ def _build_limit(args):
 
 def cmd_solve(args) -> int:
     """Solve the pencil of the subcommand's builder; dump it, over the free dofs
-    in ascending global order, and write its payload with the eigenpairs."""
-    pencil, payload = args.build(args)
-    res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=args.num_eigs, tol=args.tol))
+    in ascending global order, and write its payload with the eigenpairs.
+    A ValueError, such as a bad --num-eigs or --tol, exits with its message."""
+    try:
+        pencil, payload = args.build(args)
+        res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=args.num_eigs, tol=args.tol))
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}")
     order = np.argsort(pencil.dofmap.free)
     if args.dump_matrices:
         out = pathlib.Path(args.dump_matrices)
@@ -149,7 +153,8 @@ SWEEPS = {
 
 
 def cmd_sweep(args) -> int:
-    """Run the subcommand's row of SWEEPS on its defaults updated by --config."""
+    """Run the subcommand's row of SWEEPS on its defaults updated by --config.
+    A config the sweep cannot run (a ValueError) exits with its message."""
     kind, run, defaults, _ = SWEEPS[args.command]
     data = dict(defaults)
     if args.config:
@@ -158,11 +163,14 @@ def cmd_sweep(args) -> int:
     unread = sorted(set(data) - set(CONFIG_KEYS[kind]))
     if unread:
         raise SystemExit(f"{args.command} does not read config keys {unread}; it reads {list(CONFIG_KEYS[kind])}")
-    if "params" in data:
-        data["params"] = MaterialParams(**data["params"])
-    if "bc" in data:
-        data["bc"] = _parse_bc(data["bc"])
-    report = run(SweepConfig(kind, **data))
+    try:
+        if "params" in data:
+            data["params"] = MaterialParams(**data["params"])
+        if "bc" in data:
+            data["bc"] = _parse_bc(data["bc"])
+        report = run(SweepConfig(kind, **data))
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}")
     if args.out and kind == "kernel":
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)

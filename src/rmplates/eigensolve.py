@@ -29,9 +29,7 @@ in fixed precision reaches that bound from any LU that is not too unstable
 `factorize` tells a plate, whose graph is wider than it is long, from a
 strip or chain by `ordering`.  Assembly numbers a plate in nested-dissection
 order, and SuperLU's symmetric mode factors it as numbered.  A strip is
-already nearly banded and keeps the global order and COLAMD bit for bit;
-strips of one sparsity pattern can share one COLAMD column order
-(`Factor.columns`).
+already nearly banded and keeps the global order and SuperLU's COLAMD.
 
 Before every LU, `factorize` hands the C heap's free pages back to the
 system (glibc's `malloc_trim`).  Once a large array has been freed, glibc
@@ -92,8 +90,8 @@ class EigOptions:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # False for NaN, which would accept every pair
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass
@@ -148,33 +146,16 @@ def ordering(M) -> str:
 class Factor:
     """An LU `lu` of a matrix M, whose `solve` solves with M, and how it was
     made: its column `ordering`, `lu_fill` (SuperLU's stored L and U
-    entries) and `factor_s`.  A strip's record also holds `columns`, the
-    column order of its COLAMD LU, which factors M[:, columns]; a plate's
-    is None.  A shift-invert run that is handed the record sets `lu` to
-    None; it is the only LU of its eigensolve."""
+    entries) and `factor_s`.  A shift-invert run that is handed the record
+    sets `lu` to None; it is the only LU of its eigensolve."""
 
     lu: spla.SuperLU
     ordering: str
     lu_fill: int
     factor_s: float
-    columns: np.ndarray = None
 
 
-@dataclass
-class _ColumnOrdered:
-    """The SuperLU factor `lu` of M[:, columns], which solves with M."""
-
-    lu: spla.SuperLU
-    columns: np.ndarray
-
-    def solve(self, rhs):
-        y = self.lu.solve(rhs)
-        x = np.empty_like(y)
-        x[self.columns] = y
-        return x
-
-
-def factorize(M, columns=None) -> Factor:
+def factorize(M) -> Factor:
     """Sparse LU of the exactly symmetric M, the one LU recipe of the
     package: the eigensolver and `sparse_solve` factor a pencil's A as it
     is.  A singular M raises SingularSystemError.  SuperLU reads a CSR M's
@@ -185,10 +166,6 @@ def factorize(M, columns=None) -> Factor:
     A strip keeps SuperLU's default COLAMD with partial pivoting, which on
     strips fills about as little; it stays so until the benchmark pins
     that sit at round-off level on the 384x24 strip are re-recorded.
-    `columns`, the `Factor.columns` of a strip with M's sparsity pattern,
-    stands in for COLAMD: a copy M[:, columns], alive while SuperLU runs,
-    is factored as numbered, which gives COLAMD's L, U, row pivots and
-    solutions bit for bit without ordering again.
 
     Just before SuperLU runs, `MALLOC_TRIM` hands the C heap's free pages
     back (see the module notes), so the LU is not added to the pages that
@@ -196,24 +173,16 @@ def factorize(M, columns=None) -> Factor:
     """
     t0 = time.perf_counter()
     M = sp.csc_matrix((M.data, M.indices, M.indptr), shape=M.shape) if M.format == "csr" else M.tocsc()
-    if columns is not None:
-        M, order, options = M[:, columns], "COLAMD", {"permc_spec": "NATURAL"}
-    else:
-        order = ordering(M)
-        symmetric = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-        options = {} if order == "COLAMD" else symmetric
+    order = ordering(M)
+    symmetric = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+    options = {} if order == "COLAMD" else symmetric
     if MALLOC_TRIM is not None:
         MALLOC_TRIM(0)
     try:
         lu = spla.splu(M, **options)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU failed: {exc}")
-    fill = int(lu.nnz)
-    if columns is not None:
-        lu = _ColumnOrdered(lu, columns)
-    elif order == "COLAMD":
-        columns = np.argsort(lu.perm_c)  # a new array: a view of perm_c would keep the LU alive
-    return Factor(lu, order, fill, time.perf_counter() - t0, columns)
+    return Factor(lu, order, int(lu.nnz), time.perf_counter() - t0)
 
 
 def sparse_solve(A, load: np.ndarray, factor: Factor = None) -> np.ndarray:

@@ -242,11 +242,9 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
     g = f1 + f2, so it is made and factored once: the LU serves its source
     solve, then its eigensolve.  The data is (F0, f0) = (0, sin(pi x)) on
     the level's own interval mesh.  Each thin A is factored once, and the
-    source solve and the Lanczos run share the LU; the thin pencils of a
-    level share one sparsity pattern, so the first point's COLAMD column
-    order serves the LU of every later one.  Each point deletes its thin
-    pencil, connecting system, eigenpairs and factor record at its end:
-    the loop would otherwise keep them alive while the next point
+    source solve and the Lanczos run share the LU.  Each point deletes its
+    thin pencil, connecting system, eigenpairs and factor record at its
+    end: the loop would otherwise keep them alive while the next point
     assembles and factors, and raise the level's peak memory."""
     spec = config.spec_at(config.values[0])
     interval = build_interval_mesh(*spec.base_interval, nx)
@@ -263,13 +261,12 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
     Vs = [limit_pencil.dofmap.expand(lim.eigenvectors[:, group]) for group in groups]
     B0 = limit_pencil.B_full
     need = 3 + sum(len(group) for group in groups) + 6
-    points, columns = [], None
+    points = []
     for delta in config.values:
         spec = config.spec_at(delta)
         system = ConnectingSystem(build_thin_mesh(spec, nx, ny), interval, spec)
         thin_pencil = assemble_rm_pencil(system.thin_mesh, config.params, BcFamily.FREE)
-        factor = factorize(thin_pencil.A, columns)
-        columns = factor.columns
+        factor = factorize(thin_pencil.A)
         res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_solution, factor=factor)
         thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need), factor)
 

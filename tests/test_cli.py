@@ -197,6 +197,33 @@ def test_config_key_the_sweep_does_not_read_is_rejected(tmp_path, command, confi
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("korn", {"values": [0.4], "mesh_n": 16, "mesh_ny": 4}, "the Korn sweep compares at least 2 values"),
+        ("sweep-t", {"values": [0.2, 0.1, 0.05], "mesh_n": 8, "num_eigs": 0}, "num_eigs = 0"),
+        ("sweep-t", {"values": [0.2, 0.1, 0.05], "mesh_n": 10, "num_eigs": 2}, "mesh_n = 10"),
+    ],
+)
+def test_config_the_sweep_cannot_run_exits_with_one_line(tmp_path, command, config, message):
+    # the sweep's own ValueError, named by subcommand, and no traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit, match=rf"^{command}: {message}") as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "rep")])
+    assert "\n" not in str(exc.value.code)
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flags,message", [(["--num-eigs", "0"], "k must be at least 1"), (["--tol", "nan"], "tol must be")])
+def test_solve_option_it_cannot_use_exits_with_one_line(tmp_path, flags, message):
+    mesh_path = tmp_path / "m.json"
+    save_mesh(build_rect_mesh(1, 1, 4, 4), mesh_path)
+    with pytest.raises(SystemExit, match=rf"^solve-rm: {message}"):
+        main(["solve-rm", "--mesh", str(mesh_path), *flags, "--out", str(tmp_path / "eigs.json")])
+    assert not (tmp_path / "eigs.json").exists()
+
+
 def test_solve_limit_default_profile_is_the_constant_one(tmp_path):
     # without --g-profile the section is f1 = f2 = 0.5 over the interval
     prof = tmp_path / "g.json"

@@ -85,6 +85,11 @@ class TestSmallest:
         with pytest.raises(ValueError):
             solve_gep_smallest(A, A, EigOptions(k=5))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            EigOptions(k=4, tol=tol)
+
     def test_dense_fallback_small_pencil(self):
         A = sp.diags([3.0, 1.0, 2.0]).tocsr()
         res = solve_gep_smallest(A, sp.identity(3, format="csr"), EigOptions(k=3))
@@ -321,38 +326,16 @@ class TestOrdering:
             eigensolve.factorize(M)
 
 
-def strip_level(deltas=(0.4, 0.2, 0.1, 0.05), nx=96, ny=6):
-    params = MaterialParams(E=1.0, sigma=0.3, t=0.1)
-    return [
-        assemble_rm_pencil(build_thin_mesh(constant_profile_spec(0, 1, 0.5, d), nx, ny), params, BcFamily.FREE)
-        for d in deltas
-    ]
+def strip_matrix():
+    """A of the free thin strip at delta = 0.1 on 16x2 cells."""
+    mesh = build_thin_mesh(constant_profile_spec(0, 1, 0.5, 0.1), 16, 2)
+    return assemble_rm_pencil(mesh, MaterialParams(E=1.0, sigma=0.3, t=0.1), BcFamily.FREE).A
 
 
-class TestColumnOrder:
-    """One COLAMD column order serves every strip of one sparsity pattern."""
+class TestDeltaLevelLu:
+    """Each delta point factors its own thin A and drops the LU when its Lanczos run ends."""
 
-    def test_reused_order_is_colamd_bit_for_bit(self):
-        pencils = strip_level()
-        columns = eigensolve.factorize(pencils[0].A).columns
-        rhs = np.random.default_rng(5).standard_normal(pencils[0].A.shape[0])
-        for pen in pencils:
-            ref, got = colamd(pen.A), eigensolve.factorize(pen.A, columns)
-            assert (got.ordering, got.lu_fill) == ("COLAMD", ref.lu_fill)
-            assert got.columns is columns
-            assert np.array_equal(got.lu.solve(rhs), ref.lu.solve(rhs))
-            assert np.array_equal(got.lu.lu.perm_r, ref.lu.perm_r)
-            for attr in ("L", "U"):
-                assert np.array_equal(getattr(got.lu.lu, attr).data, getattr(ref.lu, attr).data), attr
-            assert np.array_equal(eigensolve.sparse_solve(pen.A, rhs, got), eigensolve.sparse_solve(pen.A, rhs, ref))
-
-    def test_order_is_a_copy(self):
-        # a view of SuperLU's perm_c would keep the whole LU alive
-        factor = eigensolve.factorize(strip_level((0.1,))[0].A)
-        assert factor.columns.base is None
-        assert eigensolve.factorize(clamped_rm_pencil().A).columns is None
-
-    def test_delta_level_passes_order_and_releases_each_lu(self, monkeypatch):
+    def test_each_point_factors_its_matrix_alone_and_releases_its_lu(self, monkeypatch):
         class Lu:
             """A weakly referenceable SuperLU stand-in."""
 
@@ -375,10 +358,9 @@ class TestColumnOrder:
             alive_after_lanczos.append(sum(ref() is not None for ref in made))
             return out
 
-        def recorded_factorize(M, columns=None):
-            factor = factorize(M, columns)
-            given.append((columns, factor.columns))
-            return factor
+        def recorded_factorize(*args, **kwargs):
+            given.append((len(args), kwargs))
+            return factorize(*args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", traced_splu)
         monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", recorded_lanczos)
@@ -387,9 +369,8 @@ class TestColumnOrder:
         experiments._delta_level(cfg, 96, 6)
         # the limit LU, then one per delta point, each dead once its Lanczos run returns
         assert len(made) == 5 and alive_after_lanczos == [0] * 5
-        (limit, _), (first, order), *later = given
-        assert limit is None and first is None and order is not None
-        assert all(columns is order and out is order for columns, out in later) and len(later) == 3
+        # every call, the limit's and each point's, hands over the matrix alone
+        assert given == [(1, {})] * 5
 
 
 class TestHeapRelease:
@@ -405,10 +386,9 @@ class TestHeapRelease:
 
         monkeypatch.setattr(eigensolve, "MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
         monkeypatch.setattr(spla, "splu", traced_splu)
-        strip = strip_level((0.1,), 16, 2)[0].A
-        for M, columns in ((clamped_rm_pencil().A, None), (strip, None), (strip, np.arange(strip.shape[0]))):
+        for M in (clamped_rm_pencil().A, strip_matrix()):
             events.clear()
-            eigensolve.factorize(M, columns)
+            eigensolve.factorize(M)
             assert events == [("trim", 0), "splu"]
 
     def test_absent_symbol_is_a_no_op(self, monkeypatch):
@@ -417,7 +397,7 @@ class TestHeapRelease:
 
         monkeypatch.setattr(eigensolve.ctypes, "CDLL", lambda name: NoTrim())
         assert eigensolve._malloc_trim() is None
-        for M in (clamped_rm_pencil().A, strip_level((0.1,), 16, 2)[0].A):
+        for M in (clamped_rm_pencil().A, strip_matrix()):
             ref = eigensolve.factorize(M).lu
             with monkeypatch.context() as m:
                 m.setattr(eigensolve, "MALLOC_TRIM", None)

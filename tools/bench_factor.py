@@ -25,7 +25,11 @@ resident set size read right after a factor, less the one read just before
 the pencil is built (`VmRSS` in /proc/self/status; null off Linux), so the
 imports of the process are not counted.  Each pencil and size is built and
 measured in a fresh process of its own, one after another, so `rss_mb`
-holds nothing that an earlier pencil left.
+holds nothing that an earlier pencil left.  `assembly_peak_mb` is the
+tracemalloc high-water mark of one assembly of the pencil, made before,
+and apart from, the measured one, so tracing touches neither `rss_mb` nor
+the timings; `assembly_peak_stacks` is that peak in stacks of
+ne * nloc^2 float64 entries, the size of one matrix's per-element blocks.
 `growth_exp` is the least-squares slope of log(factor_s), log(lu_fill) and
 log(solve_s) against log(dofs).  The last line of standard output is the
 JSON result.
@@ -39,6 +43,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -61,36 +66,47 @@ from rmplates.eigensolve import factorize  # noqa: E402
 SOLVES = 20
 
 
-def rm_clamped(n):
-    params = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.025)
-    return assemble_rm_pencil(build_rect_mesh(1.0, 1.0, n, n), params, BcFamily.HARD_CLAMPED).A
+def square(n):
+    return build_rect_mesh(1.0, 1.0, n, n)
 
 
-def morley_clamped(n):
-    return assemble_biharmonic_pencil(split_quads(build_rect_mesh(1.0, 1.0, n, n)), 1.0, 0.3, "clamped").A
+def split_square(n):
+    return split_quads(square(n))
 
 
-def rm_free(n):
-    params = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
-    return assemble_rm_pencil(build_rect_mesh(1.0, 1.0, n, n), params, BcFamily.FREE).A
+def strip(delta):
+    return lambda n: build_thin_mesh(constant_profile_spec(0.0, 1.0, 0.5, delta), 2 * n, n // 8)
 
 
-def strip_free(delta):
-    def build(n):
-        params = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
-        mesh = build_thin_mesh(constant_profile_spec(0.0, 1.0, 0.5, delta), 2 * n, n // 8)
-        return assemble_rm_pencil(mesh, params, BcFamily.FREE).A
-
-    return build
+def rm(bc, t):
+    params = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=t)
+    return lambda mesh: assemble_rm_pencil(mesh, params, bc)
 
 
+def morley_clamped(mesh):
+    return assemble_biharmonic_pencil(mesh, 1.0, 0.3, "clamped")
+
+
+# name -> (mesh of size n, assembler of the pencil on it, local dofs per element)
 PENCILS = {
-    "rm_clamped": rm_clamped,
-    "morley_clamped": morley_clamped,
-    "rm_free": rm_free,
-    "strip_free_0.05": strip_free(0.05),
-    "strip_free_0.4": strip_free(0.4),
+    "rm_clamped": (square, rm(BcFamily.HARD_CLAMPED, 0.025), 12),
+    "morley_clamped": (split_square, morley_clamped, 6),
+    "rm_free": (square, rm(BcFamily.FREE, 0.1), 12),
+    "strip_free_0.05": (strip(0.05), rm(BcFamily.FREE, 0.1), 12),
+    "strip_free_0.4": (strip(0.4), rm(BcFamily.FREE, 0.1), 12),
 }
+
+
+def traced_peak(assemble, mesh):
+    """The tracemalloc high-water mark of one assembly on `mesh`, in bytes;
+    a first, untraced assembly keeps lazy imports and caches out of it."""
+    assemble(mesh)
+    tracemalloc.start()
+    try:
+        assemble(mesh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rss_mb():
@@ -127,9 +143,15 @@ def measure(M, repeats, base_rss):
 
 def measure_pencil(name, n, repeats):
     """`measure` of pencil `name` at size n, its memory counted from before
-    the build; runs in a process of its own."""
+    the build, and its traced assembly peak; runs in a process of its own."""
+    build_mesh, assemble, nloc = PENCILS[name]
+    mesh = build_mesh(n)
+    peak = traced_peak(assemble, mesh)
     base_rss = rss_mb()
-    return measure(PENCILS[name](n), repeats, base_rss)
+    row = measure(assemble(mesh).A, repeats, base_rss)
+    row["assembly_peak_mb"] = peak / 2**20
+    row["assembly_peak_stacks"] = peak / (len(mesh.elements) * nloc * nloc * 8)
+    return row
 
 
 def slope(xs, ys):
