@@ -29,8 +29,8 @@ from rmplates import (
     p2_evaluate,
     p2_interpolate,
     qjj_value,
+    solve_extended_source,
     solve_limit_source,
-    solve_rm_source,
     sweep_delta,
 )
 from rmplates.experiments import SweepConfig
@@ -60,11 +60,7 @@ interval = build_interval_mesh(0, 1, 96)
 system = ConnectingSystem(thin, interval, spec)
 f0 = p2_interpolate(interval, lambda x: np.sin(np.pi * x))
 pencil = assemble_rm_pencil(thin, params, BcFamily.FREE)
-pair = solve_rm_source(
-    pencil,
-    lambda x: np.zeros(x.shape[:-1] + (2,)),
-    lambda x: p2_evaluate(interval, f0, x[..., 0].ravel()).reshape(x.shape[:-1]),
-)
+pair = solve_extended_source(system, pencil, params, np.zeros_like(f0), f0)
 Phi0, _ = solve_limit_source(assemble_limit_pencil(interval, spec, params), np.zeros_like(f0), f0)
 
 nv = thin.n_nodes

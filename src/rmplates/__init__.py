@@ -70,6 +70,7 @@ from .thin_limit import (
     p2_interpolate,
     qjj_value,
     resolvent_gap,
+    solve_extended_source,
     solve_limit_source,
 )
 from .experiments import (

@@ -339,8 +339,7 @@ class Pencil:
     B: sp.csr_matrix
     mesh: Mesh
     dofmap: DofMap
-    params: object = None
-    B_full: sp.csr_matrix = field(default=None, repr=False)
+    B_full: sp.csr_matrix = field(repr=False)
 
     def split(self, full_vector: np.ndarray):
         """Cut a full coefficient vector into the blocks of a stacked dofmap."""
@@ -351,7 +350,7 @@ class Pencil:
         this pencil's dof layout, in this pencil's order."""
         keep = np.flatnonzero(~np.isin(self.dofmap.free, dofmap.constrained))
         layout = replace(dofmap, free=self.dofmap.free[keep])
-        return Pencil(_cut(self.A, keep), _cut(self.B, keep), self.mesh, layout, self.params, self.B_full)
+        return Pencil(_cut(self.A, keep), _cut(self.B, keep), self.mesh, layout, self.B_full)
 
 
 def _cut(M, rows) -> sp.csr_matrix:
@@ -377,7 +376,7 @@ def _cut(M, rows) -> sp.csr_matrix:
     return cut
 
 
-def assemble_pencil(mesh: Mesh, dofmap: DofMap, blocks: Callable[[slice], tuple], params=None) -> Pencil:
+def assemble_pencil(mesh: Mesh, dofmap: DofMap, blocks: Callable[[slice], tuple]) -> Pencil:
     """The shifted pencil A = form + mass, B = mass of the per-element
     blocks `form, mass = blocks(cells)` of the elements `cells`, scattered
     chunk by chunk over all dofs and cut to the free dofs of `dofmap`, with
@@ -395,7 +394,7 @@ def assemble_pencil(mesh: Mesh, dofmap: DofMap, blocks: Callable[[slice], tuple]
     order = np.arange(dofmap.n_dofs) if ordering(A) == "COLAMD" else nested_dissection(dofmap.points, mesh.nodes)
     free = order[~np.isin(order, dofmap.constrained)]
     A = _cut(A, free)  # the full A goes once its cut is made
-    return Pencil(A, _cut(B, free), mesh, replace(dofmap, free=free), params, B)
+    return Pencil(A, _cut(B, free), mesh, replace(dofmap, free=free), B)
 
 
 def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:

@@ -33,15 +33,16 @@ from .geometry import build_interval_mesh, build_rect_mesh, load_mesh, profile_s
 from .rm_system import BcFamily, MaterialParams, assemble_rm_pencil
 from .thin_limit import assemble_limit_pencil
 
-# the short name of a family: its value with "-" for "_" and "ss" for "simply-supported"
-_BC_ALIASES = {bc.value.replace("_", "-").replace("simply-supported", "ss"): bc for bc in BcFamily}
 
-
-def _parse_bc(name: str) -> BcFamily:
+def _parse_bc(name: str, kind=BcFamily):
+    """The member of the boundary-condition enum `kind` that `name` names by
+    its value or its short name (the value with "ss" for "simply_supported"),
+    all folded: blanks stripped, lower case, "-" for "_" (values are lower case)."""
     key = name.strip().lower().replace("_", "-")
-    if key in _BC_ALIASES:
-        return _BC_ALIASES[key]
-    return BcFamily(name)
+    for bc in kind:
+        if key in (bc.value.replace("_", "-"), bc.value.replace("simply_supported", "ss").replace("_", "-")):
+            return bc
+    raise ValueError(f"{name!r} names no {kind.__name__}")
 
 
 def _material(args) -> MaterialParams:
@@ -59,7 +60,7 @@ def _build_biharmonic(args):
     mesh = load_mesh(args.mesh)
     if mesh.element_kind.value == "quad4":
         mesh = split_quads(mesh)
-    bc, mesh_info = LimitBc(args.bc), {"nodes": mesh.n_nodes, "elements": mesh.n_elements}
+    bc, mesh_info = _parse_bc(args.bc, LimitBc), {"nodes": mesh.n_nodes, "elements": mesh.n_elements}
     payload = {"bc": bc.value, "params": {"E": args.E, "sigma": args.sigma}, "mesh_info": mesh_info}
     return assemble_biharmonic_pencil(mesh, args.E, args.sigma, bc), payload
 

@@ -273,7 +273,7 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
         # averaged thin eigenvectors (Phi_bar, phi_bar), B0-normalized; transverse
         # (y-odd) branches average to nearly zero and are excluded from the matching
         pairs = (FieldPair(*thin_pencil.split(thin_pencil.dofmap.expand(v))) for v in thin_res.eigenvectors.T)
-        averaged = np.column_stack([np.concatenate(system.average_pair(pair)[::2]) for pair in pairs])
+        averaged = np.column_stack([np.concatenate(system.average_pair(pair)) for pair in pairs])
 
         eig_gaps, signed_gaps, angles, match_scores = [], [], [], []
         taken = at_one(thin_res.eigenvalues)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch, point_gram, strain_blocks
+from .assemble import Pencil, assemble_pencil, element_batch, point_gram, strain_blocks
 from .errors import UnsupportedConfigurationError
 from .geometry import ElementKind, Mesh
 from .quadrature import QuadratureRule, quad_rule, shear_rule_x, shear_rule_y
@@ -193,7 +193,7 @@ def assemble_rm_pencil(mesh: Mesh, params: MaterialParams, bc: BcFamily) -> Penc
         bend += shear
         return bend, mass
 
-    return assemble_pencil(mesh, rm_dofmap(mesh, bc), blocks, params)
+    return assemble_pencil(mesh, rm_dofmap(mesh, bc), blocks)
 
 
 def interpolate_pair(mesh: Mesh, beta_fn, w_fn) -> FieldPair:
@@ -210,33 +210,18 @@ def rigid_pair(mesh: Mesh, a, b: float) -> FieldPair:
     return interpolate_pair(mesh, lambda x: np.broadcast_to(a, x.shape).copy(), lambda x: x @ a + b)
 
 
-def rm_load_vector(pencil: Pencil, F, f) -> np.ndarray:
-    """Reduced load with the weighting (t^2/12 F, f).
-
-    F, f are either both full-length coefficient vectors of interpolants (F
-    as the concatenated rotation block), or both callables evaluated at
-    quadrature points for exact data.
-    """
-    if callable(F) and callable(f):
-        b = element_batch(pencil.mesh, Q1_SCALAR, quad_rule(3))
-        data = np.concatenate([F(b.x), f(b.x)[..., None]], axis=2)  # (ne, nq, [F_x, F_y, f])
-        loc = point_gram(b.w, data, b.phi).reshape(-1, 12)
-        loc[:, :8] *= pencil.params.t**2 / 12.0
-        return pencil.dofmap.restrict(assemble_load_from_local(pencil.dofmap, loc))
-    if callable(F) or callable(f):
-        raise ValueError("F and f must both be callables or both coefficient vectors")
-    data = np.concatenate([np.asarray(F, dtype=float), np.asarray(f, dtype=float)])
-    return pencil.dofmap.restrict(pencil.B_full @ data)
+def rm_load_vector(pencil: Pencil, F: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Reduced load with the weighting (t^2/12 F, f) of the full-length
+    coefficient vectors F (the concatenated rotation block) and f of
+    interpolants: their product with the mass."""
+    return pencil.dofmap.restrict(pencil.B_full @ np.concatenate([F, f]))
 
 
-def solve_rm_source(pencil: Pencil, F, f, factor=None) -> FieldPair:
-    """Solve the shifted source problem with data (t^2/12 F, f), on `factor`
-    if given (an LU of `pencil.A`, see `sparse_solve`)."""
-    load = rm_load_vector(pencil, F, f)
-    x = sparse_solve(pencil.A, load, factor)
-    full = pencil.dofmap.expand(x)
-    beta, w = pencil.split(full)
-    return FieldPair(beta, w)
+def solve_rm_source(pencil: Pencil, F: np.ndarray, f: np.ndarray) -> FieldPair:
+    """Solve the shifted source problem with data (t^2/12 F, f) given as
+    full-length coefficient vectors (`rm_load_vector`)."""
+    x = sparse_solve(pencil.A, rm_load_vector(pencil, F, f))
+    return FieldPair(*pencil.split(pencil.dofmap.expand(x)))
 
 
 def at_one(eigenvalues) -> np.ndarray:

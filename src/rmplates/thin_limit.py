@@ -25,11 +25,11 @@ exactly delta * g(x).
 
 import numpy as np
 
-from .assemble import Pencil, assemble_pencil, element_batch, p2_ref_basis, point_gram
+from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch, p2_ref_basis, point_gram
 from .eigensolve import sparse_solve
 from .geometry import ElementKind, Mesh, ThinDomainSpec
 from .quadrature import quad_rule, segment_rule
-from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, solve_rm_source
+from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil
 from .spaces import P2_1D, Q1_SCALAR, build_dofmap, stack_dofmaps
 
 
@@ -118,7 +118,7 @@ def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: Mat
         return bend + shear, mass
 
     dofmap = stack_dofmaps([build_dofmap(interval_mesh, P2_1D), build_dofmap(interval_mesh, P2_1D)])
-    return assemble_pencil(interval_mesh, dofmap, blocks, params)
+    return assemble_pencil(interval_mesh, dofmap, blocks)
 
 
 def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray, factor=None):
@@ -197,13 +197,8 @@ class ConnectingSystem:
         return self.section_average(nodal, p2_dof_points(self.interval_mesh))
 
     def average_pair(self, pair: FieldPair):
-        """Componentwise averages of (beta, w): returns (Phi_bar, betaII_bar, phi_bar)."""
-        nv = self.thin_mesh.n_nodes
-        return (
-            self.average_to_p2(pair.beta[:nv]),
-            self.average_to_p2(pair.beta[nv:]),
-            self.average_to_p2(pair.w),
-        )
+        """Averages (Phi_bar, phi_bar) of the in-line rotation beta_x and of w."""
+        return self.average_to_p2(pair.beta[: self.thin_mesh.n_nodes]), self.average_to_p2(pair.w)
 
     # -- quadrature-level fields ------------------------------------------
     def q1_at_rule(self, nodal: np.ndarray) -> np.ndarray:
@@ -214,6 +209,20 @@ class ConnectingSystem:
     def p2x_at_rule(self, coeffs: np.ndarray) -> np.ndarray:
         """Extension of a P2 interval field, evaluated exactly at the same points."""
         return p2_evaluate(self.interval_mesh, coeffs, self._xq.ravel()).reshape(self._xq.shape)
+
+    def extended_load(self, pencil: Pencil, params: MaterialParams, F0_coeffs: np.ndarray, f0_coeffs: np.ndarray):
+        """Reduced load of a pencil on the thin mesh with the data
+        (t^2/12 F, f) of the extension E_delta(F0, 0, f0) of interval data,
+        on the norm rule.  The rule is exact for it: the thin mesh's quads
+        have vertical sides, so detJ is linear in xi and constant in eta,
+        and P2(x) Q1 detJ has degree <= 4 in xi and <= 1 in eta."""
+        if pencil.mesh is not self.thin_mesh:
+            raise ValueError("the pencil is not on this system's thin mesh")
+        F = self.p2x_at_rule(F0_coeffs)
+        data = np.stack([F, np.zeros_like(F), self.p2x_at_rule(f0_coeffs)], axis=2)  # (ne, nq, [F_x, F_y, f])
+        loc = point_gram(self._w, data, self._phi).reshape(-1, 12)
+        loc[:, :8] *= params.t**2 / 12.0
+        return pencil.dofmap.restrict(assemble_load_from_local(pencil.dofmap, loc))
 
     def integrate_thin(self, vals: np.ndarray) -> float:
         return float(np.sum(self._w * vals))
@@ -266,18 +275,13 @@ class ConnectingSystem:
         return self.integrate_thin(u * v) / self.delta
 
 
-def _extended_data(interval_mesh: Mesh, F0_coeffs: np.ndarray, f0_coeffs: np.ndarray):
-    """Callables (F, f) evaluating the extension of interval data (F0, 0, f0)
-    at thin-domain points, for `solve_rm_source`."""
-
-    def F(x):
-        vals = p2_evaluate(interval_mesh, F0_coeffs, x[..., 0].ravel()).reshape(x.shape[:-1])
-        return np.stack([vals, np.zeros_like(vals)], axis=-1)
-
-    def f(x):
-        return p2_evaluate(interval_mesh, f0_coeffs, x[..., 0].ravel()).reshape(x.shape[:-1])
-
-    return F, f
+def solve_extended_source(system, thin_pencil: Pencil, params: MaterialParams, F0_coeffs, f0_coeffs, factor=None):
+    """The thin solution (a `FieldPair`) of extended interval data: the
+    shifted source problem of `thin_pencil` with the load
+    `ConnectingSystem.extended_load` of (F0, 0, f0), solved on `factor` if
+    given (an LU of `thin_pencil.A`, see `sparse_solve`)."""
+    x = sparse_solve(thin_pencil.A, system.extended_load(thin_pencil, params, F0_coeffs, f0_coeffs), factor)
+    return FieldPair(*thin_pencil.split(thin_pencil.dofmap.expand(x)))
 
 
 def resolvent_gap(
@@ -293,12 +297,14 @@ def resolvent_gap(
     extended data and the extended limit resolvent.
 
     Both solves use the shifted operator and the (t^2/12 F, f) data
-    convention; the extension is evaluated exactly at quadrature points when
-    building the thin load.  `limit_solution` is the limit pair (Phi0, phi0)
-    of `solve_limit_source` for this data, which does not depend on delta;
-    `factor` is an LU of `thin_pencil.A` for the thin solve (see
-    `sparse_solve`).  The distance is `hdelta_gap_norm`.
+    convention; the thin one is `solve_extended_source`.  `limit_solution`
+    is the limit pair (Phi0, phi0) of `solve_limit_source` for this data,
+    which does not depend on delta; `factor` is an LU of `thin_pencil.A`
+    for the thin solve, so it needs that pencil.  The distance is
+    `hdelta_gap_norm`.
     """
+    if factor is not None and thin_pencil is None:
+        raise ValueError("a factor of the thin pencil needs that pencil")
     denom = system.h0_norm(F0_coeffs, f0_coeffs)
     if denom == 0:
         raise ValueError("data must be nonzero")
@@ -308,6 +314,6 @@ def resolvent_gap(
         limit_pencil = assemble_limit_pencil(system.interval_mesh, system.spec, params)
         limit_solution = solve_limit_source(limit_pencil, F0_coeffs, f0_coeffs)
 
-    pair = solve_rm_source(thin_pencil, *_extended_data(system.interval_mesh, F0_coeffs, f0_coeffs), factor)
+    pair = solve_extended_source(system, thin_pencil, params, F0_coeffs, f0_coeffs, factor)
     return system.hdelta_gap_norm(pair, *limit_solution) / denom
 

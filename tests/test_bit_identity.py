@@ -38,7 +38,7 @@ from rmplates.assemble import assemble_load_from_local, assemble_pencil, quad_ge
 from rmplates.quadrature import quad_rule, shear_rule_x, shear_rule_y
 from rmplates.rm_system import rm_load_vector, rm_local_matrices
 from rmplates.errors import AssemblyError
-from rmplates.thin_limit import _extended_data, assemble_limit_pencil, p2_interpolate
+from rmplates.thin_limit import ConnectingSystem, assemble_limit_pencil, p2_evaluate, p2_interpolate
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, t=0.05)
 RULES = {
@@ -76,14 +76,6 @@ profiles = st.tuples(
     st.lists(st.floats(0.2, 1.2), min_size=3, max_size=3),
     st.lists(st.floats(0.2, 1.2), min_size=3, max_size=3),
 )
-
-
-def data_F(x):
-    return np.stack([np.sin(3.0 * x[..., 0]) * x[..., 1], np.cos(x[..., 0] + x[..., 1])], axis=-1)
-
-
-def data_f(x):
-    return np.exp(x[..., 0]) - x[..., 1] ** 2
 
 
 def assert_same_matrix(got, want):
@@ -128,16 +120,39 @@ def assert_same_kernels(mesh):
 def assert_same_pencil(mesh, bc):
     pencil = assemble_rm_pencil(mesh, PARAMS, bc)
     bend, shear, mass = ref.rm_local_matrices(mesh, PARAMS)
-    want = assemble_pencil(mesh, rm_dofmap(mesh, bc), lambda cells: ((bend + shear)[cells], mass[cells]), PARAMS)
+    want = assemble_pencil(mesh, rm_dofmap(mesh, bc), lambda cells: ((bend + shear)[cells], mass[cells]))
     for got_m, want_m in ((pencil.A, want.A), (pencil.B, want.B), (pencil.B_full, want.B_full)):
         assert_same_matrix(got_m, want_m)
     return pencil
 
 
-def assert_same_load(pencil, F, f):
-    local = ref.rm_load_local(pencil.mesh, PARAMS, F, f)
+def extension(interval, F0, f0):
+    """Callables (F, f) of the extension E_delta(F0, 0, f0) of interval
+    data at thin-domain points, for the reference load."""
+
+    def F(x):
+        vals = p2_evaluate(interval, F0, x[..., 0].ravel()).reshape(x.shape[:-1])
+        return np.stack([vals, np.zeros_like(vals)], axis=-1)
+
+    def f(x):
+        return p2_evaluate(interval, f0, x[..., 0].ravel()).reshape(x.shape[:-1])
+
+    return F, f
+
+
+def assert_extended_load(spec, pencil):
+    """The extended-data load on the connecting system's 3x2 rule is the
+    reference load of the extension on the 3x3 rule, to rounding: both
+    rules are exact for it on a thin mesh."""
+    mesh = pencil.mesh
+    interval = build_interval_mesh(*spec.base_interval, mesh.meta["nx"])
+    system = ConnectingSystem(mesh, interval, spec)
+    F0 = p2_interpolate(interval, lambda x: np.cos(2.0 * x))
+    f0 = p2_interpolate(interval, lambda x: np.sin(np.pi * x))
+    local = ref.rm_load_local(mesh, PARAMS, *extension(interval, F0, f0))
     want = pencil.dofmap.restrict(assemble_load_from_local(pencil.dofmap, local))
-    assert np.array_equal(rm_load_vector(pencil, F, f), want)
+    got = system.extended_load(pencil, PARAMS, F0, f0)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
@@ -147,18 +162,17 @@ def test_tabulation_and_kernels(mesh_name):
 
 @pytest.mark.parametrize("bc", list(BcFamily), ids=lambda bc: bc.value)
 def test_rect_pencils_and_load(bc):
-    pencil = assert_same_pencil(rect_mesh(), bc)
-    assert_same_load(pencil, data_F, data_f)
+    mesh = rect_mesh()
+    pencil = assert_same_pencil(mesh, bc)
+    # a load of coefficient vectors is the reference mass over all dofs applied to them
+    F, f = np.cos(mesh.nodes.T.ravel()), np.sin(mesh.nodes[:, 0])
+    assert np.array_equal(rm_load_vector(pencil, F, f), pencil.dofmap.restrict(pencil.B_full @ np.concatenate([F, f])))
 
 
 def test_cylinder_pencil_and_extended_load():
     # the free thin pencil and the extended-data load of `resolvent_gap`
     pencil = assert_same_pencil(cylinder_mesh(), BcFamily.FREE)
-    interval = build_interval_mesh(0.0, 1.0, 48)
-    F0 = p2_interpolate(interval, lambda x: np.cos(2.0 * x))
-    f0 = p2_interpolate(interval, lambda x: np.sin(np.pi * x))
-    assert_same_load(pencil, *_extended_data(interval, F0, f0))
-    assert_same_load(pencil, data_F, data_f)
+    assert_extended_load(constant_profile_spec(0.0, 1.0, 0.5, 0.05), pencil)
 
 
 @settings(max_examples=10, deadline=None)
@@ -167,7 +181,7 @@ def test_profile_meshes(profile):
     mesh = profile_mesh(*profile)
     assert_same_kernels(mesh)
     pencil = assert_same_pencil(mesh, BcFamily.FREE)
-    assert_same_load(pencil, data_F, data_f)
+    assert_extended_load(profile_spec(*profile), pencil)
 
 
 # the families whose rotation trace is all components or none, the only ones skew facets allow
@@ -235,5 +249,5 @@ def test_non_finite_block_in_last_chunk_names_its_element(monkeypatch):
     bend, shear, mass = rm_local_matrices(mesh, PARAMS)
     mass[33, 2, 5] = np.inf
     with pytest.raises(AssemblyError) as err:
-        assemble_pencil(mesh, rm_dofmap(mesh, BcFamily.FREE), lambda cells: ((bend + shear)[cells], mass[cells]), PARAMS)
+        assemble_pencil(mesh, rm_dofmap(mesh, BcFamily.FREE), lambda cells: ((bend + shear)[cells], mass[cells]))
     assert err.value.element == 33

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from rmplates import BcFamily, MaterialParams, assemble_rm_pencil, build_rect_mesh, load_mesh, rigid_pair, save_mesh
+from rmplates import BcFamily, LimitBc, MaterialParams, assemble_rm_pencil, build_rect_mesh, load_mesh, rigid_pair, save_mesh
 from rmplates.cli import SWEEPS, _parse_bc, main
 from rmplates.experiments import CONFIG_KEYS, SweepConfig
 
@@ -118,13 +118,31 @@ SHORT_NAMES = {
 
 @pytest.mark.parametrize("short,bc", SHORT_NAMES.items(), ids=list(SHORT_NAMES))
 def test_bc_spellings(short, bc):
-    # the short name, folded in case, "_" for "-" and surrounding blanks,
-    # and the exact value name a family
-    for name in (short, short.upper(), short.replace("-", "_"), f" {short.title()} ", bc.value):
+    # the short name and the value, each folded in case, "_" for "-" and
+    # surrounding blanks, name a family
+    for name in (short, short.upper(), short.replace("-", "_"), f" {short.title()} ", bc.value, bc.value.upper()):
         assert _parse_bc(name) is bc
+    assert _parse_bc(bc.value.replace("_", "-")) is bc
 
 
-@pytest.mark.parametrize("name", ["hard-simply-supported", "HARD_SIMPLY_SUPPORTED", "Soft_Rigid_", "ss", "clamped", ""])
+@pytest.mark.parametrize("name", ["hard-simply-supported", "HARD_SIMPLY_SUPPORTED"])
+def test_bc_value_spellings_are_accepted(name):
+    # a value folds by the rule of the short names, also where it is not one
+    assert _parse_bc(name) is BcFamily.HARD_SIMPLY_SUPPORTED
+
+
+def test_limit_bc_spellings_fold(tmp_path):
+    for name in ("Clamped", " NAVIER ", "intermediate", "FREE"):
+        assert _parse_bc(name, LimitBc) is LimitBc(name.strip().lower())
+    with pytest.raises(ValueError):
+        _parse_bc("hard-clamped", LimitBc)
+    save_mesh(build_rect_mesh(1, 1, 4, 4), tmp_path / "m.json")
+    out = tmp_path / "eigs.json"
+    assert main(["solve-biharmonic", "--mesh", str(tmp_path / "m.json"), "--bc", "Clamped", "--num-eigs", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["bc"] == "clamped"
+
+
+@pytest.mark.parametrize("name", ["Soft_Rigid_", "ss", "clamped", ""])
 def test_bc_spellings_outside_the_set_are_rejected(name):
     with pytest.raises(ValueError):
         _parse_bc(name)

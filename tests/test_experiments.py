@@ -347,7 +347,7 @@ class TestSweeps:
         # cluster: the first point of the fine level says where it failed
         def zero_averages(self, pair):
             zeros = np.zeros(len(p2_dof_points(self.interval_mesh)))
-            return zeros, zeros, zeros
+            return zeros, zeros
 
         monkeypatch.setattr(experiments.ConnectingSystem, "average_pair", zero_averages)
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)

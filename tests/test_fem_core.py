@@ -552,11 +552,11 @@ class TestOneBatchPerRule:
             # one free pencil for all eight families, each a restriction of it
             (lambda: kernel_census(MaterialParams(E=1.0, sigma=0.3), build_rect_mesh(1, 1, 4, 4)), 1, 2, 1),
             # per level, one limit pencil (1 tabulation, 2 scatters) and per
-            # delta a thin pencil (1, 2), the connecting system's two rules
-            # and the resolvent load's rule: 2 levels x (1 + 3 x 4), 2 x (2 + 3 x 2)
+            # delta a thin pencil (1, 2) and the connecting system's two rules,
+            # whose thin one also carries the resolvent load: 2 levels x (1 + 3 x 3), 2 x (2 + 3 x 2)
             (
                 lambda: sweep_delta(SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)),
-                26,
+                20,
                 16,
                 8,
             ),

@@ -32,7 +32,7 @@ from rmplates.experiments import dirichlet_laplace_smallest
 from rmplates.assemble import assemble_from_local, assemble_pencil
 from rmplates.errors import UnsupportedConfigurationError
 from rmplates.geometry import Mesh, PiecewiseLinear, ThinDomainSpec
-from rmplates.rm_system import rm_dofmap, rm_load_vector, rm_local_matrices
+from rmplates.rm_system import rm_dofmap, rm_local_matrices
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -323,14 +323,6 @@ class TestSourceSolve:
         sol = solve_rm_source(pen, pair.beta, pair.w)
         assert_allclose(sol.beta, pair.beta, atol=1e-10)
         assert_allclose(sol.w, pair.w, atol=1e-10)
-
-    def test_mixed_load_data_rejected(self):
-        mesh = build_rect_mesh(1, 1, 4, 4)
-        pen = assemble_rm_pencil(mesh, PARAMS, BcFamily.FREE)
-        with pytest.raises(ValueError, match="both"):
-            rm_load_vector(pen, lambda x: np.zeros(x.shape[:-1] + (2,)), np.ones(mesh.n_nodes))
-        with pytest.raises(ValueError, match="both"):
-            rm_load_vector(pen, np.zeros(2 * mesh.n_nodes), lambda x: np.ones(x.shape[:-1]))
 
     def test_clamped_deflection_close_to_kirchhoff(self):
         # RM at small t against the Morley limit solve on the same grid

@@ -20,16 +20,16 @@ from rmplates import (
     p2_interpolate,
     qjj_value,
     resolvent_gap,
-    solve_rm_source,
+    solve_extended_source,
 )
-from rmplates import eigensolve
+from rmplates import eigensolve, experiments, rm_system, thin_limit
 from rmplates.assemble import ElementBatch, element_batch
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.geometry import PiecewiseLinear, ThinDomainSpec
 from rmplates.quadrature import quad_rule
-from rmplates.rm_system import FieldPair, rm_load_vector, solve_rm_source
+from rmplates.rm_system import FieldPair
 from rmplates.spaces import Q1_SCALAR
-from rmplates.thin_limit import _extended_data, solve_limit_source
+from rmplates.thin_limit import solve_limit_source
 
 PARAMS = MaterialParams(E=1.0, sigma=0.3, k=5.0 / 6.0, t=0.1)
 
@@ -206,7 +206,8 @@ class TestConnectingSystem:
         x = cs.thin_mesh.nodes[:, 0]
         bx = p2_evaluate(cs.interval_mesh, Phi, x)
         pair = FieldPair(np.concatenate([bx, np.zeros_like(bx)]), p2_evaluate(cs.interval_mesh, phi, x))
-        Phi_bar, bII_bar, phi_bar = cs.average_pair(pair)
+        Phi_bar, phi_bar = cs.average_pair(pair)
+        bII_bar = cs.average_to_p2(pair.beta[cs.thin_mesh.n_nodes :])
         nv = cs.interval_mesh.n_nodes
         assert_allclose(Phi_bar[:nv], Phi[:nv], atol=1e-12)
         assert_allclose(phi_bar[:nv], phi[:nv], atol=1e-12)
@@ -299,6 +300,50 @@ class TestResolventGap:
         with pytest.raises(ValueError, match="nonzero"):
             resolvent_gap(cs, PARAMS, np.zeros(n), np.zeros(n))
 
+    def test_factor_without_its_pencil_rejected_before_assembly(self, monkeypatch):
+        # a factor is an LU of the thin pencil's A: without that pencil the
+        # gap would assemble another one and solve it on a foreign LU
+        cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
+        f0 = p2_interpolate(cs.interval_mesh, lambda x: np.sin(np.pi * x))
+        factor = eigensolve.factorize(assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE).A)
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("a pencil was assembled")
+
+        monkeypatch.setattr(thin_limit, "assemble_rm_pencil", no_assembly)
+        monkeypatch.setattr(thin_limit, "assemble_limit_pencil", no_assembly)
+        with pytest.raises(ValueError, match="pencil"):
+            resolvent_gap(cs, PARAMS, np.zeros_like(f0), f0, factor=factor)
+
+    def test_extended_load_needs_a_pencil_on_the_thin_mesh(self):
+        cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
+        other = assemble_rm_pencil(build_thin_mesh(cs.spec, cs.nx, cs.ny), PARAMS, BcFamily.FREE)
+        zeros = np.zeros(len(p2_dof_points(cs.interval_mesh)))
+        with pytest.raises(ValueError, match="thin mesh"):
+            cs.extended_load(other, PARAMS, zeros, zeros)
+
+
+def test_no_nine_point_tabulation_of_a_thin_mesh(monkeypatch):
+    # the thin load of extended data is built on the connecting system's 3x2
+    # rule, so neither the delta sweep nor a standalone gap tabulates a thin
+    # mesh on the 3x3 rule of a callable load
+    rules = []
+
+    def recorded(mesh, space, quad=None, cells=slice(None)):
+        rules.append((mesh.meta.get("kind"), None if quad is None else len(quad.points)))
+        return element_batch(mesh, space, quad, cells)
+
+    for module in (rm_system, thin_limit, experiments):
+        monkeypatch.setattr(module, "element_batch", recorded)
+    config = experiments.SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2)
+    experiments.sweep_delta(config)
+    cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
+    f0 = p2_interpolate(cs.interval_mesh, lambda x: np.sin(np.pi * x))
+    resolvent_gap(cs, PARAMS, np.zeros_like(f0), f0)
+    thin = [n for kind, n in rules if kind == "thin"]
+    assert 6 in thin and 8 in thin  # the norm rule and the pencil's Gauss and shear points
+    assert len(quad_rule(3).points) not in thin
+
 
 class TestThinStrainRelaxation:
     def test_transverse_rotation_slope_matches_qjj(self):
@@ -309,14 +354,7 @@ class TestThinStrainRelaxation:
         cs = make_system(constant_profile_spec(0, 1, 0.5, delta), nx=96, ny=6)
         f0 = p2_interpolate(cs.interval_mesh, lambda x: np.sin(np.pi * x))
         pen = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
-
-        def fx(x):
-            return np.zeros(x.shape[:-1] + (2,))
-
-        def fw(x):
-            return p2_evaluate(cs.interval_mesh, f0, x[..., 0].ravel()).reshape(x.shape[:-1])
-
-        pair = solve_rm_source(pen, fx, fw)
+        pair = solve_extended_source(cs, pen, PARAMS, np.zeros_like(f0), f0)
         lp = assemble_limit_pencil(cs.interval_mesh, cs.spec, PARAMS)
         Phi0, _ = solve_limit_source(lp, np.zeros_like(f0), f0)
 
@@ -356,7 +394,7 @@ class TestScaledGapFloor:
 
         # the distance of `resolvent_gap` with the thin rotation block divided by delta
         pen = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
-        pair = solve_rm_source(pen, *_extended_data(cs.interval_mesh, F0, f0))
+        pair = solve_extended_source(cs, pen, PARAMS, F0, f0)
         nv = cs.thin_mesh.n_nodes
         bI = cs.q1_at_rule(pair.beta[:nv]) - cs.p2x_at_rule(Phi0)
         bII = cs.q1_at_rule(pair.beta[nv:]) / delta
@@ -395,10 +433,9 @@ class TestEnergyFunctional:
         cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2), nx=16, ny=3)
         pen = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
         f0 = p2_interpolate(cs.interval_mesh, lambda x: np.sin(np.pi * x))
-        data = _extended_data(cs.interval_mesh, np.zeros_like(f0), f0)
-        load = rm_load_vector(pen, *data)
+        load = cs.extended_load(pen, PARAMS, np.zeros_like(f0), f0)
 
-        sol = solve_rm_source(pen, *data)
+        sol = solve_extended_source(cs, pen, PARAMS, np.zeros_like(f0), f0)
         e_min = energy(pen, sol, cs.delta, load)
         rng = np.random.default_rng(7)
         nv = cs.thin_mesh.n_nodes
