@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolve import ordering
+from .eigensolve import Factor, factorize, ordering
 from .errors import AssemblyError
 from .geometry import ElementKind, Mesh
 from .quadrature import QuadratureRule, quad_rule, segment_rule, triangle_rule
@@ -333,6 +333,9 @@ class Pencil:
 
     A stacked dofmap (`stack_dofmaps`) lays the fields out block after
     block.  `B_full` is the mass over all dofs in the global order.
+    `factor`, the one LU of `A`, is made on first use and freed with the
+    pencil: every source solve on the pencil and every Lanczos run handed
+    it share that LU.
     """
 
     A: sp.csr_matrix
@@ -340,6 +343,10 @@ class Pencil:
     mesh: Mesh
     dofmap: DofMap
     B_full: sp.csr_matrix = field(repr=False)
+
+    @cached_property
+    def factor(self) -> Factor:
+        return factorize(self.A)
 
     def split(self, full_vector: np.ndarray):
         """Cut a full coefficient vector into the blocks of a stacked dofmap."""

@@ -38,6 +38,8 @@ def _parse_bc(name: str, kind=BcFamily):
     """The member of the boundary-condition enum `kind` that `name` names by
     its value or its short name (the value with "ss" for "simply_supported"),
     all folded: blanks stripped, lower case, "-" for "_" (values are lower case)."""
+    if not isinstance(name, str):
+        raise ValueError(f"bc must be a string naming a {kind.__name__}, got {name!r}")
     key = name.strip().lower().replace("_", "-")
     for bc in kind:
         if key in (bc.value.replace("_", "-"), bc.value.replace("simply_supported", "ss").replace("_", "-")):
@@ -47,6 +49,15 @@ def _parse_bc(name: str, kind=BcFamily):
 
 def _material(args) -> MaterialParams:
     return MaterialParams(E=args.E, sigma=args.sigma, k=args.k, t=args.t)
+
+
+def _config_params(params) -> MaterialParams:
+    """The MaterialParams of a config's `params`: an object of numbers E,
+    sigma and, optionally, k and t."""
+    numbers = isinstance(params, dict) and all(type(v) in (int, float) for v in params.values())
+    if not (numbers and {"E", "sigma"} <= set(params) <= {"E", "sigma", "k", "t"}):
+        raise ValueError(f"params must be an object of numbers E, sigma and optionally k and t, got {params!r}")
+    return MaterialParams(**params)
 
 
 def _build_rm(args):
@@ -79,11 +90,12 @@ def _build_limit(args):
 def cmd_solve(args) -> int:
     """Solve the pencil of the subcommand's builder; dump it, over the free dofs
     in ascending global order, and write its payload with the eigenpairs.
-    A ValueError, such as a bad --num-eigs or --tol, exits with its message."""
+    A ValueError, such as a bad --num-eigs or --tol, or an unreadable input
+    file exits with its message."""
     try:
         pencil, payload = args.build(args)
         res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=args.num_eigs, tol=args.tol))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"{args.command}: {exc}")
     order = np.argsort(pencil.dofmap.free)
     if args.dump_matrices:
@@ -154,23 +166,27 @@ SWEEPS = {
 
 
 def cmd_sweep(args) -> int:
-    """Run the subcommand's row of SWEEPS on its defaults updated by --config.
-    A config the sweep cannot run (a ValueError) exits with its message."""
+    """Run the subcommand's row of SWEEPS on its defaults updated by --config,
+    a JSON object.  An unreadable config or one the sweep cannot run (a
+    ValueError) exits with its message."""
     kind, run, defaults, _ = SWEEPS[args.command]
-    data = dict(defaults)
-    if args.config:
-        with open(args.config) as fh:
-            data.update(json.load(fh))
-    unread = sorted(set(data) - set(CONFIG_KEYS[kind]))
-    if unread:
-        raise SystemExit(f"{args.command} does not read config keys {unread}; it reads {list(CONFIG_KEYS[kind])}")
     try:
+        data = dict(defaults)
+        if args.config:
+            with open(args.config) as fh:
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError(f"a config is a JSON object, got {type(config).__name__}")
+            data.update(config)
+        unread = sorted(set(data) - set(CONFIG_KEYS[kind]))
+        if unread:
+            raise SystemExit(f"{args.command} does not read config keys {unread}; it reads {list(CONFIG_KEYS[kind])}")
         if "params" in data:
-            data["params"] = MaterialParams(**data["params"])
+            data["params"] = _config_params(data["params"])
         if "bc" in data:
             data["bc"] = _parse_bc(data["bc"])
         report = run(SweepConfig(kind, **data))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"{args.command}: {exc}")
     if args.out and kind == "kernel":
         with open(args.out, "w") as fh:

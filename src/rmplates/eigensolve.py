@@ -8,9 +8,9 @@ and from a dense solve when the pencil is too small for Krylov iteration.
 Eigenvectors are re-orthonormalized in the B inner product, so clustered
 (kernel) eigenvalues come out with full multiplicity.  Every sparse LU in
 the package is made by `factorize`: the shift-invert operator here, one per
-eigensolve, and `sparse_solve`.  A caller that needs a source solve and the
-spectrum of one matrix factors it once: `sparse_solve` and then
-`solve_gep_smallest` take the `Factor`, and the Lanczos run releases its LU.
+eigensolve unless a `Factor` is given, and `assemble.Pencil.factor`, the one
+LU of a pencil, which its source solves (`sparse_solve`) and a Lanczos run
+handed it share.
 
 A computed pair (lam, x) is accepted when its residual
 ||A x - lam B x|| / ||A x|| is at most `EigOptions.tol`, or else when its
@@ -20,9 +20,9 @@ then exact for a pencil within that relative distance of (A, B).  The
 residual alone fails backward-stable pairs with ||A x|| << ||A|| ||x||, such
 as the kernel at 1 of a thin strip or a thin plate.
 
-`sparse_solve` solves on `factorize(A)`, the same LU the eigensolver
-uses, and corrects every solution until its componentwise backward error
-(Oettli-Prager) is at most SOLVE_BACKWARD_ERROR.  Residual correction
+`sparse_solve` solves on a given `factorize(A)`, the same LU the
+eigensolver uses, and corrects every solution until its componentwise
+backward error (Oettli-Prager) is at most SOLVE_BACKWARD_ERROR.  Residual correction
 in fixed precision reaches that bound from any LU that is not too unstable
 (Skeel 1980), so the plain LU of a plate or a thin strip needs no scaling.
 
@@ -88,6 +88,8 @@ class EigOptions:
     tol: float = 1e-9
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0 < self.tol < np.inf:  # False for NaN, which would accept every pair
@@ -146,8 +148,7 @@ def ordering(M) -> str:
 class Factor:
     """An LU `lu` of a matrix M, whose `solve` solves with M, and how it was
     made: its column `ordering`, `lu_fill` (SuperLU's stored L and U
-    entries) and `factor_s`.  A shift-invert run that is handed the record
-    sets `lu` to None; it is the only LU of its eigensolve."""
+    entries) and `factor_s`."""
 
     lu: spla.SuperLU
     ordering: str
@@ -185,14 +186,14 @@ def factorize(M) -> Factor:
     return Factor(lu, order, int(lu.nnz), time.perf_counter() - t0)
 
 
-def sparse_solve(A, load: np.ndarray, factor: Factor = None) -> np.ndarray:
-    """Solve A x = load on `factor`, an LU of A, or else on `factorize(A)`.
+def sparse_solve(A, load: np.ndarray, factor: Factor) -> np.ndarray:
+    """Solve A x = load on `factor`, an LU of A (`factorize(A)`).
     x is corrected with float64 residuals until its componentwise backward
     error max_i |load - A x|_i / (|A| |x| + |load|)_i is at most
     SOLVE_BACKWARD_ERROR; SingularSystemError if SOLVE_CORRECTIONS
     corrections do not get there.
     """
-    solve = (factorize(A) if factor is None else factor).lu.solve
+    solve = factor.lu.solve
     absA = type(A)((np.abs(A.data), A.indices, A.indptr), shape=A.shape)  # on A's own index arrays
 
     def backward_error(v):
@@ -218,10 +219,9 @@ def sparse_solve(A, load: np.ndarray, factor: Factor = None) -> np.ndarray:
 def solve_gep_smallest(A, B, opts: EigOptions = None, factor: Factor = None) -> EigResult:
     """k smallest eigenvalues of the sparse pencil (A, B), A and B symmetric positive definite.
 
-    `factor`, a `factorize(A)` the caller has already used, serves the
-    shift-invert run in place of a new LU; the run releases its LU, so the
-    record's `lu` is None afterwards.  At most one LU is made.  A pair whose
-    residual misses `opts.tol` and whose backward error exceeds
+    `factor`, a `factorize(A)` such as a pencil's own, serves the
+    shift-invert run in place of a new LU, so at most one LU is made.  A
+    pair whose residual misses `opts.tol` and whose backward error exceeds
     BACKWARD_ERROR raises ConvergenceError.
     """
     opts = opts or EigOptions()
@@ -229,6 +229,9 @@ def solve_gep_smallest(A, B, opts: EigOptions = None, factor: Factor = None) -> 
     if opts.k > n:
         raise ValueError(f"requested {opts.k} eigenvalues from an n={n} pencil")
     info = {"ordering": "dense", "lu_fill": 0, "factor_s": 0.0, "opinv_applies": 0}
+    # before the Lanczos run: after it, their copy of |A| would sit next to the
+    # eigenvectors, their products with A and B, and a given LU
+    norms = spla.norm(A, 1), spla.norm(B, 1)
     if opts.k > n - 2:  # ARPACK needs k < n - 1
         lam, vec = scipy.linalg.eigh(A.toarray(), B.toarray(), subset_by_index=(0, opts.k - 1))
     else:
@@ -236,7 +239,7 @@ def solve_gep_smallest(A, B, opts: EigOptions = None, factor: Factor = None) -> 
     order = np.argsort(lam)
     lam, vec = lam[order], vec[:, order]
     vec = _b_orthonormalize(vec, B)
-    res, err = _residuals(A, B, lam, vec)
+    res, err = _residuals(A, B, lam, vec, *norms)
     info["backward_errors"] = err.tolist()
     failed = (res > opts.tol) & (err > BACKWARD_ERROR)
     if np.any(failed):
@@ -250,20 +253,13 @@ def solve_gep_smallest(A, B, opts: EigOptions = None, factor: Factor = None) -> 
 
 def _shift_invert_lanczos(A, B, k, factor, info):
     """k eigenpairs of (A, B) nearest 0 by Lanczos on `factor`, an LU of A,
-    whose stats go to `info`.
-
-    The LU is taken out of the record and lives only as long as this call,
-    so a caller that still holds the record, as a delta-sweep point does
-    through its branch matching, does not keep the LU alive and add it to
-    its peak memory.
-    """
+    whose stats go to `info`."""
     n = A.shape[0]
     info.update(ordering=factor.ordering, lu_fill=factor.lu_fill, factor_s=factor.factor_s)
-    lu, factor.lu = factor.lu, None
 
     def opinv(x):
         info["opinv_applies"] += 1
-        return lu.solve(x)
+        return factor.lu.solve(x)
 
     try:
         return spla.eigsh(
@@ -281,13 +277,14 @@ def _shift_invert_lanczos(A, B, k, factor, info):
         raise ConvergenceError(str(exc), partial=(exc.eigenvalues, exc.eigenvectors))
 
 
-def _residuals(A, B, lam, vec):
+def _residuals(A, B, lam, vec, norm_A, norm_B):
     """Per pair, the residual ||A x - lam B x|| / ||A x|| and the normwise
-    backward error ||A x - lam B x||_1 / ((||A||_1 + |lam| ||B||_1) ||x||_1)."""
+    backward error ||A x - lam B x||_1 / ((||A||_1 + |lam| ||B||_1) ||x||_1),
+    given norm_A = ||A||_1 and norm_B = ||B||_1."""
     Av = A @ vec
     R = Av - (B @ vec) * lam[None, :]
     res = np.linalg.norm(R, axis=0) / np.linalg.norm(Av, axis=0)
-    scale = (spla.norm(A, 1) + np.abs(lam) * spla.norm(B, 1)) * np.abs(vec).sum(axis=0)
+    scale = (norm_A + np.abs(lam) * norm_B) * np.abs(vec).sum(axis=0)
     return res, np.abs(R).sum(axis=0) / scale
 
 

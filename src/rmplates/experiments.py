@@ -19,7 +19,7 @@ import numpy as np
 
 from .assemble import assemble_pencil, element_batch, mass_density, stiffness_density, strain_blocks
 from .biharmonic import assemble_biharmonic_pencil, map_limit_bc
-from .eigensolve import EigOptions, _b_orthonormalize, clusters, factorize, principal_angles, solve_gep_smallest
+from .eigensolve import EigOptions, _b_orthonormalize, clusters, principal_angles, solve_gep_smallest
 from .errors import ConvergenceError
 from .geometry import (
     Mesh,
@@ -100,6 +100,14 @@ class SweepConfig:
     def __post_init__(self):
         if self.kind not in CONFIG_KEYS:
             raise ValueError(f"sweep kind {self.kind!r} is not one of {sorted(CONFIG_KEYS)}")
+        for key in ("mesh_n", "mesh_ny", "num_eigs"):
+            if isinstance(getattr(self, key), bool) or not isinstance(getattr(self, key), (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        real = (int, float, np.integer, np.floating)
+        if not isinstance(self.values, (list, tuple, np.ndarray)) or not all(
+            isinstance(v, real) and not isinstance(v, bool) for v in self.values
+        ):
+            raise ValueError(f"values must be a list of numbers, got {self.values!r}")
         vals = tuple(float(v) for v in self.values)
         if len(vals) >= 2 and np.any(np.diff(vals) >= 0):
             raise ValueError("sweep values must be strictly decreasing")
@@ -239,20 +247,18 @@ def sweep_thickness(config: SweepConfig) -> dict:
 def _delta_level(config: SweepConfig, nx: int, ny: int):
     """All measured errors at one mesh level, one point per delta, in the
     global dof order.  The limit pencil sees the profile only through
-    g = f1 + f2, so it is made and factored once: the LU serves its source
-    solve, then its eigensolve.  The data is (F0, f0) = (0, sin(pi x)) on
-    the level's own interval mesh.  Each thin A is factored once, and the
-    source solve and the Lanczos run share the LU.  Each point deletes its
-    thin pencil, connecting system, eigenpairs and factor record at its
-    end: the loop would otherwise keep them alive while the next point
-    assembles and factors, and raise the level's peak memory."""
+    g = f1 + f2, so it is made and factored once.  The data is (F0, f0) =
+    (0, sin(pi x)) on the level's own interval mesh.  Every pencil's source
+    solve and Lanczos run share its one LU (`Pencil.factor`).  Each point
+    deletes its thin pencil, with its LU, its connecting system and its
+    eigenpairs at its end: the loop would otherwise keep them alive while
+    the next point assembles and factors, and raise the level's peak memory."""
     spec = config.spec_at(config.values[0])
     interval = build_interval_mesh(*spec.base_interval, nx)
     limit_pencil = assemble_limit_pencil(interval, spec, config.params)
-    factor = factorize(limit_pencil.A)
     f0 = np.zeros(len(p2_dof_points(interval))), p2_interpolate(interval, lambda x: np.sin(np.pi * x))
-    limit_solution = solve_limit_source(limit_pencil, *f0, factor)
-    lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4), factor)
+    limit_solution = solve_limit_source(limit_pencil, *f0)
+    lim = solve_gep_smallest(limit_pencil.A, limit_pencil.B, EigOptions(k=DELTA_CLUSTERS + 4), limit_pencil.factor)
     # the first limit clusters beyond the shifted kernel at 1: their mean
     # eigenvalue and their eigenvectors over all dofs
     kernel = at_one(lim.eigenvalues)
@@ -266,9 +272,8 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
         spec = config.spec_at(delta)
         system = ConnectingSystem(build_thin_mesh(spec, nx, ny), interval, spec)
         thin_pencil = assemble_rm_pencil(system.thin_mesh, config.params, BcFamily.FREE)
-        factor = factorize(thin_pencil.A)
-        res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_solution, factor=factor)
-        thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need), factor)
+        res_gap = resolvent_gap(system, config.params, *f0, thin_pencil, limit_solution)
+        thin_res = solve_gep_smallest(thin_pencil.A, thin_pencil.B, EigOptions(k=need), thin_pencil.factor)
 
         # averaged thin eigenvectors (Phi_bar, phi_bar), B0-normalized; transverse
         # (y-odd) branches average to nearly zero and are excluded from the matching
@@ -305,7 +310,7 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
             angles.append(float(np.max(principal_angles(U, V, B0))))
         points.append(dict(delta=delta, resolvent_gap=res_gap, eig_gap_sums=eig_gaps, eig_gap_signed=signed_gaps,
                            limit_eigenvalues=list(lam0s), max_angles=angles, match_scores=match_scores))
-        del system, thin_pencil, factor, thin_res, averaged
+        del system, thin_pencil, thin_res, averaged
     return points
 
 

@@ -139,9 +139,17 @@ def constant_profile_spec(a: float, b: float, half_width: float, delta: float) -
     )
 
 
+def _missing(record, keys) -> list:
+    """The `keys` that the JSON object `record` lacks; all of them if it is no object."""
+    return [key for key in keys if key not in record] if isinstance(record, dict) else list(keys)
+
+
 def profile_spec(profile: dict, delta: float, interval=None, d: int = 1) -> ThinDomainSpec:
     """Thin domain of a `{"x", "f1", "f2"}` profile (breakpoints and the two
     piecewise-linear half-widths) over `interval`, by default the span of `x`."""
+    missing = _missing(profile, ("x", "f1", "f2"))
+    if missing:
+        raise ValueError(f"a profile needs the keys {missing}, got {profile!r}")
     xs = np.asarray(profile["x"], dtype=float)
     f1, f2 = (PiecewiseLinear(xs, np.asarray(profile[key], dtype=float)) for key in ("f1", "f2"))
     return ThinDomainSpec(interval or (xs[0], xs[-1]), f1, f2, delta, d)
@@ -258,8 +266,18 @@ def mesh_to_dict(mesh: Mesh) -> dict:
 
 
 def mesh_from_dict(data: dict) -> Mesh:
-    """The mesh `mesh_to_dict` wrote; an index out of range raises ValueError naming the first."""
-    cols = {key: [f[key] for f in data["facets"]] for key in ("nodes", "element", "tag", "normal")}
+    """The mesh `mesh_to_dict` wrote; a missing key or an index out of range
+    raises ValueError naming the first."""
+    missing = _missing(data, ("dim", "element_kind", "nodes", "elements", "facets"))
+    if missing:
+        raise ValueError(f"a mesh needs the keys {missing}")
+    if not isinstance(data["facets"], list):
+        raise ValueError(f"a mesh's facets are a list, got {data['facets']!r}")
+    keys = ("nodes", "element", "tag", "normal")
+    for i, facet in enumerate(data["facets"]):
+        if _missing(facet, keys):
+            raise ValueError(f"facet {i} needs the keys {_missing(facet, keys)}")
+    cols = {key: [f[key] for f in data["facets"]] for key in keys}
     n = len(cols["element"])
     tag = np.array(cols["tag"], dtype=str)
     for value in np.unique(tag):

@@ -219,8 +219,8 @@ def rm_load_vector(pencil: Pencil, F: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def solve_rm_source(pencil: Pencil, F: np.ndarray, f: np.ndarray) -> FieldPair:
     """Solve the shifted source problem with data (t^2/12 F, f) given as
-    full-length coefficient vectors (`rm_load_vector`)."""
-    x = sparse_solve(pencil.A, rm_load_vector(pencil, F, f))
+    full-length coefficient vectors (`rm_load_vector`), on the pencil's LU."""
+    x = sparse_solve(pencil.A, rm_load_vector(pencil, F, f), pencil.factor)
     return FieldPair(*pencil.split(pencil.dofmap.expand(x)))
 
 

@@ -121,12 +121,12 @@ def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: Mat
     return assemble_pencil(interval_mesh, dofmap, blocks)
 
 
-def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray, factor=None):
+def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray):
     """Solve the shifted limit system with data (t^2/12 F, f) (g-weighted) on
-    `factor` if given (an LU of `pencil.A`, see `sparse_solve`); the data and
-    the pair (Phi, phi) returned are P2 coefficients in the global dof order."""
+    the pencil's LU; the data and the pair (Phi, phi) returned are P2
+    coefficients in the global dof order."""
     load = pencil.dofmap.restrict(pencil.B_full @ np.concatenate([F_coeffs, f_coeffs]))
-    x = sparse_solve(pencil.A, load, factor)
+    x = sparse_solve(pencil.A, load, pencil.factor)
     return pencil.split(pencil.dofmap.expand(x))
 
 
@@ -275,12 +275,12 @@ class ConnectingSystem:
         return self.integrate_thin(u * v) / self.delta
 
 
-def solve_extended_source(system, thin_pencil: Pencil, params: MaterialParams, F0_coeffs, f0_coeffs, factor=None):
+def solve_extended_source(system, thin_pencil: Pencil, params: MaterialParams, F0_coeffs, f0_coeffs):
     """The thin solution (a `FieldPair`) of extended interval data: the
     shifted source problem of `thin_pencil` with the load
-    `ConnectingSystem.extended_load` of (F0, 0, f0), solved on `factor` if
-    given (an LU of `thin_pencil.A`, see `sparse_solve`)."""
-    x = sparse_solve(thin_pencil.A, system.extended_load(thin_pencil, params, F0_coeffs, f0_coeffs), factor)
+    `ConnectingSystem.extended_load` of (F0, 0, f0), solved on the pencil's LU."""
+    load = system.extended_load(thin_pencil, params, F0_coeffs, f0_coeffs)
+    x = sparse_solve(thin_pencil.A, load, thin_pencil.factor)
     return FieldPair(*thin_pencil.split(thin_pencil.dofmap.expand(x)))
 
 
@@ -291,20 +291,16 @@ def resolvent_gap(
     f0_coeffs: np.ndarray,
     thin_pencil: Pencil = None,
     limit_solution=None,
-    factor=None,
 ) -> float:
     """Relative H_delta distance between the thin resolvent applied to
     extended data and the extended limit resolvent.
 
     Both solves use the shifted operator and the (t^2/12 F, f) data
-    convention; the thin one is `solve_extended_source`.  `limit_solution`
-    is the limit pair (Phi0, phi0) of `solve_limit_source` for this data,
-    which does not depend on delta; `factor` is an LU of `thin_pencil.A`
-    for the thin solve, so it needs that pencil.  The distance is
-    `hdelta_gap_norm`.
+    convention; the thin one is `solve_extended_source`, on the LU of
+    `thin_pencil`.  `limit_solution` is the limit pair (Phi0, phi0) of
+    `solve_limit_source` for this data, which does not depend on delta.
+    The distance is `hdelta_gap_norm`.
     """
-    if factor is not None and thin_pencil is None:
-        raise ValueError("a factor of the thin pencil needs that pencil")
     denom = system.h0_norm(F0_coeffs, f0_coeffs)
     if denom == 0:
         raise ValueError("data must be nonzero")
@@ -314,6 +310,6 @@ def resolvent_gap(
         limit_pencil = assemble_limit_pencil(system.interval_mesh, system.spec, params)
         limit_solution = solve_limit_source(limit_pencil, F0_coeffs, f0_coeffs)
 
-    pair = solve_extended_source(system, thin_pencil, params, F0_coeffs, f0_coeffs, factor)
+    pair = solve_extended_source(system, thin_pencil, params, F0_coeffs, f0_coeffs)
     return system.hdelta_gap_norm(pair, *limit_solution) / denom
 

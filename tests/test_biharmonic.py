@@ -143,7 +143,7 @@ def solve_constant_load(pen, f):
     integrates (1, phi_i) exactly, so the load is B_full times that vector."""
     one = np.zeros(pen.dofmap.n_dofs)
     one[: pen.mesh.n_nodes] = f
-    return pen.dofmap.expand(sparse_solve(pen.A, pen.dofmap.restrict(pen.B_full @ one)))
+    return pen.dofmap.expand(sparse_solve(pen.A, pen.dofmap.restrict(pen.B_full @ one), pen.factor))
 
 
 class TestSourceSolve:

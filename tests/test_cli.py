@@ -233,6 +233,41 @@ def test_config_the_sweep_cannot_run_exits_with_one_line(tmp_path, command, conf
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("sweep-t", {"params": {"E": 1.0, "nu": 0.3}}, "params must be an object of numbers E, sigma"),
+        ("sweep-t", {"params": {"E": "1", "sigma": 0.3}}, "params must be an object of numbers E, sigma"),
+        ("korn", {"values": 0.1}, "values must be a list of numbers, got 0.1"),
+        ("korn", [0.4, 0.2, 0.1], "a config is a JSON object, got list"),
+        ("sweep-t", {"mesh_n": "8"}, "mesh_n must be an integer, got '8'"),
+        ("sweep-t", {"mesh_n": 8.0}, "mesh_n must be an integer, got 8.0"),
+        ("sweep-t", {"values": [0.2, 0.1, 0.05], "mesh_n": 8, "num_eigs": 2.5}, "num_eigs must be an integer, got 2.5"),
+        ("sweep-t", {"bc": 3}, "bc must be a string naming a BcFamily, got 3"),
+        ("sweep-delta", {"profile": {"x": [0, 1]}}, r"a profile needs the keys \['f1', 'f2'\]"),
+        ("sweep-delta", None, "\\[Errno 2\\] No such file"),
+        ("solve-rm", {"dim": 2, "element_kind": "quad4", "nodes": [], "elements": []}, r"a mesh needs the keys \['facets'\]"),
+        ("solve-rm", {"dim": 2, "element_kind": "quad4", "nodes": [], "elements": [], "facets": 3}, "a mesh's facets are a list"),
+        ("solve-rm", {"dim": 2, "element_kind": "quad4", "nodes": [], "elements": [], "facets": [{"nodes": [0, 1]}]},
+         r"facet 0 needs the keys \['element', 'tag', 'normal'\]"),
+        ("solve-rm", None, "\\[Errno 2\\] No such file"),
+    ],
+    ids=["params-key", "params-value", "values", "list", "mesh_n-str", "mesh_n-float", "num_eigs", "bc", "profile",
+         "no-config", "mesh-keys", "mesh-facets", "facet-keys", "no-mesh"],
+)
+def test_bad_input_exits_with_one_line_where_it_enters(tmp_path, command, config, message):
+    # each input used to end in a traceback (TypeError, KeyError, AttributeError,
+    # FileNotFoundError, or ARPACK's SystemError for num_eigs 2.5)
+    path = tmp_path / "in.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    flag = "--mesh" if command == "solve-rm" else "--config"
+    with pytest.raises(SystemExit, match=rf"^{command}: {message}") as exc:
+        main([command, flag, str(path), "--out", str(tmp_path / "out")])
+    assert "\n" not in exc.value.code
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags,message", [(["--num-eigs", "0"], "k must be at least 1"), (["--tol", "nan"], "tol must be")])
 def test_solve_option_it_cannot_use_exits_with_one_line(tmp_path, flags, message):
     mesh_path = tmp_path / "m.json"

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from rmplates import eigensolve, experiments
+from rmplates import assemble, eigensolve, experiments
 from rmplates.eigensolve import EigOptions, principal_angles, solve_gep_smallest
 from rmplates.errors import ConvergenceError, SingularSystemError
 from rmplates.biharmonic import LimitBc, assemble_biharmonic_pencil, map_limit_bc
@@ -84,6 +84,17 @@ class TestSmallest:
         A = sp.identity(4, format="csr")
         with pytest.raises(ValueError):
             solve_gep_smallest(A, A, EigOptions(k=5))
+
+    @pytest.mark.parametrize("k", [3.0, 2.5, True, "3", None])
+    def test_k_that_is_no_integer_rejected(self, k):
+        # a float k used to reach ARPACK, which failed with a SystemError
+        with pytest.raises(ValueError, match="k must be an integer"):
+            EigOptions(k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        A = sp.diags(np.arange(1.0, 21.0)).tocsr()
+        res = solve_gep_smallest(A, sp.identity(20, format="csr"), EigOptions(k=np.int64(3)))
+        assert_allclose(res.eigenvalues, [1.0, 2.0, 3.0], rtol=1e-12)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tol_rejected(self, tol):
@@ -162,7 +173,8 @@ class TestOnProductionPencils:
 
 
 class TestOneFactorization:
-    """Every sparse LU is made by `factorize`; eigsh never factors on its own."""
+    """Every sparse LU is made by `factorize`, a pencil's by `Pencil.factor`;
+    eigsh never factors on its own."""
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
@@ -179,6 +191,7 @@ class TestOneFactorization:
             return factorize(M)
 
         monkeypatch.setattr(eigensolve, "factorize", counted)
+        monkeypatch.setattr(assemble, "factorize", counted)
         return calls
 
     def test_shift_invert(self, factor_calls):
@@ -190,7 +203,9 @@ class TestOneFactorization:
         mesh = build_rect_mesh(1, 1, 6, 5)
         pen = assemble_rm_pencil(mesh, MaterialParams(E=1.0, sigma=0.3, t=0.1), BcFamily.FREE)
         rng = np.random.default_rng(4)
-        solve_rm_source(pen, rng.standard_normal(2 * mesh.n_nodes), rng.standard_normal(mesh.n_nodes))
+        first = solve_rm_source(pen, rng.standard_normal(2 * mesh.n_nodes), rng.standard_normal(mesh.n_nodes))
+        solve_rm_source(pen, first.beta, first.w)
+        # the second solve runs on the pencil's LU, which the first one made
         assert len(factor_calls) == 1
 
 
@@ -205,33 +220,21 @@ def componentwise_backward_error(A, x, b):
 
 
 class TestSharedFactor:
-    """`sparse_solve` factors A itself when no LU is given, as the
-    eigensolver does; `solve_gep_smallest` releases a given LU when its
-    Lanczos run returns."""
+    """`sparse_solve` corrects the solution of the LU it is given;
+    `solve_gep_smallest` runs on a given LU and leaves it to its owner."""
 
-    def test_source_solve_factors_a_itself(self, monkeypatch):
+    def test_source_solve_corrects_the_plain_lu(self):
         pen = thin_source_pencil()
         mesh, A = pen.mesh, pen.A
         x = mesh.nodes[:, 0]
         # manufactured smooth plate field: beta = (cos pi x, 0), w = sin pi x
         exact = pen.dofmap.restrict(np.concatenate([np.cos(np.pi * x), np.zeros_like(x), np.sin(np.pi * x)]))
         b = A @ exact
-        given = eigensolve.sparse_solve(A, b, eigensolve.factorize(A))
-        factored = []
-        factorize = eigensolve.factorize
-
-        def recorded(M):
-            factored.append(M)
-            return factorize(M)
-
-        monkeypatch.setattr(eigensolve, "factorize", recorded)
-        got = eigensolve.sparse_solve(A, b)
-        assert len(factored) == 1 and factored[0] is A
-        assert np.array_equal(got, given)
+        got = eigensolve.sparse_solve(A, b, pen.factor)
         assert componentwise_backward_error(A, got, b) <= eigensolve.SOLVE_BACKWARD_ERROR
         forward = np.linalg.norm(got - exact) / np.linalg.norm(exact)
         # without corrections the LU's solution is far off
-        plain = factorize(A).lu.solve(b)
+        plain = pen.factor.lu.solve(b)
         assert componentwise_backward_error(A, plain, b) > 1e3 * eigensolve.SOLVE_BACKWARD_ERROR
         assert np.linalg.norm(plain - exact) > 1e2 * forward * np.linalg.norm(exact)
 
@@ -239,31 +242,16 @@ class TestSharedFactor:
         pen = clamped_rm_pencil()
         monkeypatch.setattr(eigensolve, "SOLVE_BACKWARD_ERROR", 0.0)
         with pytest.raises(SingularSystemError, match="backward error"):
-            eigensolve.sparse_solve(pen.A, np.ones(pen.A.shape[0]))
+            eigensolve.sparse_solve(pen.A, np.ones(pen.A.shape[0]), pen.factor)
 
-    def test_given_lu_released_when_lanczos_returns(self, monkeypatch):
-        class Lu:
-            """A weakly referenceable stand-in holding the only reference to the LU."""
-
-            def __init__(self, lu):
-                self.solve = lu.solve
-
-        lanczos = eigensolve._shift_invert_lanczos
-        alive_after_lanczos = []
-
-        def recorded(*args):
-            out = lanczos(*args)
-            alive_after_lanczos.append((factor.lu, lu_ref()))
-            return out
-
-        monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", recorded)
+    def test_given_lu_serves_lanczos_and_stays_with_its_pencil(self):
         pen = clamped_rm_pencil()
-        factor = eigensolve.factorize(pen.A)
-        factor.lu = Lu(factor.lu)
-        lu_ref = weakref.ref(factor.lu)
-        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4), factor)
-        assert alive_after_lanczos == [(None, None)]
-        assert res.info["lu_fill"] == factor.lu_fill and res.info["factor_s"] == factor.factor_s
+        lu = pen.factor.lu
+        res = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4), pen.factor)
+        assert pen.factor.lu is lu
+        assert res.info["lu_fill"] == pen.factor.lu_fill and res.info["factor_s"] == pen.factor.factor_s
+        ref = solve_gep_smallest(pen.A, pen.B, EigOptions(k=4))
+        assert np.array_equal(res.eigenvalues, ref.eigenvalues) and np.array_equal(res.eigenvectors, ref.eigenvectors)
 
 
 def strip_pencils():
@@ -333,7 +321,8 @@ def strip_matrix():
 
 
 class TestDeltaLevelLu:
-    """Each delta point factors its own thin A and drops the LU when its Lanczos run ends."""
+    """Each delta point's Lanczos run gets its thin pencil's own LU, which
+    the point drops with the pencil when it ends."""
 
     def test_each_point_factors_its_matrix_alone_and_releases_its_lu(self, monkeypatch):
         class Lu:
@@ -346,29 +335,43 @@ class TestDeltaLevelLu:
                 return getattr(self._lu, name)
 
         splu, lanczos, factorize = spla.splu, eigensolve._shift_invert_lanczos, eigensolve.factorize
-        made, alive_after_lanczos, given = [], [], []
+        assemble_thin, assemble_limit = experiments.assemble_rm_pencil, experiments.assemble_limit_pencil
+        made, pencils, alive_in_lanczos, given = [], [], [], []
 
         def traced_splu(*args, **kwargs):
             lu = Lu(splu(*args, **kwargs))
             made.append(weakref.ref(lu))
             return lu
 
-        def recorded_lanczos(*args):
-            out = lanczos(*args)
-            alive_after_lanczos.append(sum(ref() is not None for ref in made))
-            return out
+        def recorded_lanczos(A, B, k, factor, info):
+            # the run's LU is the one its pencil holds, the last one assembled
+            assert factor is pencils[-1]().__dict__["factor"]
+            alive_in_lanczos.append(sum(ref() is not None for ref in made))
+            return lanczos(A, B, k, factor, info)
 
         def recorded_factorize(*args, **kwargs):
             given.append((len(args), kwargs))
             return factorize(*args, **kwargs)
 
+        def recorded(assembler):
+            def assembled(*args):
+                pencil = assembler(*args)
+                pencils.append(weakref.ref(pencil))
+                return pencil
+
+            return assembled
+
         monkeypatch.setattr(spla, "splu", traced_splu)
         monkeypatch.setattr(eigensolve, "_shift_invert_lanczos", recorded_lanczos)
-        monkeypatch.setattr(experiments, "factorize", recorded_factorize)
+        monkeypatch.setattr(assemble, "factorize", recorded_factorize)
+        monkeypatch.setattr(experiments, "assemble_rm_pencil", recorded(assemble_thin))
+        monkeypatch.setattr(experiments, "assemble_limit_pencil", recorded(assemble_limit))
         cfg = SweepConfig(kind="delta", values=(0.4, 0.2, 0.1, 0.05), mesh_n=96, mesh_ny=6)
         experiments._delta_level(cfg, 96, 6)
-        # the limit LU, then one per delta point, each dead once its Lanczos run returns
-        assert len(made) == 5 and alive_after_lanczos == [0] * 5
+        # the limit LU, then one per delta point; in each thin run only the
+        # limit LU and the point's own are alive, and none after the level
+        assert len(made) == 5 and alive_in_lanczos == [1, 2, 2, 2, 2]
+        assert all(ref() is None for ref in made)
         # every call, the limit's and each point's, hands over the matrix alone
         assert given == [(1, {})] * 5
 
@@ -416,7 +419,7 @@ class TestHeapRelease:
             """
             import numpy as np
             import scipy.sparse as sp
-            from rmplates import eigensolve, experiments
+            from rmplates import assemble, eigensolve, experiments
 
             def rss_mb():
                 with open("/proc/self/status") as fh:

@@ -109,6 +109,7 @@ def test_every_plate_factor_fills_like_nested_dissection(monkeypatch):
         return factor
 
     monkeypatch.setattr(eigensolve, "factorize", recorded)
+    monkeypatch.setattr(assemble, "factorize", recorded)
     mesh = build_rect_mesh(1.0, 1.0, 32, 32)
     for bc in (BcFamily.HARD_CLAMPED, BcFamily.FREE):
         pen = assemble_rm_pencil(mesh, PARAMS, bc)

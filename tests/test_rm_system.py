@@ -339,7 +339,7 @@ class TestSourceSolve:
         # unit load: the Morley interpolant of 1 is 1 at the vertices, 0 on the edges
         one = np.zeros(bpen.dofmap.n_dofs)
         one[: tri.n_nodes] = 1.0
-        w_kl = bpen.dofmap.expand(sparse_solve(bpen.A, bpen.dofmap.restrict(bpen.B_full @ one)))[: tri.n_nodes]
+        w_kl = bpen.dofmap.expand(sparse_solve(bpen.A, bpen.dofmap.restrict(bpen.B_full @ one), bpen.factor))[: tri.n_nodes]
         assert abs(sol.w.max() - w_kl.max()) / w_kl.max() < 0.05
 
 

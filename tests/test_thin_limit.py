@@ -22,7 +22,7 @@ from rmplates import (
     resolvent_gap,
     solve_extended_source,
 )
-from rmplates import eigensolve, experiments, rm_system, thin_limit
+from rmplates import assemble, eigensolve, experiments, rm_system, thin_limit
 from rmplates.assemble import ElementBatch, element_batch
 from rmplates.eigensolve import EigOptions, solve_gep_smallest
 from rmplates.geometry import PiecewiseLinear, ThinDomainSpec
@@ -295,25 +295,11 @@ class TestResolventGap:
             raise AssertionError("factorize called for zero data")
 
         monkeypatch.setattr(eigensolve, "factorize", no_lu)
+        monkeypatch.setattr(assemble, "factorize", no_lu)
         cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
         n = len(p2_dof_points(cs.interval_mesh))
         with pytest.raises(ValueError, match="nonzero"):
             resolvent_gap(cs, PARAMS, np.zeros(n), np.zeros(n))
-
-    def test_factor_without_its_pencil_rejected_before_assembly(self, monkeypatch):
-        # a factor is an LU of the thin pencil's A: without that pencil the
-        # gap would assemble another one and solve it on a foreign LU
-        cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
-        f0 = p2_interpolate(cs.interval_mesh, lambda x: np.sin(np.pi * x))
-        factor = eigensolve.factorize(assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE).A)
-
-        def no_assembly(*args, **kwargs):
-            raise AssertionError("a pencil was assembled")
-
-        monkeypatch.setattr(thin_limit, "assemble_rm_pencil", no_assembly)
-        monkeypatch.setattr(thin_limit, "assemble_limit_pencil", no_assembly)
-        with pytest.raises(ValueError, match="pencil"):
-            resolvent_gap(cs, PARAMS, np.zeros_like(f0), f0, factor=factor)
 
     def test_extended_load_needs_a_pencil_on_the_thin_mesh(self):
         cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
