@@ -131,61 +131,42 @@ def _korn(cfg: SweepConfig) -> dict:
 
 def _poincare(cfg: SweepConfig) -> dict:
     report = poincare_check(cfg.values, cfg.mesh_n, cfg.mesh_ny)
-    print(f"  slope {report['fit']['slope']:.3f}, square value {report['square_extrapolated']:.4f}")
+    slope = f"slope {report['fit']['slope']:.3f}" if report["fit"] else "slope withheld by the control level"
+    print(f"  {slope}, square value {report['square_extrapolated']:.4f}")
     return report
 
 
-# subcommand -> (sweep kind, runner from SweepConfig to report, defaults of keys in CONFIG_KEYS[kind], help)
+# subcommand -> (sweep kind, runner from SweepConfig to report, help); the
+# kind's row of CONFIG_KEYS holds the keys it reads and their defaults
 SWEEPS = {
-    "sweep-t": (
-        "thickness",
-        sweep_thickness,
-        {"values": (0.2, 0.1, 0.05, 0.025), "mesh_n": 64, "num_eigs": 4, "bc": "hard_clamped"},
-        "thickness sweep against the biharmonic reference",
-    ),
-    "sweep-delta": (
-        "delta",
-        sweep_delta,
-        {"values": (0.4, 0.2, 0.1, 0.05), "mesh_n": 96, "mesh_ny": 6},
-        "thin-domain sweep: resolvent gaps and eigenvalue clusters",
-    ),
-    "kernel-check": ("kernel", _kernel_check, {"mesh_n": 16}, "kernel census over the eight boundary families"),
-    "korn": (
-        "korn",
-        _korn,
-        {"values": (0.4, 0.2, 0.1), "mesh_n": 64, "mesh_ny": 8},
-        "second Korn constant on thin rectangles",
-    ),
-    "poincare": (
-        "poincare",
-        _poincare,
-        {"values": (0.4, 0.2, 0.1), "mesh_n": 32, "mesh_ny": 8},
-        "Dirichlet constant blow-up on thin rectangles",
-    ),
+    "sweep-t": ("thickness", sweep_thickness, "thickness sweep against the biharmonic reference"),
+    "sweep-delta": ("delta", sweep_delta, "thin-domain sweep: resolvent gaps and eigenvalue clusters"),
+    "kernel-check": ("kernel", _kernel_check, "kernel census over the eight boundary families"),
+    "korn": ("korn", _korn, "second Korn constant on thin rectangles"),
+    "poincare": ("poincare", _poincare, "Dirichlet constant blow-up on thin rectangles"),
 }
 
 
 def cmd_sweep(args) -> int:
-    """Run the subcommand's row of SWEEPS on its defaults updated by --config,
-    a JSON object.  An unreadable config or one the sweep cannot run (a
-    ValueError) exits with its message."""
-    kind, run, defaults, _ = SWEEPS[args.command]
+    """Run the subcommand's row of SWEEPS on its kind's defaults in
+    CONFIG_KEYS updated by --config, a JSON object.  An unreadable config or
+    one the sweep cannot run (a ValueError) exits with its message."""
+    kind, run, _ = SWEEPS[args.command]
     try:
-        data = dict(defaults)
+        config = {}
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ValueError(f"a config is a JSON object, got {type(config).__name__}")
-            data.update(config)
-        unread = sorted(set(data) - set(CONFIG_KEYS[kind]))
+        unread = sorted(set(config) - set(CONFIG_KEYS[kind]))
         if unread:
             raise SystemExit(f"{args.command} does not read config keys {unread}; it reads {list(CONFIG_KEYS[kind])}")
-        if "params" in data:
-            data["params"] = _config_params(data["params"])
-        if "bc" in data:
-            data["bc"] = _parse_bc(data["bc"])
-        report = run(SweepConfig(kind, **data))
+        if "params" in config:
+            config["params"] = _config_params(config["params"])
+        if "bc" in config:
+            config["bc"] = _parse_bc(config["bc"])
+        report = run(SweepConfig(kind, **{**CONFIG_KEYS[kind], **config}))
     except (OSError, ValueError) as exc:
         raise SystemExit(f"{args.command}: {exc}")
     if args.out and kind == "kernel":

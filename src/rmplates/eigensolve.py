@@ -289,16 +289,14 @@ def _residuals(A, B, lam, vec, norm_A, norm_B):
 
 
 def _b_orthonormalize(V: np.ndarray, B) -> np.ndarray:
-    G = V.T @ (B @ V)
-    # Cholesky of the Gram matrix; fall back to eigh when nearly defective
+    """V's columns made B-orthonormal through the Cholesky factor of their
+    Gram matrix; a Gram matrix that is not numerically positive definite
+    raises ValueError."""
     try:
-        L = np.linalg.cholesky(G)
-        return scipy.linalg.solve_triangular(L, V.T, lower=True).T
+        L = np.linalg.cholesky(V.T @ (B @ V))
     except np.linalg.LinAlgError:
-        w, Q = np.linalg.eigh(G)
-        if np.min(w) <= 0:
-            raise ValueError("eigenvector block is B-rank-deficient")
-        return V @ Q / np.sqrt(w)
+        raise ValueError("eigenvector block is B-rank-deficient") from None
+    return scipy.linalg.solve_triangular(L, V.T, lower=True).T
 
 
 def principal_angles(U: np.ndarray, V: np.ndarray, B) -> np.ndarray:

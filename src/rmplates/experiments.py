@@ -53,14 +53,18 @@ EXPECTED_KERNELS = {bc: family.kernel for bc, family in FAMILIES.items()}
 #: limit eigenvalue clusters (beyond the kernel) that the delta-sweep tracks
 DELTA_CLUSTERS = 3
 
-#: the `SweepConfig` keys that each kind of sweep reads; a report echoes
-#: these and the command line rejects any other key
+#: each kind of sweep's row: the `SweepConfig` keys it reads, with their
+#: command-line defaults; a report echoes these keys and the command line
+#: rejects any other
 CONFIG_KEYS = {
-    "thickness": ("values", "mesh_n", "num_eigs", "params", "bc"),
-    "delta": ("values", "mesh_n", "mesh_ny", "params", "profile"),
-    "kernel": ("mesh_n", "params"),
-    "korn": ("values", "mesh_n", "mesh_ny", "profile"),
-    "poincare": ("values", "mesh_n", "mesh_ny"),
+    "thickness": {
+        "values": (0.2, 0.1, 0.05, 0.025), "mesh_n": 64, "num_eigs": 4, "params": DEFAULT_PARAMS,
+        "bc": BcFamily.HARD_CLAMPED,
+    },
+    "delta": {"values": (0.4, 0.2, 0.1, 0.05), "mesh_n": 96, "mesh_ny": 6, "params": DEFAULT_PARAMS, "profile": None},
+    "kernel": {"mesh_n": 16, "params": DEFAULT_PARAMS},
+    "korn": {"values": (0.4, 0.2, 0.1), "mesh_n": 64, "mesh_ny": 8, "profile": None},
+    "poincare": {"values": (0.4, 0.2, 0.1), "mesh_n": 32, "mesh_ny": 8},
 }
 
 
@@ -100,6 +104,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.kind not in CONFIG_KEYS:
             raise ValueError(f"sweep kind {self.kind!r} is not one of {sorted(CONFIG_KEYS)}")
+        self.bc = BcFamily(self.bc)
         for key in ("mesh_n", "mesh_ny", "num_eigs"):
             if isinstance(getattr(self, key), bool) or not isinstance(getattr(self, key), (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
@@ -122,7 +127,7 @@ class SweepConfig:
         """The keys that this kind of sweep reads (`CONFIG_KEYS`), as JSON values."""
         d = {key: value for key, value in asdict(self).items() if key in CONFIG_KEYS[self.kind]}
         if "bc" in d:
-            d["bc"] = BcFamily(self.bc).value
+            d["bc"] = self.bc.value
         return d
 
 
@@ -138,6 +143,22 @@ def _version_string() -> str:
     return "rmplates-0.1.0"
 
 
+def _report(kind: str, config: SweepConfig, checks: dict, t0: float, **results) -> dict:
+    """A sweep's report: its `results` between the keys every sweep report
+    carries, `ok` holding when every check does and `config` echoing the
+    keys the sweep read."""
+    return {
+        "kind": kind,
+        "parameter_values": list(config.values),
+        **results,
+        "checks": checks,
+        "ok": all(checks.values()),
+        "config": config.to_dict(),
+        "version": _version_string(),
+        "elapsed_s": time.perf_counter() - t0,
+    }
+
+
 def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     """One O(h^2) Richardson step for values at levels h and h/2."""
     return fine + (fine - coarse) / 3.0
@@ -149,6 +170,15 @@ def _rate_values(values) -> tuple:
     if len(values) < 3:
         raise ValueError(f"a rate fit needs at least 3 values, got {len(values)}")
     return values
+
+
+def _halvable_mesh(config: SweepConfig) -> tuple:
+    """(mesh_n, mesh_ny), both even, as the control level halves them."""
+    for name in ("mesh_n", "mesh_ny"):
+        n = getattr(config, name)
+        if n % 2:
+            raise ValueError(f"{name} = {n}: the control level halves it, so it must be even")
+    return config.mesh_n, config.mesh_ny
 
 
 def _controlled_fit(values, fine, coarse):
@@ -223,25 +253,11 @@ def sweep_thickness(config: SweepConfig) -> dict:
     monotone = [bool(np.all(np.diff(gaps[:, j]) < 0)) for j in range(k)]
     rel_final = (gaps[-1] / np.abs(reference)).tolist()
     checks = {"gaps_strictly_decreasing": all(monotone)}
-    return {
-        "kind": "thickness",
-        "bc": config.bc.value,
-        "parameter_values": list(config.values),
-        "reference_eigenvalues": reference.tolist(),
-        "rm_eigenvalues": eigs,
-        "gaps": gaps.tolist(),
-        "gaps_control": gaps_c.tolist(),
-        "relative_final_gaps": rel_final,
-        "fit": fit,
-        "per_eig_monotone": monotone,
-        "control_ok": control_ok,
-        "rate_claimed": fit is not None,
-        "checks": checks,
-        "ok": all(checks.values()),
-        "config": config.to_dict(),
-        "version": _version_string(),
-        "elapsed_s": time.perf_counter() - t0,
-    }
+    return _report(
+        "thickness", config, checks, t0, bc=config.bc.value, reference_eigenvalues=reference.tolist(),
+        rm_eigenvalues=eigs, gaps=gaps.tolist(), gaps_control=gaps_c.tolist(), relative_final_gaps=rel_final,
+        fit=fit, per_eig_monotone=monotone, control_ok=control_ok, rate_claimed=fit is not None,
+    )
 
 
 def _delta_level(config: SweepConfig, nx: int, ny: int):
@@ -335,10 +351,7 @@ def sweep_delta(config: SweepConfig) -> dict:
     """
     t0 = time.perf_counter()
     _rate_values(config.values)
-    nx, ny = config.mesh_n, config.mesh_ny
-    for name, n in (("mesh_n", nx), ("mesh_ny", ny)):
-        if n % 2:
-            raise ValueError(f"{name} = {n}: the control level halves it, so it must be even")
+    nx, ny = _halvable_mesh(config)
     fine = _delta_level(config, nx, ny)
     coarse = _delta_level(config, nx // 2, ny // 2)
 
@@ -351,25 +364,12 @@ def sweep_delta(config: SweepConfig) -> dict:
     rel_eig = eig_tables / np.abs(np.array([p["limit_eigenvalues"] for p in fine]))
     checks = {"resolvent_monotone": bool(np.all(np.diff(res_gaps) < 0))}
     eig_fits = [_controlled_fit(config.values, col, col_c)[1] for col, col_c in zip(eig_tables.T, eig_tables_c.T)]
-    return {
-        "kind": "delta",
-        "parameter_values": list(config.values),
-        "points": fine,
-        "points_control": coarse,
-        "resolvent_gaps": res_gaps,
-        "fit": fit,
-        "eig_gap_fits": eig_fits,
-        "relative_eig_gaps": rel_eig.tolist(),
-        "eig_gaps_monotone_per_cluster": [bool(np.all(np.diff(eig_tables[:, j]) < 0)) for j in range(eig_tables.shape[1])],
-        "max_angles": [p["max_angles"] for p in fine],
-        "control_ok": control_ok,
-        "rate_claimed": fit is not None,
-        "checks": checks,
-        "ok": all(checks.values()),
-        "config": config.to_dict(),
-        "version": _version_string(),
-        "elapsed_s": time.perf_counter() - t0,
-    }
+    return _report(
+        "delta", config, checks, t0, points=fine, points_control=coarse, resolvent_gaps=res_gaps, fit=fit,
+        eig_gap_fits=eig_fits, relative_eig_gaps=rel_eig.tolist(),
+        eig_gaps_monotone_per_cluster=[bool(np.all(np.diff(eig_tables[:, j]) < 0)) for j in range(eig_tables.shape[1])],
+        max_angles=[p["max_angles"] for p in fine], control_ok=control_ok, rate_claimed=fit is not None,
+    )
 
 
 def kernel_census(params: MaterialParams, mesh: Mesh) -> dict:
@@ -418,17 +418,7 @@ def korn_sweep(config: SweepConfig) -> dict:
         "strictly_increasing": bool(np.all(np.diff(consts) > 0)),
         "square_at_least_rotation_bound": square >= 3.0,
     }
-    return {
-        "kind": "korn",
-        "parameter_values": list(config.values),
-        "constants": consts,
-        "unit_square_constant": square,
-        "checks": checks,
-        "ok": all(checks.values()),
-        "config": config.to_dict(),
-        "version": _version_string(),
-        "elapsed_s": time.perf_counter() - t0,
-    }
+    return _report("korn", config, checks, t0, constants=consts, unit_square_constant=square)
 
 
 def dirichlet_laplace_smallest(mesh: Mesh) -> float:
@@ -446,42 +436,38 @@ def dirichlet_laplace_smallest(mesh: Mesh) -> float:
 def poincare_check(delta_values, mesh_n: int = 32, mesh_ny: int = 8) -> dict:
     """Blow-up of the Dirichlet constant on collapsing domains.
 
-    Reports the smallest Dirichlet-Laplace eigenvalue per delta, the log-log
-    slope (about -2), the delta = 1 value against the square reference
-    2 pi^2 after one Richardson step, and the mesh it ran on.
+    Reports the smallest Dirichlet-Laplace eigenvalue per delta on the
+    `mesh_n` x `mesh_ny` mesh, their log-log rate fit (slope about -2),
+    claimed only when the half mesh in each direction (so both sizes must
+    be even) reproduces every eigenvalue within `CONTROL_RTOL`, and the
+    delta = 1 value against the square reference 2 pi^2 after one
+    Richardson step.
     """
     t0 = time.perf_counter()
-    delta_values = _rate_values(delta_values)
-    eigs = []
-    for d in delta_values:
-        spec = constant_profile_spec(0.0, 1.0, 0.5, d)
-        eigs.append(dirichlet_laplace_smallest(build_thin_mesh(spec, mesh_n, mesh_ny)))
-    fit = fit_rate(list(zip(delta_values, eigs)))
+    config = SweepConfig("poincare", values=delta_values, mesh_n=mesh_n, mesh_ny=mesh_ny)
+    values = _rate_values(config.values)
+    nx, ny = _halvable_mesh(config)
+
+    def level(n, m):
+        return [dirichlet_laplace_smallest(build_thin_mesh(constant_profile_spec(0.0, 1.0, 0.5, d), n, m)) for d in values]
+
+    eigs, eigs_c = level(nx, ny), level(nx // 2, ny // 2)
+    control_ok, fit = _controlled_fit(values, eigs, eigs_c)
 
     spec1 = constant_profile_spec(0.0, 1.0, 0.5, 1.0)
-    lam_c = dirichlet_laplace_smallest(build_thin_mesh(spec1, mesh_n, mesh_n))
-    lam_f = dirichlet_laplace_smallest(build_thin_mesh(spec1, 2 * mesh_n, 2 * mesh_n))
+    lam_c = dirichlet_laplace_smallest(build_thin_mesh(spec1, nx, nx))
+    lam_f = dirichlet_laplace_smallest(build_thin_mesh(spec1, 2 * nx, 2 * nx))
     lam_sq = float(_richardson(np.array([lam_c]), np.array([lam_f]))[0])
     ref = 2.0 * np.pi**2
     checks = {
-        "slope_steep": fit["slope"] <= -1.9,
+        "slope_steep": fit is not None and fit["slope"] <= -1.9,
         "square_matches": abs(lam_sq - ref) / ref <= 0.01,
         "all_positive": all(e > 0 for e in eigs),
     }
-    return {
-        "kind": "poincare",
-        "parameter_values": list(delta_values),
-        "eigenvalues": eigs,
-        "fit": fit,
-        "square_extrapolated": lam_sq,
-        "square_reference": ref,
-        "checks": checks,
-        "ok": all(checks.values()),
-        "mesh_n": mesh_n,
-        "mesh_ny": mesh_ny,
-        "version": _version_string(),
-        "elapsed_s": time.perf_counter() - t0,
-    }
+    return _report(
+        "poincare", config, checks, t0, eigenvalues=eigs, fit=fit, control_ok=control_ok,
+        rate_claimed=fit is not None, square_extrapolated=lam_sq, square_reference=ref,
+    )
 
 
 def emit_report(results: dict, out_dir) -> dict:

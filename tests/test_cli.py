@@ -157,6 +157,15 @@ def test_kernel_check_exit_code(tmp_path):
     assert table["free"] == 3 and table["hard_clamped"] == 0
 
 
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_sweep_without_config_runs_its_kinds_defaults(command, monkeypatch):
+    kind, _, help_text = SWEEPS[command]
+    ran = []
+    monkeypatch.setitem(SWEEPS, command, (kind, lambda cfg: ran.append(cfg) or {"ok": True}, help_text))
+    assert main([command]) == 0
+    assert ran == [SweepConfig(kind, **CONFIG_KEYS[kind])]
+
+
 def test_poincare_subcommand(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"values": [0.4, 0.2, 0.1], "mesh_n": 16, "mesh_ny": 8}))
@@ -303,7 +312,7 @@ def test_solve_limit_default_profile_is_the_constant_one(tmp_path):
 def test_each_sweep_reads_exactly_its_config_keys(command, small):
     # CONFIG_KEYS decides what the CLI accepts and what a report echoes, so
     # it must name exactly the fields that the subcommand's runner reads
-    kind, run, _, _ = SWEEPS[command]
+    kind, run, _ = SWEEPS[command]
     read = set()
 
     class Recording(SweepConfig):

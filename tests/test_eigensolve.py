@@ -555,6 +555,14 @@ class TestPrincipalAngles:
         assert_allclose(got, expected, atol=1e-12)
         assert np.all(np.diff(got) >= 0)
 
+    def test_near_dependent_block_is_refused_not_returned_skewed(self):
+        # the Gram matrix's Cholesky fails; dividing by its round-off
+        # eigenvalues instead returned a block with max |U^T B U - I| = 0.99
+        rng = np.random.default_rng(0)
+        v, u = rng.standard_normal(50), rng.standard_normal(50)
+        with pytest.raises(ValueError, match="B-rank-deficient"):
+            eigensolve._b_orthonormalize(np.column_stack([v, v + 1e-9 * u]), np.eye(50))
+
     def test_rank_deficient_rejected(self):
         B = sp.identity(4, format="csr")
         U = np.zeros((4, 2))

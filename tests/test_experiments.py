@@ -81,6 +81,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="'thick'"):
             SweepConfig(kind="thick", values=(0.2, 0.1))
 
+    def test_bc_names_a_family_before_any_mesh(self):
+        # a bc given by its value runs, and its report writes it; an unknown
+        # name fails at once instead of after every level is solved
+        with pytest.raises(ValueError, match="'nonsense'"):
+            SweepConfig(kind="thickness", values=(0.2, 0.1, 0.05), bc="nonsense")
+        rep = sweep_thickness(SweepConfig(kind="thickness", values=(0.2, 0.1, 0.05), mesh_n=8, num_eigs=2, bc="free"))
+        assert rep["bc"] == rep["config"]["bc"] == "free"
+
     def test_profile_spec(self):
         cfg = SweepConfig(
             kind="delta",
@@ -179,6 +187,28 @@ class TestPoincare:
         assert rep["fit"]["slope"] <= -1.9
         assert abs(rep["square_extrapolated"] - 2 * np.pi**2) / (2 * np.pi**2) <= 0.01
         assert all(e > 0 for e in rep["eigenvalues"])
+
+    def test_coarse_level_disagreement_withholds_the_fit(self, monkeypatch):
+        # the 4x2 control level agrees within 15.4%; made 50% off on every
+        # strip, no rate is claimed, and a withheld rate fails the slope check
+        rep = poincare_check((0.4, 0.2, 0.1), mesh_n=8, mesh_ny=4)
+        assert rep["control_ok"] and rep["rate_claimed"] and rep["ok"]
+        solve = experiments.dirichlet_laplace_smallest
+        monkeypatch.setattr(
+            experiments, "dirichlet_laplace_smallest", lambda mesh: solve(mesh) * (1.5 if mesh.n_elements == 8 else 1.0)
+        )
+        rep = poincare_check((0.4, 0.2, 0.1), mesh_n=8, mesh_ny=4)
+        assert (rep["fit"], rep["control_ok"], rep["rate_claimed"]) == (None, False, False)
+        assert not rep["checks"]["slope_steep"] and not rep["ok"]
+
+    @pytest.mark.parametrize("mesh_n,mesh_ny,name", [(9, 4, "mesh_n = 9"), (8, 3, "mesh_ny = 3")])
+    def test_rejects_a_mesh_the_control_cannot_halve_before_any_mesh(self, mesh_n, mesh_ny, name, monkeypatch):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(experiments, "build_thin_mesh", no_mesh)
+        with pytest.raises(ValueError, match=name):
+            poincare_check((0.4, 0.2, 0.1), mesh_n=mesh_n, mesh_ny=mesh_ny)
 
 
 class TestSweeps:
@@ -507,11 +537,31 @@ class TestEmitReport:
 
         korn = korn_sweep(SweepConfig(kind="korn", values=(0.4, 0.2, 0.1), mesh_n=8, mesh_ny=2))
         poincare = poincare_check((0.4, 0.2, 0.1), mesh_n=8, mesh_ny=4)
-        assert (poincare["mesh_n"], poincare["mesh_ny"]) == (8, 4)
+        assert (poincare["config"]["mesh_n"], poincare["config"]["mesh_ny"]) == (8, 4)
         for rep, measured in ((korn, korn["constants"]), (poincare, poincare["eigenvalues"])):
             rows = list(csv.reader(open(emit_report(rep, tmp_path / rep["kind"])["csv"])))
             assert rows[0][-1] == "value"
             assert [float(row[-1]) for row in rows[1:]] == measured, rep["kind"]
+
+
+@pytest.mark.parametrize(
+    "config,run",
+    [
+        (SweepConfig(kind="thickness", values=(0.2, 0.1, 0.05), mesh_n=8, num_eigs=2), sweep_thickness),
+        (SweepConfig(kind="delta", values=(0.4, 0.2, 0.1), mesh_n=16, mesh_ny=2), sweep_delta),
+        (SweepConfig(kind="korn", values=(0.4, 0.2, 0.1), mesh_n=8, mesh_ny=2), korn_sweep),
+        (SweepConfig(kind="poincare", values=(0.4, 0.2, 0.1), mesh_n=8, mesh_ny=4),
+         lambda cfg: poincare_check(cfg.values, cfg.mesh_n, cfg.mesh_ny)),
+    ],
+    ids=["thickness", "delta", "korn", "poincare"],
+)
+def test_every_sweep_report_carries_the_common_keys(config, run):
+    rep = run(config)
+    common = {"kind", "parameter_values", "checks", "ok", "config", "version", "elapsed_s"}
+    assert common <= set(rep)
+    assert rep["kind"] == config.kind and rep["parameter_values"] == list(config.values)
+    assert rep["ok"] == all(rep["checks"].values())
+    assert rep["config"] == config.to_dict()
 
 
 class TestVersion:
