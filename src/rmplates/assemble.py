@@ -12,10 +12,11 @@ boundary condition reaches a matrix only by that restriction, which also
 numbers a plate in nested-dissection order.  Symmetry is structural: only
 the lower triangle is accumulated, then mirrored.  Memory: local blocks
 exist one chunk (`chunk_elements`) at a time, the lower triangle's
-values go straight to their CSR rows, the mirror writes each summed entry
-into its two places, and the cut to the free dofs gathers the rows it
-keeps and sorts their renamed columns in place.  So an assembly peaks at
-a small multiple of its pencil: under three stacks of local blocks for RM.
+values go straight to their CSR rows, the mirror adds to each summed
+lower triangle its strict transpose, and the cut to the free dofs gathers
+the rows it keeps and sorts their renamed columns in place.  So an
+assembly peaks at a small multiple of its pencil: under three stacks of
+local blocks for RM.
 """
 
 from dataclasses import dataclass, field, replace
@@ -240,9 +241,10 @@ def assemble_from_local(dofmap: DofMap, blocks: Callable[[slice], tuple]):
     The symmetrized lower triangle of each chunk goes straight to its slots
     in the rows of a CSR layout, each row in element order as scipy's COO
     conversion would fill it, so that scipy's duplicate summation gives its
-    bits; the summed lower triangle is then mirrored, which only moves
-    entries.  Raises `AssemblyError` naming the first element whose block
-    holds a non-finite entry.
+    bits; each summed lower triangle L is then mirrored as
+    `L + tril(L, -1).T`, which only moves entries: the strict upper
+    triangle overlaps none of L's.  Raises `AssemblyError` naming the first
+    element whose block holds a non-finite entry.
     """
     n, (ne, nloc) = dofmap.n_dofs, dofmap.element_to_global.shape
     gi = dofmap.element_to_global.astype(np.int32 if n < 2**31 else np.int64)  # scipy's index dtype
@@ -301,29 +303,9 @@ def assemble_from_local(dofmap: DofMap, blocks: Callable[[slice], tuple]):
         if lower[k].data.base is not None:  # scipy keeps views when half the entries remain: free the rest
             lower[k].data, lower[k].indices = lower[k].data.copy(), lower[k].indices.copy()
     del indices
-    matrices = [_mirror(lower.pop(0)) for _ in range(len(lower))]
-    return matrices[0] if len(matrices) == 1 else tuple(matrices)
-
-
-def _mirror(lower) -> sp.csr_matrix:
-    """The symmetric matrix of the canonical lower triangle `lower`, in
-    canonical CSR: row r is row r of `lower`, then column r below the
-    diagonal, entries moved and never added."""
-    n = lower.shape[0]
-    upper = lower.tocsc()  # column r holds the rows >= r in order: row r of the upper triangle
-    length = np.diff(lower.indptr)
-    diagonal = np.zeros(n, lower.indptr.dtype)
-    nonempty = np.flatnonzero(length)
-    diagonal[nonempty] = lower.indices[lower.indptr[nonempty + 1] - 1] == nonempty  # a row's last entry
-    indptr = np.zeros(n + 1, lower.indptr.dtype)
-    np.cumsum(length + np.diff(upper.indptr) - diagonal, out=indptr[1:])
-    indices, data = np.empty(indptr[-1], lower.indices.dtype), np.empty(indptr[-1])
-    # the upper row starts on the diagonal slot, which it writes with the lower row's own entry
-    for part, start in ((upper, indptr[:-1] + length - diagonal), (lower, indptr[:-1])):
-        slot = np.arange(part.nnz, dtype=indptr.dtype)
-        slot += np.repeat(start - part.indptr[:-1], np.diff(part.indptr))
-        indices[slot], data[slot] = part.indices, part.data
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    for k, low in enumerate(lower):  # each lower triangle goes once it is mirrored
+        lower[k] = (low + sp.tril(low, -1).T).tocsr()
+    return lower[0] if len(lower) == 1 else tuple(lower)
 
 
 @dataclass

@@ -265,7 +265,7 @@ def _shift_invert_lanczos(A, B, k, factor, info):
         return spla.eigsh(
             A,
             k=k,
-            M=B,
+            M=spla.LinearOperator((n, n), matvec=B.__matmul__, dtype=float),  # not a plain B: scipy would multiply it by an (n, 1) column
             sigma=0.0,
             which="LM",
             v0=np.random.default_rng(SEED).standard_normal(n),

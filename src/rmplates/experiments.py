@@ -9,6 +9,7 @@ values.
 """
 
 import csv
+import functools
 import json
 import pathlib
 import subprocess
@@ -131,6 +132,7 @@ class SweepConfig:
         return d
 
 
+@functools.cache  # one `git describe` per process
 def _version_string() -> str:
     try:
         # describe the package's own checkout, wherever the process runs

@@ -45,9 +45,9 @@ def morley_clamped(mesh):
 
 
 # (mesh, assembler, local dofs, bound in stacks): traced peaks measured with
-# numpy 2.4 / scipy 1.17 are, whole stacks -> chunked blocks and a copy-free
-# mirror and cut, RM 32^2 5.59 -> 2.35, RM 96x6 strip 6.15 -> 2.86,
-# Morley 32^2 11.72 -> 4.20
+# numpy 2.4 / scipy 1.17 are, whole stacks -> chunked blocks, the
+# L + tril(L, -1).T mirror and a copy-free cut, RM 32^2 5.59 -> 2.42,
+# RM 96x6 strip 6.15 -> 2.86, Morley 32^2 11.72 -> 4.05
 CASES = {
     "rm_plate": (plate, rm_free, 12, 3.0),
     "rm_strip": (strip, rm_free, 12, 3.0),

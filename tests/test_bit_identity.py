@@ -251,3 +251,23 @@ def test_non_finite_block_in_last_chunk_names_its_element(monkeypatch):
     with pytest.raises(AssemblyError) as err:
         assemble_pencil(mesh, rm_dofmap(mesh, BcFamily.FREE), lambda cells: ((bend + shear)[cells], mass[cells]))
     assert err.value.element == 33
+
+
+def test_scatter_of_empty_rows_and_missing_diagonals():
+    # the blocks of the element column on x = 0 and every diagonal entry of
+    # three interior dofs zeroed: the summed rows of the boundary dofs are
+    # empty and those of the three dofs have no diagonal
+    mesh = rect_mesh()
+    dofmap = build_dofmap(mesh, Q1_SCALAR)
+    batch = element_batch(mesh, Q1_SCALAR)
+    stacks = stiffness_density(batch), mass_density(batch)
+    gi = dofmap.element_to_global
+    for local in stacks:
+        local[mesh.nodes[mesh.elements, 0].min(axis=1) == 0.0] = 0.0
+        for dof in (13, 19, 28):
+            elements, i = np.nonzero(gi == dof)
+            local[elements, i, i] = 0.0
+    assert_same_scatter(dofmap, *stacks)
+    for want in ref.assemble_from_local(dofmap, *stacks):
+        length = np.diff(want.indptr)
+        assert np.any(length == 0) and np.count_nonzero((want.diagonal() == 0) & (length > 0)) == 3

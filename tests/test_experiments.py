@@ -565,6 +565,10 @@ def test_every_sweep_report_carries_the_common_keys(config, run):
 
 
 class TestVersion:
+    @pytest.fixture(autouse=True)
+    def fresh_version(self):
+        experiments._version_string.cache_clear()  # each test describes the checkout afresh
+
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
     def test_version_ignores_working_directory(self, tmp_path, monkeypatch):
         # run from inside another repository, the report still names the
@@ -584,3 +588,15 @@ class TestVersion:
         monkeypatch.chdir(tmp_path)
         version = experiments._version_string()
         assert version.split("-")[0] not in other
+
+    def test_version_runs_git_once_per_process(self, monkeypatch):
+        calls, real_run = [], subprocess.run
+
+        def run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments.subprocess, "run", run)
+        config = SweepConfig("korn", values=(0.4, 0.2))
+        reports = [experiments._report("korn", config, {}, 0.0) for _ in range(2)]
+        assert len(calls) == 1 and reports[0]["version"] == reports[1]["version"]
