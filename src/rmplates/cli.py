@@ -18,6 +18,7 @@ import scipy.io
 
 from .biharmonic import LimitBc, assemble_biharmonic_pencil
 from .eigensolve import BACKWARD_ERROR, EigOptions, solve_gep_smallest
+from .errors import AssemblyError
 from .experiments import (
     CONFIG_KEYS,
     EXPECTED_KERNELS,
@@ -90,12 +91,12 @@ def _build_limit(args):
 def cmd_solve(args) -> int:
     """Solve the pencil of the subcommand's builder; dump it, over the free dofs
     in ascending global order, and write its payload with the eigenpairs.
-    A ValueError, such as a bad --num-eigs or --tol, or an unreadable input
-    file exits with its message."""
+    A ValueError, such as a bad --num-eigs or --tol, an unreadable input
+    file or a mesh the assembler refuses (AssemblyError) exits with its message."""
     try:
         pencil, payload = args.build(args)
         res = solve_gep_smallest(pencil.A, pencil.B, EigOptions(k=args.num_eigs, tol=args.tol))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, AssemblyError) as exc:
         raise SystemExit(f"{args.command}: {exc}")
     order = np.argsort(pencil.dofmap.free)
     if args.dump_matrices:

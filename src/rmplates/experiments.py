@@ -284,7 +284,7 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
     lam0s = [float(np.mean(lim.eigenvalues[group])) for group in groups]
     Vs = [limit_pencil.dofmap.expand(lim.eigenvectors[:, group]) for group in groups]
     B0 = limit_pencil.B_full
-    need = 3 + sum(len(group) for group in groups) + 6
+    need = EXPECTED_KERNELS[BcFamily.FREE] + sum(len(group) for group in groups) + 6
     points = []
     for delta in config.values:
         spec = config.spec_at(delta)
@@ -451,12 +451,12 @@ def poincare_check(delta_values, mesh_n: int = 32, mesh_ny: int = 8) -> dict:
     nx, ny = _halvable_mesh(config)
 
     def level(n, m):
-        return [dirichlet_laplace_smallest(build_thin_mesh(constant_profile_spec(0.0, 1.0, 0.5, d), n, m)) for d in values]
+        return [dirichlet_laplace_smallest(build_thin_mesh(config.spec_at(d), n, m)) for d in values]
 
     eigs, eigs_c = level(nx, ny), level(nx // 2, ny // 2)
     control_ok, fit = _controlled_fit(values, eigs, eigs_c)
 
-    spec1 = constant_profile_spec(0.0, 1.0, 0.5, 1.0)
+    spec1 = config.spec_at(1.0)
     lam_c = dirichlet_laplace_smallest(build_thin_mesh(spec1, nx, nx))
     lam_f = dirichlet_laplace_smallest(build_thin_mesh(spec1, 2 * nx, 2 * nx))
     lam_sq = float(_richardson(np.array([lam_c]), np.array([lam_f]))[0])

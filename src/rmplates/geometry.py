@@ -266,8 +266,8 @@ def mesh_to_dict(mesh: Mesh) -> dict:
 
 
 def mesh_from_dict(data: dict) -> Mesh:
-    """The mesh `mesh_to_dict` wrote; a missing key or an index out of range
-    raises ValueError naming the first."""
+    """The mesh `mesh_to_dict` wrote; a missing key, an array with the wrong
+    number of columns or an index out of range raises ValueError naming the first."""
     missing = _missing(data, ("dim", "element_kind", "nodes", "elements", "facets"))
     if missing:
         raise ValueError(f"a mesh needs the keys {missing}")
@@ -288,14 +288,17 @@ def mesh_from_dict(data: dict) -> Mesh:
         tag,
         np.array(cols["normal"], dtype=float).reshape(n, -1),
     )
-    mesh = Mesh(
-        data["dim"],
-        ElementKind(data["element_kind"]),
-        np.array(data["nodes"], dtype=float),
-        np.array(data["elements"], dtype=np.int64),
-        facets,
-        meta=dict(data.get("meta", {})),
-    )
+    kind = ElementKind(data["element_kind"])
+    dim = 1 if kind == ElementKind.SEGMENT else 2
+    if data["dim"] != dim:
+        raise ValueError(f"a {kind.value} mesh has dim {dim}, got {data['dim']!r}")
+    nodes, elements = np.array(data["nodes"], dtype=float), np.array(data["elements"], dtype=np.int64)
+    per_element = {ElementKind.SEGMENT: 2, ElementKind.QUAD4: 4, ElementKind.TRI3: 3}[kind]
+    widths = (("nodes", nodes, dim), ("facet nodes", facets.nodes, dim), ("facet normals", facets.normal, dim))
+    for what, a, k in widths + (("elements", elements, per_element),):
+        if a.ndim != 2 or a.shape[1] != k:
+            raise ValueError(f"a {kind.value} mesh's {what} have {k} columns, got shape {a.shape}")
+    mesh = Mesh(dim, kind, nodes, elements, facets, meta=dict(data.get("meta", {})))
     bounds = {"element node": mesh.n_nodes, "facet node": mesh.n_nodes, "facet element": mesh.n_elements}
     for (what, bound), index in zip(bounds.items(), (mesh.elements, facets.nodes, facets.element)):
         bad = np.argwhere((index < 0) | (index >= bound))

@@ -212,16 +212,21 @@ def rigid_pair(mesh: Mesh, a, b: float) -> FieldPair:
 
 def rm_load_vector(pencil: Pencil, F: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Reduced load with the weighting (t^2/12 F, f) of the full-length
-    coefficient vectors F (the concatenated rotation block) and f of
-    interpolants: their product with the mass."""
+    coefficient vectors F (the rotation block: a plate's concatenated beta,
+    the limit's Phi) and f of interpolants: their product with the mass."""
     return pencil.dofmap.restrict(pencil.B_full @ np.concatenate([F, f]))
+
+
+def solve_source(pencil: Pencil, load: np.ndarray) -> np.ndarray:
+    """The solution over all dofs of the shifted source problem with a
+    reduced load, on the pencil's LU: the one place a load meets a pencil."""
+    return pencil.dofmap.expand(sparse_solve(pencil.A, load, pencil.factor))
 
 
 def solve_rm_source(pencil: Pencil, F: np.ndarray, f: np.ndarray) -> FieldPair:
     """Solve the shifted source problem with data (t^2/12 F, f) given as
-    full-length coefficient vectors (`rm_load_vector`), on the pencil's LU."""
-    x = sparse_solve(pencil.A, rm_load_vector(pencil, F, f), pencil.factor)
-    return FieldPair(*pencil.split(pencil.dofmap.expand(x)))
+    full-length coefficient vectors (`rm_load_vector`)."""
+    return FieldPair(*pencil.split(solve_source(pencil, rm_load_vector(pencil, F, f))))
 
 
 def at_one(eigenvalues) -> np.ndarray:

@@ -26,44 +26,41 @@ exactly delta * g(x).
 import numpy as np
 
 from .assemble import Pencil, assemble_load_from_local, assemble_pencil, element_batch, p2_ref_basis, point_gram
-from .eigensolve import sparse_solve
 from .geometry import ElementKind, Mesh, ThinDomainSpec
 from .quadrature import quad_rule, segment_rule
-from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil
+from .rm_system import BcFamily, FieldPair, MaterialParams, assemble_rm_pencil, rm_load_vector, solve_source
 from .spaces import P2_1D, Q1_SCALAR, build_dofmap, stack_dofmaps
 
 
-def limit_div_coefficient(sigma: float, d: int) -> float:
-    """(1-sigma) sigma / ((1-sigma) + d sigma)."""
+def _relaxation(sigma: float, d: int) -> float:
+    """The thin-direction relaxation denominator (1-sigma) + d sigma, for a
+    positive integer d, where it is positive."""
     if d < 1:
         raise ValueError("d must be a positive integer")
     den = (1.0 - sigma) + d * sigma
     if den <= 0:
         raise ValueError(f"degenerate divergence denominator for sigma={sigma}, d={d}")
-    return (1.0 - sigma) * sigma / den
+    return den
+
+
+def limit_div_coefficient(sigma: float, d: int) -> float:
+    """(1-sigma) sigma / ((1-sigma) + d sigma)."""
+    return (1.0 - sigma) * sigma / _relaxation(sigma, d)
 
 
 def qjj_value(sigma: float, d: int, divx_beta: float) -> float:
     """Diagonal thin-strain limit q_jj = -sigma div_x beta / ((1-sigma) + d sigma);
     the off-diagonal entries vanish."""
-    den = (1.0 - sigma) + d * sigma
-    if den <= 0:
-        raise ValueError(f"degenerate denominator for sigma={sigma}, d={d}")
-    return -sigma * divx_beta / den
-
-
-def strong_divgrad_coefficient(E: float, sigma: float, d: int) -> float:
-    """Grad-div coefficient of the strong-form limit operator,
-    E (1 + (d+1) sigma) / (24 (1+sigma)(1 + (d-1) sigma))."""
-    return E * (1.0 + (d + 1) * sigma) / (24.0 * (1.0 + sigma) * (1.0 + (d - 1) * sigma))
+    return -sigma * divx_beta / _relaxation(sigma, d)
 
 
 def divgrad_consistency_gap(E: float, sigma: float, d: int) -> float:
-    """Difference between the strong-form grad-div coefficient and the one
+    """Difference between the strong-form grad-div coefficient
+    E (1 + (d+1) sigma) / (24 (1+sigma)(1 + (d-1) sigma)) and the one
     implied by the weak form via 2 eps:eps = |grad|^2 + div^2 (diagnostic,
     valid for constant section weight)."""
     weak = E / (24.0 * (1.0 + sigma)) + E / (12.0 * (1.0 - sigma**2)) * limit_div_coefficient(sigma, d)
-    return strong_divgrad_coefficient(E, sigma, d) - weak
+    return E * (1.0 + (d + 1) * sigma) / (24.0 * (1.0 + sigma) * (1.0 + (d - 1) * sigma)) - weak
 
 
 def p2_dof_points(interval_mesh: Mesh) -> np.ndarray:
@@ -122,12 +119,10 @@ def assemble_limit_pencil(interval_mesh: Mesh, spec: ThinDomainSpec, params: Mat
 
 
 def solve_limit_source(pencil: Pencil, F_coeffs: np.ndarray, f_coeffs: np.ndarray):
-    """Solve the shifted limit system with data (t^2/12 F, f) (g-weighted) on
-    the pencil's LU; the data and the pair (Phi, phi) returned are P2
-    coefficients in the global dof order."""
-    load = pencil.dofmap.restrict(pencil.B_full @ np.concatenate([F_coeffs, f_coeffs]))
-    x = sparse_solve(pencil.A, load, pencil.factor)
-    return pencil.split(pencil.dofmap.expand(x))
+    """Solve the shifted limit system with data (t^2/12 F, f) (g-weighted),
+    loaded by `rm_load_vector`; the data and the pair (Phi, phi) returned are
+    P2 coefficients in the global dof order."""
+    return pencil.split(solve_source(pencil, rm_load_vector(pencil, F_coeffs, f_coeffs)))
 
 
 class ConnectingSystem:
@@ -165,8 +160,7 @@ class ConnectingSystem:
         # points' x, the weights and the basis values are read
         batch = element_batch(thin_mesh, Q1_SCALAR, quad_rule(3, 2))
         self._xq, self._w, self._phi = batch.x[..., 0].copy(), batch.w, batch.phi
-        self._ivl_rule = segment_rule(3)
-        self._ivl_batch = element_batch(interval_mesh, P2_1D, self._ivl_rule)
+        self._ivl_batch = element_batch(interval_mesh, P2_1D, segment_rule(3))
 
     # -- pointwise column operations ------------------------------------
     def section_integral(self, nodal: np.ndarray, x) -> np.ndarray:
@@ -185,11 +179,6 @@ class ConnectingSystem:
 
     def section_average(self, nodal: np.ndarray, x) -> np.ndarray:
         return self.section_integral(nodal, x) / self.section_height(x)
-
-    def g_mesh(self, x) -> np.ndarray:
-        """Section weight implied by the mesh (equals spec.g up to profile
-        resampling at the x grid)."""
-        return self.section_height(x) / self.delta
 
     # -- averaging --------------------------------------------------------
     def average_to_p2(self, nodal: np.ndarray) -> np.ndarray:
@@ -232,9 +221,11 @@ class ConnectingSystem:
 
     # -- norms --------------------------------------------------------------
     def h0_norm(self, Phi_coeffs: np.ndarray, phi_coeffs: np.ndarray) -> float:
-        """g-weighted L2 norm of an interval pair (mesh-implied g)."""
+        """g-weighted L2 norm of an interval pair, with the section weight
+        g = height / delta implied by the mesh (spec.g up to profile
+        resampling at the x grid)."""
         xq = self._ivl_batch.x[..., 0]
-        g = self.g_mesh(xq.ravel()).reshape(xq.shape)
+        g = (self.section_height(xq.ravel()) / self.delta).reshape(xq.shape)
         Phi = p2_evaluate(self.interval_mesh, Phi_coeffs, xq.ravel()).reshape(xq.shape)
         phi = p2_evaluate(self.interval_mesh, phi_coeffs, xq.ravel()).reshape(xq.shape)
         return float(np.sqrt(self.integrate_interval(g * (Phi**2 + phi**2))))
@@ -278,10 +269,9 @@ class ConnectingSystem:
 def solve_extended_source(system, thin_pencil: Pencil, params: MaterialParams, F0_coeffs, f0_coeffs):
     """The thin solution (a `FieldPair`) of extended interval data: the
     shifted source problem of `thin_pencil` with the load
-    `ConnectingSystem.extended_load` of (F0, 0, f0), solved on the pencil's LU."""
+    `ConnectingSystem.extended_load` of (F0, 0, f0), solved by `solve_source`."""
     load = system.extended_load(thin_pencil, params, F0_coeffs, f0_coeffs)
-    x = sparse_solve(thin_pencil.A, load, thin_pencil.factor)
-    return FieldPair(*thin_pencil.split(thin_pencil.dofmap.expand(x)))
+    return FieldPair(*thin_pencil.split(solve_source(thin_pencil, load)))
 
 
 def resolvent_gap(

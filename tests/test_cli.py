@@ -8,6 +8,7 @@ import scipy.io
 from rmplates import BcFamily, LimitBc, MaterialParams, assemble_rm_pencil, build_rect_mesh, load_mesh, rigid_pair, save_mesh
 from rmplates.cli import SWEEPS, _parse_bc, main
 from rmplates.experiments import CONFIG_KEYS, SweepConfig
+from rmplates.geometry import mesh_to_dict
 
 PROFILE = {"x": [0.0, 1.0], "f1": [0.5, 0.5], "f2": [0.5, 1.0]}
 
@@ -275,6 +276,50 @@ def test_bad_input_exits_with_one_line_where_it_enters(tmp_path, command, config
         main([command, flag, str(path), "--out", str(tmp_path / "out")])
     assert "\n" not in exc.value.code
     assert not (tmp_path / "out").exists()
+
+
+def _cut_elements(data):
+    data["elements"] = [element[:3] for element in data["elements"]]
+
+
+def _third_column(data):
+    data["nodes"] = [node + [0.0] for node in data["nodes"]]
+
+
+def _clockwise(data):
+    data["elements"][0] = data["elements"][0][::-1]
+
+
+def _nan_node(data):
+    data["nodes"][4] = [float("nan"), 0.5]
+
+
+@pytest.mark.parametrize(
+    "command,edit,message",
+    [
+        ("solve-rm", _cut_elements, r"a quad4 mesh's elements have 4 columns, got shape \(4, 3\)"),
+        ("solve-biharmonic", _cut_elements, r"a quad4 mesh's elements have 4 columns, got shape \(4, 3\)"),
+        ("solve-biharmonic", lambda data: data.update(dim=3), "a quad4 mesh has dim 2, got 3"),
+        ("solve-biharmonic", _third_column, r"a quad4 mesh's nodes have 2 columns, got shape \(9, 3\)"),
+        ("solve-rm", lambda data: data.update(element_kind="tri3"), r"a tri3 mesh's elements have 3 columns, got shape \(4, 4\)"),
+        ("solve-rm", _clockwise, "element 0: non-positive Jacobian"),
+        ("solve-biharmonic", _nan_node, "element 0: zero or non-finite triangle area"),
+    ],
+    ids=["rm-cut-elements", "biharmonic-cut-elements", "dim-3", "third-node-column", "quads-as-tri3", "clockwise-quad",
+         "nan-node"],
+)
+def test_bad_mesh_file_exits_with_one_line(tmp_path, command, edit, message):
+    # a 2x2 square as save_mesh writes it, edited: these ended in an
+    # IndexError or AssemblyError traceback, a reshape error, or exit 0
+    data = json.loads(json.dumps(mesh_to_dict(build_rect_mesh(1, 1, 2, 2))))
+    edit(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    bc = "free" if command == "solve-rm" else "clamped"
+    with pytest.raises(SystemExit, match=rf"^{command}: {message}$") as exc:
+        main([command, "--mesh", str(path), "--bc", bc, "--num-eigs", "2", "--out", str(tmp_path / "eigs.json")])
+    assert "\n" not in exc.value.code
+    assert not (tmp_path / "eigs.json").exists()
 
 
 @pytest.mark.parametrize("flags,message", [(["--num-eigs", "0"], "k must be at least 1"), (["--tol", "nan"], "tol must be")])

@@ -63,6 +63,11 @@ class TestCoefficients:
         assert qjj_value(0.0, 2, 5.0) == 0.0
         assert_allclose(qjj_value(0.3, 2, 1.0), -0.3 / 1.3, atol=1e-15)
 
+    def test_qjj_rejects_bad_d(self):
+        # the one checked denominator of both coefficients
+        with pytest.raises(ValueError, match="positive integer"):
+            qjj_value(0.3, 0, 1.0)
+
     def test_qjj_defining_relation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -307,6 +312,32 @@ class TestResolventGap:
         zeros = np.zeros(len(p2_dof_points(cs.interval_mesh)))
         with pytest.raises(ValueError, match="thin mesh"):
             cs.extended_load(other, PARAMS, zeros, zeros)
+
+
+def test_every_source_solve_runs_through_the_one_solve(monkeypatch):
+    # `rm_system.solve_source` is where a reduced load meets a pencil's LU,
+    # so each source solve makes exactly one call of its `sparse_solve`
+    calls = []
+
+    def counted(A, load, factor):
+        calls.append(A.shape)
+        return eigensolve.sparse_solve(A, load, factor)
+
+    monkeypatch.setattr(rm_system, "sparse_solve", counted)
+    cs = make_system(constant_profile_spec(0, 1, 0.5, 0.2))
+    thin = assemble_rm_pencil(cs.thin_mesh, PARAMS, BcFamily.FREE)
+    limit = assemble_limit_pencil(cs.interval_mesh, cs.spec, PARAMS)
+    f0 = p2_interpolate(cs.interval_mesh, lambda x: np.sin(np.pi * x))
+    zeros = np.zeros(2 * cs.thin_mesh.n_nodes)
+    solves = {
+        "solve_rm_source": lambda: rm_system.solve_rm_source(thin, zeros, np.ones(cs.thin_mesh.n_nodes)),
+        "solve_limit_source": lambda: solve_limit_source(limit, np.zeros_like(f0), f0),
+        "solve_extended_source": lambda: solve_extended_source(cs, thin, PARAMS, np.zeros_like(f0), f0),
+    }
+    for name, solve in solves.items():
+        calls.clear()
+        solve()
+        assert len(calls) == 1, (name, calls)
 
 
 def test_no_nine_point_tabulation_of_a_thin_mesh(monkeypatch):
