@@ -2,8 +2,9 @@
 
 `element_batch` tabulates basis values, gradients (and Hessians for Morley,
 whose basis is in closed barycentric form) of one scalar space at the
-quadrature points of a range of elements at once; densities (`point_gram`) turn a batch into per-element matrices,
-those of a vector field from the batch of its components, and
+quadrature points of a range of elements at once; densities (`point_gram`)
+turn a batch into per-element matrices, those of a vector field from the
+batch of its components, and
 `assemble_from_local` scatters them into symmetric CSR matrices over all
 dofs of a dofmap.  Every assembler hands `assemble_pencil` a function of
 an element range that tabulates the range once and returns its local
@@ -170,21 +171,10 @@ def element_batch(mesh: Mesh, space: SpaceKind, quad: QuadratureRule = None, cel
 
 
 def point_gram(w: np.ndarray, a: np.ndarray, b: np.ndarray = None) -> np.ndarray:
-    """Per-element sums over the points q of (w_q a_qi) b_qj, shape (ne, n_a, n_b).
-    A trailing component axis is summed at each point before the point is
-    added: numpy's einsum order for "eq,eqi...,eqj...->eij", whose bits it
-    keeps.  (Einsum sums a point from zero, which only turns a -0 into +0,
-    and a sum started at +0 never holds -0, so adding either is the same.)
-    """
+    """Per-element sums over the points q of w_q a_qi b_qj, shape (ne, n_a, n_b),
+    summing a trailing component axis of a and b as well."""
     b = a if b is None else b
-    if a.ndim == 3:
-        a, b = a[..., None], b[..., None]
-    out = np.zeros(w.shape[:1] + (a.shape[2], b.shape[2]))
-    for q in range(w.shape[1]):
-        wq = w[:, q, None]
-        terms = [(wq * a[:, q, :, d])[:, :, None] * b[:, q, None, :, d] for d in range(a.shape[3])]
-        out += sum(terms[1:], terms[0])
-    return out
+    return np.einsum("eq,eqi,eqj->eij" if a.ndim == 3 else "eq,eqid,eqjd->eij", w, a, b)
 
 
 def mass_density(batch: ElementBatch) -> np.ndarray:
@@ -199,8 +189,8 @@ def strain_blocks(batch):
     """Per-element 8x8 blocks (eps:eps, div div) of a Q1 2-vector field over
     [x-component(4), y-component(4)], from the scalar Q1 batch.  eps_cd is
     (gx, gy/2, gy/2, 0) for an x-component basis function and (0, gx/2, gx/2,
-    gy) for a y-component one; each point sums its (c, d) terms as in
-    `point_gram`, which keeps the bits of the einsum over a zero-padded basis.
+    gy) for a y-component one; each point sums its (c, d) terms before it
+    is added, which keeps the bits of the einsum over a zero-padded basis.
     """
     ne, nq = batch.w.shape
     xx, xy, yx, yy, exx, eyy = sums = np.zeros((6, ne, 4, 4))
@@ -388,6 +378,4 @@ def assemble_pencil(mesh: Mesh, dofmap: DofMap, blocks: Callable[[slice], tuple]
 
 def assemble_load_from_local(dofmap: DofMap, local: np.ndarray) -> np.ndarray:
     """Scatter per-element load vectors (ne, nloc) over all dofs; `DofMap.restrict` cuts it."""
-    load = np.zeros(dofmap.n_dofs)
-    np.add.at(load, dofmap.element_to_global.ravel(), local.ravel())
-    return load
+    return np.bincount(dofmap.element_to_global.ravel(), local.ravel(), minlength=dofmap.n_dofs)

@@ -54,6 +54,10 @@ EXPECTED_KERNELS = {bc: family.kernel for bc, family in FAMILIES.items()}
 #: limit eigenvalue clusters (beyond the kernel) that the delta-sweep tracks
 DELTA_CLUSTERS = 3
 
+#: the least match score times sqrt(delta): thin vectors are B-normalized over
+#: a section of height delta, so a converging branch scores ~1, a twist pair ~0
+MATCH_FLOOR = 0.5
+
 #: each kind of sweep's row: the `SweepConfig` keys it reads, with their
 #: command-line defaults; a report echoes these keys and the command line
 #: rejects any other
@@ -304,15 +308,15 @@ def _delta_level(config: SweepConfig, nx: int, ny: int):
             m = V.shape[1]
             # mass of the averaged thin eigenvector inside the limit eigenspace,
             # the computable stand-in for the spectral-projection pairing; the
-            # thin vectors are B-orthonormal, so transverse branches score ~1e-11
-            # while the converging branch scores O(1)
+            # thin vectors are B-orthonormal, so transverse and twist branches
+            # score ~1e-8 or less while the converging branch scores about 1/sqrt(delta)
             scores = np.full(len(thin_res.eigenvalues), -1.0)
             for i in range(len(thin_res.eigenvalues)):
                 if taken[i] or abs(thin_res.eigenvalues[i] - lam0) > 0.6 * max(lam0, 1.0):
                     continue
                 scores[i] = np.linalg.norm(V.T @ (B0 @ averaged[:, i]))
             picked = list(np.argsort(scores)[::-1][:m])
-            if np.min(scores[picked]) <= 1e-9:
+            if np.min(scores[picked]) * np.sqrt(delta) <= MATCH_FLOOR:
                 raise ConvergenceError(
                     f"delta = {delta}, {nx}x{ny} mesh: could not match {m} thin eigenpairs to the"
                     f" limit cluster at {lam0}; best projection scores {scores[picked].tolist()}"

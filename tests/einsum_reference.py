@@ -1,10 +1,11 @@
-"""Reference Q1 tabulation, Reissner-Mindlin kernels and scatter.
+"""Reference Q1 tabulation, Reissner-Mindlin kernels and scatters.
 
-The package computes these blocks from scalar Q1 batches with explicit sums
-in numpy's einsum order.  This module keeps the zero-padded vector-batch
-einsums they replace, and the scatter that repeats the full index grid of
-every element, so `test_bit_identity.py` can assert that both give the
-same bits.  Nothing in the package imports it.
+The package computes these blocks from scalar Q1 batches, in numpy's einsum
+order, and scatters loads with `np.bincount`.  This module keeps the
+zero-padded vector-batch einsums they replace, the matrix scatter that
+repeats the full index grid of every element and the `np.add.at` load
+scatter, so `test_bit_identity.py` can assert that both give the same bits.
+Nothing in the package imports it.
 """
 
 import numpy as np
@@ -114,3 +115,11 @@ def assemble_from_local(dofmap, *stacks):
         lower.eliminate_zeros()
         matrices.append((lower + sp.tril(lower, k=-1).T).tocsr())
     return matrices[0] if len(matrices) == 1 else tuple(matrices)
+
+
+def assemble_load_from_local(dofmap, local):
+    """Per-element load vectors (ne, nloc) added into a zero vector over all
+    dofs, one entry at a time in element order."""
+    load = np.zeros(dofmap.n_dofs)
+    np.add.at(load, dofmap.element_to_global.ravel(), local.ravel())
+    return load

@@ -150,7 +150,7 @@ def assert_extended_load(spec, pencil):
     F0 = p2_interpolate(interval, lambda x: np.cos(2.0 * x))
     f0 = p2_interpolate(interval, lambda x: np.sin(np.pi * x))
     local = ref.rm_load_local(mesh, PARAMS, *extension(interval, F0, f0))
-    want = pencil.dofmap.restrict(assemble_load_from_local(pencil.dofmap, local))
+    want = pencil.dofmap.restrict(ref.assemble_load_from_local(pencil.dofmap, local))
     got = system.extended_load(pencil, PARAMS, F0, f0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -173,6 +173,15 @@ def test_cylinder_pencil_and_extended_load():
     # the free thin pencil and the extended-data load of `resolvent_gap`
     pencil = assert_same_pencil(cylinder_mesh(), BcFamily.FREE)
     assert_extended_load(constant_profile_spec(0.0, 1.0, 0.5, 0.05), pencil)
+
+
+@pytest.mark.parametrize("mesh_name", ["rect", "cylinder"])
+def test_load_scatter(mesh_name):
+    # seeded local loads on the RM dofmap: the same bits as the np.add.at scatter
+    dofmap = rm_dofmap(MESHES[mesh_name](), BcFamily.FREE)
+    local = np.random.default_rng(5).standard_normal(dofmap.element_to_global.shape)
+    got, want = assemble_load_from_local(dofmap, local), ref.assemble_load_from_local(dofmap, local)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=10, deadline=None)

@@ -452,6 +452,21 @@ class TestSweeps:
                 unpicked += [high] if high is not None else []
         assert unpicked and max(unpicked) < 1e-10
 
+    def test_delta_sweep_raises_rather_than_match_a_twist_pair(self):
+        # at delta = 0.00625 the third cluster's branch lies past the computed
+        # pairs, and the best eligible one is a twist pair scoring 2.4e-9
+        cfg = SweepConfig(kind="delta", values=(0.025, 0.0125, 0.00625), mesh_n=96, mesh_ny=6)
+        with pytest.raises(ConvergenceError, match=r"delta = 0\.00625, 96x6 mesh: could not match 1 "):
+            sweep_delta(cfg)
+
+    def test_converging_branches_score_about_one_times_sqrt_delta(self):
+        # the thin vectors are B-normalized over a section of height delta
+        cfg = SweepConfig(kind="delta", values=experiments.CONFIG_KEYS["delta"]["values"], mesh_n=96, mesh_ny=6)
+        for point in experiments._delta_level(cfg, 96, 6):
+            for low, _ in point["match_scores"]:
+                assert 0.9 <= low * np.sqrt(point["delta"]) <= 1.1
+        assert experiments.MATCH_FLOOR < 0.9
+
     def test_delta_level_releases_each_point_before_the_next(self, monkeypatch):
         # a point's thin pencil, and with it its matrices, is gone before the
         # next point assembles its own
